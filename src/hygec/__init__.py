@@ -18,6 +18,8 @@ from .denoisers import (
     z_posterior_quantized,
 )
 from .em import EmConfig, em_hygec_run, em_update_rho, group_activity
+# lmmse_block now takes the Gram from lmmse_gram(H, v_z_lik) and a side, "x"
+# or "z", and returns only that side's (mean, var).
 from .engine import (
     FactorizationFailure,
     HygecConfig,
@@ -27,6 +29,7 @@ from .engine import (
     hygec_sweep,
     init_state,
     lmmse_block,
+    lmmse_gram,
 )
 from .ensembles import (
     MatrixSpec,
@@ -105,6 +108,7 @@ __all__ = [
     "indicator_beliefs",
     "init_state",
     "lmmse_block",
+    "lmmse_gram",
     "llr_messages",
     "nmse",
     "quad_z_posterior",

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .ensembles import (
     gen_matrix,
     snr_to_noise_var,
 )
-from .oracle import nmse
 from .types import (
     Channel,
     GroupStructure,
@@ -96,28 +95,36 @@ class Scenario:
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
         d = dict(d)
-        engine = HygecConfig(**d.pop("engine", {}))
-        em = EmConfig(**d.pop("em", {}))
-        known = {
-            "name", "m", "n", "k", "rho", "snr_db", "seeds", "algorithms", "bits",
-            "matrix_kind", "matrix_mean", "kappa", "sweep_param", "sweep_values",
-            "sigma_x_sq", "rho_init",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(Scenario)}
         if unknown:
             raise InvalidParameter(f"unknown scenario fields: {sorted(unknown)}")
-        for key in ("seeds", "algorithms", "sweep_values"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return Scenario(engine=engine, em=em, **d)
+        try:
+            engine = HygecConfig(**d.pop("engine", {}))
+            em = EmConfig(**d.pop("em", {}))
+            for key in ("seeds", "algorithms", "sweep_values"):
+                if key in d:
+                    d[key] = tuple(d[key])
+            return Scenario(engine=engine, em=em, **d)
+        except TypeError as exc:  # a missing field, or a value of the wrong type
+            raise InvalidParameter(f"malformed scenario: {exc}") from exc
 
     @staticmethod
     def from_json(path: str) -> "Scenario":
-        try:
-            with open(path) as fh:
-                return Scenario.from_dict(json.load(fh))
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        return Scenario.from_dict(load_json(path))
+
+
+def load_json(path: str) -> dict:
+    """The JSON object in a scenario or instance-spec file."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(d, dict):
+        raise SchemaMismatch(f"{path}: expected a JSON object, found {type(d).__name__}")
+    return d
 
 
 def build_instance(scenario: Scenario, seed: int, sweep_value: float | None) -> ProblemInstance:
@@ -346,37 +353,26 @@ def import_instance(path: str) -> ProblemInstance:
         data = np.load(path)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except ValueError as exc:  # not an .npz archive
+        raise SchemaMismatch(f"{path}: not an instance file ({exc})") from exc
     if "schema_version" not in data or int(data["schema_version"]) != SCHEMA_VERSION:
         raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
-    kind = str(data["channel_kind"])
-    noise_var = float(data["noise_var"])
-    if kind == "quantized":
-        channel = Channel.quantized(noise_var, int(data["bits"]), float(data["clip_range"]))
-    else:
-        channel = Channel.linear_awgn(noise_var)
-    return ProblemInstance(
-        H=data["H"],
-        y=data["y"],
-        groups=GroupStructure(tuple(int(s) for s in data["group_sizes"])),
-        channel=channel,
-        sigma_x_sq=float(data["sigma_x_sq"]),
-        x_true=data["x_true"] if "x_true" in data else None,
-        xi_true=data["xi_true"] if "xi_true" in data else None,
-        true_rho=float(data["true_rho"]) if "true_rho" in data else None,
-    )
-
-
-def trial_final_nmse(scenario: Scenario, seed: int, sweep_value: float | None, algorithm: str):
-    """Convenience for tests: (final nmse_db or None, termination, rho_final)."""
-    inst = build_instance(scenario, seed, sweep_value)
-    if algorithm == "hygec-known-rho":
-        _, _, _, x_pos, report = hygec_run(inst, scenario.rho, scenario.engine)
-        rho_final = scenario.rho
-    else:
-        x_pos, rho_final, report = em_hygec_run(
-            inst, scenario.rho_init, scenario.engine, scenario.em
+    try:
+        kind = str(data["channel_kind"])
+        noise_var = float(data["noise_var"])
+        if kind == "quantized":
+            channel = Channel.quantized(noise_var, int(data["bits"]), float(data["clip_range"]))
+        else:
+            channel = Channel.linear_awgn(noise_var)
+        return ProblemInstance(
+            H=data["H"],
+            y=data["y"],
+            groups=GroupStructure(tuple(int(s) for s in data["group_sizes"])),
+            channel=channel,
+            sigma_x_sq=float(data["sigma_x_sq"]),
+            x_true=data["x_true"] if "x_true" in data else None,
+            xi_true=data["xi_true"] if "xi_true" in data else None,
+            true_rho=float(data["true_rho"]) if "true_rho" in data else None,
         )
-    value = None
-    if inst.x_true is not None and np.any(inst.x_true != 0):
-        value = nmse(x_pos, inst.x_true)
-    return value, report.termination, rho_final
+    except KeyError as exc:
+        raise SchemaMismatch(f"{path}: instance file lacks field {exc}") from exc

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -23,27 +24,35 @@ from .ensembles import (
     snr_to_noise_var,
 )
 from .oracle import exact_posterior_small, quad_z_posterior
-from .types import NUMERICAL_FAILURE, Channel, GroupStructure, HygecError, ProblemInstance
+from .types import (
+    NUMERICAL_FAILURE,
+    Channel,
+    GroupStructure,
+    HygecError,
+    InvalidParameter,
+    ProblemInstance,
+)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part[1:]:  # allow a leading minus sign
-            lo, hi = part.rsplit("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+        try:
+            if "-" in part[1:]:  # allow a leading minus sign
+                lo, hi = part.rsplit("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                seeds.append(int(part))
+        except ValueError as exc:
+            raise InvalidParameter(f"bad seed list {text!r}: {exc}") from exc
     return tuple(seeds)
 
 
 def _cmd_run(args) -> int:
     scenario = bench.Scenario.from_json(args.scenario)
     if args.seeds:
-        scenario = bench.Scenario.from_dict(
-            {**_scenario_dict(scenario), "seeds": _parse_seeds(args.seeds)}
-        )
+        scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
     rows = bench.run_scenario(scenario, threads=args.threads)
     summary = bench.summarize(rows)
     if args.out:
@@ -60,16 +69,6 @@ def _cmd_run(args) -> int:
         print(f"{failures} trial(s) hit {NUMERICAL_FAILURE}", file=sys.stderr)
         return 1
     return 0
-
-
-def _scenario_dict(s: bench.Scenario) -> dict:
-    return {
-        "name": s.name, "m": s.m, "n": s.n, "k": s.k, "rho": s.rho, "snr_db": s.snr_db,
-        "seeds": s.seeds, "algorithms": s.algorithms, "bits": s.bits,
-        "matrix_kind": s.matrix_kind, "matrix_mean": s.matrix_mean, "kappa": s.kappa,
-        "sweep_param": s.sweep_param, "sweep_values": s.sweep_values,
-        "sigma_x_sq": s.sigma_x_sq, "rho_init": s.rho_init,
-    }
 
 
 def _emit_rows(rows, summary, fmt: str) -> None:
@@ -98,10 +97,7 @@ def _summary_lines(summary) -> list[str]:
 
 
 def _cmd_gen(args) -> int:
-    import json
-
-    with open(args.spec) as fh:
-        d = json.load(fh)
+    d = bench.load_json(args.spec)
     d.setdefault("name", "custom")
     d.setdefault("seeds", [args.seed])
     inst = bench.build_instance(bench.Scenario.from_dict(d), args.seed, None)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 
 from .denoisers import (
     Moments,
@@ -97,34 +97,44 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     )
 
 
-def lmmse_block(H, m_z_lik, v_z_lik, m_x_pri, v_x_pri):
+def lmmse_gram(H, v_z_lik) -> np.ndarray:
+    """Lower triangle of H^T diag(1/v_z_lik) H, in Fortran order.
+
+    Built by one rank-m update (BLAS syrk) of the row-scaled H; the strict
+    upper triangle is left at zero and is never read by `lmmse_block`.
+    """
+    scaled = np.asarray(H, dtype=float) / np.sqrt(np.asarray(v_z_lik, dtype=float))[:, None]
+    # scaled.T is Fortran-contiguous, so syrk reads it in place: A A^T = scaled^T scaled
+    return blas.dsyrk(1.0, scaled.T, lower=1)
+
+
+def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     """Joint Gaussian combine of the z-side and x-side messages through H.
 
-    Solves (H^T D H + diag(1/v_x_pri)) with D = diag(1/v_z_lik) by Cholesky and
-    returns (x_pos2, v_x_pos2, z_pos1, v_z_pos1), the posterior means and
-    marginal variances on both sides. The inverse is formed explicitly; fine
-    for the problem sizes this targets (N up to a couple thousand).
+    With `gram` = `lmmse_gram(H, v_z_lik)` (only its lower triangle is read),
+    factors P = H^T D H + diag(1/v_x_pri), D = diag(1/v_z_lik), as L L^T and
+    returns the posterior mean and marginal variances of one side: side "x"
+    gives (P^-1 r, diag P^-1) with r = H^T D m_z_lik + m_x_pri / v_x_pri;
+    side "z" gives (H P^-1 r, diag H P^-1 H^T). No inverse of P is formed:
+    diag P^-1 is the column sums of squares of L^-1, and diag H P^-1 H^T
+    those of L^-1 H^T.
     """
+    if side not in ("x", "z"):
+        raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
     H = np.asarray(H, dtype=float)
-    n = H.shape[1]
-    hd = H / np.asarray(v_z_lik, dtype=float)[:, None]
-    prec = hd.T @ H
-    prec[np.diag_indices(n)] += 1.0 / np.asarray(v_x_pri, dtype=float)
-    prec = 0.5 * (prec + prec.T)
-    try:
-        c, low = cho_factor(prec, check_finite=False)
-        q = cho_solve((c, low), np.eye(n), check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise FactorizationFailure(str(exc)) from exc
-    rhs = hd.T @ np.asarray(m_z_lik, dtype=float) + np.asarray(m_x_pri) / np.asarray(v_x_pri)
-    x_pos2 = q @ rhs
-    v_x_pos2 = np.diag(q).copy()
-    z_pos1 = H @ x_pos2
-    hq = H @ q
-    v_z_pos1 = np.einsum("ij,ij->i", hq, H)
-    return x_pos2, v_x_pos2, z_pos1, v_z_pos1
+    v_x_pri = np.asarray(v_x_pri, dtype=float)
+    prec = np.array(gram, dtype=float, order="F")
+    prec[np.diag_indices(H.shape[1])] += 1.0 / v_x_pri
+    chol, info = lapack.dpotrf(prec, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
+    rhs = H.T @ (np.asarray(m_z_lik, dtype=float) / v_z_lik) + np.asarray(m_x_pri) / v_x_pri
+    x_pos = cho_solve((chol, True), rhs, check_finite=False)
+    if side == "x":
+        factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
+        return x_pos, np.einsum("ij,ij->j", factor, factor)
+    factor = solve_triangular(chol, H.T, lower=True, check_finite=False)
+    return H @ x_pos, np.einsum("ij,ij->j", factor, factor)
 
 
 def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,8 +159,10 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
     state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
 
-    x_pos2, v_x_pos2, _, _ = lmmse_block(
-        inst.H, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri
+    # the z-side message is fixed for the rest of the sweep, so both solves share it
+    gram = lmmse_gram(inst.H, state.v_z_lik)
+    x_pos2, v_x_pos2 = lmmse_block(
+        inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "x"
     )
     ext = extrinsic(
         Moments(x_pos2, v_x_pos2), Moments(state.m_x_pri, state.v_x_pri), cfg.v_min, cfg.v_max
@@ -170,8 +182,8 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     )
     state.m_x_pri, state.v_x_pri = _damp(ext, state.m_x_pri, state.v_x_pri, damp)
 
-    _, _, z_pos1, v_z_pos1 = lmmse_block(
-        inst.H, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri
+    z_pos1, v_z_pos1 = lmmse_block(
+        inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z"
     )
     ext = extrinsic(
         Moments(z_pos1, v_z_pos1), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max

@@ -93,6 +93,12 @@ def test_scenario_from_json(tmp_path):
     assert sc.m == 6 and sc.seeds == (5,)
     with pytest.raises(IoError):
         Scenario.from_json(str(tmp_path / "missing.json"))
+    path.write_text('{"name": "custom", "m": 6,')
+    with pytest.raises(SchemaMismatch):
+        Scenario.from_json(str(path))
+    path.write_text(json.dumps({"name": "custom", "m": 6}))
+    with pytest.raises(InvalidParameter):
+        Scenario.from_json(str(path))
 
 
 def test_build_instance_is_deterministic():
@@ -307,3 +313,19 @@ def test_import_rejects_wrong_schema(tmp_path):
         import_instance(path2)
     with pytest.raises(IoError):
         import_instance(str(tmp_path / "missing.npz"))
+
+
+def test_import_rejects_instance_missing_a_field(tmp_path):
+    inst = build_instance(_scenario(), 7, None)
+    path = str(tmp_path / "full.npz")
+    export_instance(inst, path)
+    full = dict(np.load(path))
+    for key in ("H", "y", "group_sizes", "channel_kind", "noise_var", "sigma_x_sq"):
+        cut = str(tmp_path / f"no_{key}.npz")
+        np.savez(cut, **{k: v for k, v in full.items() if k != key})
+        with pytest.raises(SchemaMismatch):
+            import_instance(cut)
+    text = tmp_path / "text.npz"
+    text.write_text("not an archive")
+    with pytest.raises(SchemaMismatch):
+        import_instance(str(text))

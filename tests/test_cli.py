@@ -52,6 +52,15 @@ def test_run_seeds_override(tmp_path):
     assert seeds == {"0", "1"}
 
 
+def test_run_seeds_override_keeps_nested_options(tmp_path):
+    sc = _scenario_file(tmp_path, seeds=[5], engine={"max_iter": 1})
+    out = tmp_path / "rows.csv"
+    assert main(["run", sc, "--seeds", "0", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1  # one trial of one sweep
+    assert rows[0].split(",")[1] == "0"
+
+
 def test_run_emits_json_to_stdout(tmp_path, capsys):
     sc = _scenario_file(tmp_path)
     assert main(["run", sc, "--format", "json"]) == 0
@@ -63,6 +72,29 @@ def test_run_emits_json_to_stdout(tmp_path, capsys):
 def test_run_missing_scenario_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_bad_seed_list_exits_two(tmp_path, capsys):
+    sc = _scenario_file(tmp_path)
+    for text in ("abc", "0-x"):
+        assert main(["run", sc, "--seeds", text]) == 2, text
+        assert "error:" in capsys.readouterr().err
+
+
+def test_run_malformed_scenario_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ('{"name": "custom", "m": 20,', "[1, 2]", '{"name": "custom"}',
+                 json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
+                             "snr_db": 18.0, "seeds": [0], "engine": {"bogus": 1}})):
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2, text
+        assert "error:" in capsys.readouterr().err
+
+
+def test_gen_missing_spec_exits_two(tmp_path, capsys):
+    assert main(["gen", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x.npz")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.npz").exists()
 
 
 def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):

@@ -10,11 +10,13 @@ from hygec.engine import (
     hygec_sweep,
     init_state,
     lmmse_block,
+    lmmse_gram,
     resolve_p_z,
 )
 from hygec.ensembles import (
     MatrixSpec,
     apply_channel,
+    default_clip_range,
     gen_group_sparse_signal,
     gen_matrix,
     snr_to_noise_var,
@@ -32,12 +34,16 @@ from hygec.types import (
 )
 
 
-def _instance(seed, m, n, k, rho, snr_db, sigma_x_sq=1.0):
+def _instance(seed, m, n, k, rho, snr_db, sigma_x_sq=1.0, bits=None):
     groups = GroupStructure.even(n, k)
     H = gen_matrix(MatrixSpec("iid", m, n), np.random.default_rng([seed, 0]))
     x, xi = gen_group_sparse_signal(groups, rho, sigma_x_sq, np.random.default_rng([seed, 1]))
     noise_var = snr_to_noise_var(H, rho, sigma_x_sq, snr_db)
-    channel = Channel.linear_awgn(noise_var)
+    if bits is None:
+        channel = Channel.linear_awgn(noise_var)
+    else:
+        clip = default_clip_range(H, rho, sigma_x_sq, noise_var)
+        channel = Channel.quantized(noise_var, bits, clip)
     y = apply_channel(H, x, channel, np.random.default_rng([seed, 2]))
     return ProblemInstance(H, y, groups, channel, sigma_x_sq, x, xi, rho)
 
@@ -85,12 +91,27 @@ def test_init_state_layout():
     assert np.all(lit.v_x_pri == 0.2)
 
 
+def _lmmse_both_sides(H, mz, vz, mx, vx, gram=None):
+    if gram is None:
+        gram = lmmse_gram(H, vz)
+    return (
+        *lmmse_block(H, gram, mz, vz, mx, vx, "x"),
+        *lmmse_block(H, gram, mz, vz, mx, vx, "z"),
+    )
+
+
+def _lmmse_dense_inverse(H, mz, vz, mx, vx):
+    q = np.linalg.inv(H.T @ np.diag(1.0 / vz) @ H + np.diag(1.0 / vx))
+    x_ref = q @ (H.T @ (mz / vz) + mx / vx)
+    return x_ref, np.diag(q), H @ x_ref, np.diag(H @ q @ H.T)
+
+
 def test_lmmse_identity_sensing_is_scalar_product():
     rng = np.random.default_rng(0)
     n = 7
     mz, vz = rng.uniform(-2, 2, n), rng.uniform(0.5, 2.0, n)
     mx, vx = rng.uniform(-2, 2, n), rng.uniform(0.5, 2.0, n)
-    x_pos, v_x, z_pos, v_z = lmmse_block(np.eye(n), mz, vz, mx, vx)
+    x_pos, v_x, z_pos, v_z = _lmmse_both_sides(np.eye(n), mz, vz, mx, vx)
     v_ref = 1.0 / (1.0 / vz + 1.0 / vx)
     m_ref = v_ref * (mz / vz + mx / vx)
     assert np.max(np.abs(x_pos - m_ref)) < 1e-12
@@ -105,21 +126,95 @@ def test_lmmse_matches_dense_inverse():
     H = rng.standard_normal((m, n))
     mz, vz = rng.uniform(-2, 2, m), rng.uniform(0.5, 2.0, m)
     mx, vx = rng.uniform(-2, 2, n), rng.uniform(0.5, 2.0, n)
-    x_pos, v_x, z_pos, v_z = lmmse_block(H, mz, vz, mx, vx)
-    q = np.linalg.inv(H.T @ np.diag(1.0 / vz) @ H + np.diag(1.0 / vx))
-    x_ref = q @ (H.T @ (mz / vz) + mx / vx)
+    x_pos, v_x, z_pos, v_z = _lmmse_both_sides(H, mz, vz, mx, vx)
+    x_ref, v_x_ref, z_ref, v_z_ref = _lmmse_dense_inverse(H, mz, vz, mx, vx)
     assert np.max(np.abs(x_pos - x_ref)) < 1e-9
-    assert np.max(np.abs(v_x - np.diag(q))) < 1e-9
-    assert np.max(np.abs(z_pos - H @ x_ref)) < 1e-9
-    assert np.max(np.abs(v_z - np.diag(H @ q @ H.T))) < 1e-9
+    assert np.max(np.abs(v_x - v_x_ref)) < 1e-9
+    assert np.max(np.abs(z_pos - z_ref)) < 1e-9
+    assert np.max(np.abs(v_z - v_z_ref)) < 1e-9
+
+
+def test_lmmse_matches_dense_inverse_over_wide_prior_variances():
+    # mid-run the x-side prior variances span 1e-5 (near-certain zeros) to
+    # 1e10 (uninformative); the solve must stay exact to rounding there
+    rng = np.random.default_rng(2)
+    m, n = 40, 80
+    H = rng.standard_normal((m, n)) / np.sqrt(m)
+    mz, vz = rng.uniform(-2, 2, m), 10.0 ** rng.uniform(-2, 0, m)
+    mx, vx = rng.uniform(-2, 2, n), 10.0 ** rng.uniform(-5, 10, n)
+    vx[:2] = 1e-5, 1e10
+    got = _lmmse_both_sides(H, mz, vz, mx, vx)
+    prec = H.T @ np.diag(1.0 / vz) @ H + np.diag(1.0 / vx)
+    rhs = H.T @ (mz / vz) + mx / vx
+    # the mean's normal-equation residual sits at rounding (a Woodbury solve
+    # through the m x m system leaves 2e-5 in this regime)
+    assert np.linalg.norm(prec @ got[0] - rhs) / np.linalg.norm(rhs) < 1e-13
+    assert np.max(np.abs(got[2] - H @ got[0])) < 1e-12 * np.max(np.abs(got[2]))
+    # the dense inverse is itself accurate only to about cond(P) * eps
+    tol = 100 * np.linalg.cond(prec) * np.finfo(float).eps
+    ref = _lmmse_dense_inverse(H, mz, vz, mx, vx)
+    for name, a, b in zip(("x_pos", "v_x", "z_pos", "v_z"), got, ref):
+        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert err < tol, f"{name}: relative error {err:.1e} (tolerance {tol:.1e})"
+
+
+def test_lmmse_full_gram_and_lower_triangle_agree():
+    rng = np.random.default_rng(3)
+    m, n = 12, 20
+    H = rng.standard_normal((m, n))
+    mz, vz = rng.uniform(-2, 2, m), rng.uniform(0.1, 2.0, m)
+    mx, vx = rng.uniform(-2, 2, n), 10.0 ** rng.uniform(-3, 3, n)
+    lower = lmmse_gram(H, vz)
+    assert np.all(np.triu(lower, 1) == 0)
+    full = (H / vz[:, None]).T @ H
+    assert np.max(np.abs(np.tril(lower) - np.tril(full))) < 1e-12 * np.max(np.abs(full))
+    got_lower = _lmmse_both_sides(H, mz, vz, mx, vx, lower)
+    got_full = _lmmse_both_sides(H, mz, vz, mx, vx, full)
+    for a, b in zip(got_lower, got_full):
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+    # the strict upper triangle is never read
+    poisoned = lower.copy()
+    poisoned[np.triu_indices(n, 1)] = np.nan
+    for a, b in zip(_lmmse_both_sides(H, mz, vz, mx, vx, poisoned), got_lower):
+        assert np.array_equal(a, b)
 
 
 def test_lmmse_translates_factorization_errors():
     # an indefinite system must surface as FactorizationFailure, not LinAlgError
-    with pytest.raises(FactorizationFailure):
-        lmmse_block(
-            np.array([[0.0]]), np.array([1.0]), np.array([1.0]), np.array([0.0]), np.array([-1.0])
-        )
+    H = np.array([[0.0]])
+    gram = lmmse_gram(H, np.array([1.0]))
+    for side in ("x", "z"):
+        with pytest.raises(FactorizationFailure):
+            lmmse_block(H, gram, np.array([1.0]), np.array([1.0]), np.array([0.0]),
+                        np.array([-1.0]), side)
+    with pytest.raises(InvalidParameter):
+        lmmse_block(H, gram, np.array([1.0]), np.array([1.0]), np.array([0.0]),
+                    np.array([1.0]), "y")
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
+    # the same sweeps with each LMMSE step done through a dense inverse of
+    # H^T D H + diag(1/v_x_pri), the gram argument ignored
+    inst = _instance(4, 30, 60, 10, 0.2, 15.0, bits=bits)
+    cfg = HygecConfig()
+    fast = init_state(inst, 0.2, cfg)
+    ref = init_state(inst, 0.2, cfg)
+    for _ in range(5):
+        hygec_sweep(fast, inst, 0.2, cfg)
+
+    def dense(H, gram, mz, vz, mx, vx, side):
+        x_pos, v_x, z_pos, v_z = _lmmse_dense_inverse(H, mz, vz, mx, vx)
+        return (x_pos, v_x) if side == "x" else (z_pos, v_z)
+
+    monkeypatch.setattr("hygec.engine.lmmse_block", dense)
+    for _ in range(5):
+        hygec_sweep(ref, inst, 0.2, cfg)
+    for name in ("m_z_pri", "v_z_pri", "m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri",
+                 "m_x_lik", "v_x_lik", "x_pos", "v_x_pos", "rho_hat"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert err < 1e-9, f"{name}: relative error {err:.1e}"
 
 
 def test_one_sweep_identity_sensing_matches_scalar_denoiser():
