@@ -18,8 +18,6 @@ from .denoisers import (
     z_posterior_quantized,
 )
 from .em import EmConfig, em_hygec_run, em_update_rho, group_activity
-# lmmse_block now takes the Gram from lmmse_gram(H, v_z_lik) and a side, "x"
-# or "z", and returns only that side's (mean, var).
 from .engine import (
     FactorizationFailure,
     HygecConfig,

@@ -229,6 +229,14 @@ def channel_posterior(channel, y, m, v) -> Moments:
     return Moments(mean, var)
 
 
+def _element_llr(m_x_lik, v_x_lik, sigma_x_sq):
+    # log N(0|m, sigma_x_sq + v) - log N(0|m, v) per element
+    v = np.asarray(v_x_lik, dtype=float)
+    m = np.asarray(m_x_lik, dtype=float)
+    total = sigma_x_sq + v
+    return 0.5 * (np.log(v) - np.log(total)) + 0.5 * m * m * (1.0 / v - 1.0 / total)
+
+
 def x_posterior_spike_slab(m, v, rho_hat, sigma_x_sq) -> tuple[Moments, np.ndarray]:
     """Posterior under the prior rho*N(0, sigma_x_sq) + (1-rho)*delta(0).
 
@@ -239,12 +247,11 @@ def x_posterior_spike_slab(m, v, rho_hat, sigma_x_sq) -> tuple[Moments, np.ndarr
     rho_hat = np.asarray(rho_hat, dtype=float)
     if np.any(v <= 0):
         raise InvalidParameter("v must be positive")
-    total = sigma_x_sq + v
-    # log N(0|m, total) - log N(0|m, v), the slab-vs-spike evidence ratio
-    llr_ev = 0.5 * (np.log(v) - np.log(total)) + 0.5 * m * m * (1.0 / v - 1.0 / total)
+    llr_ev = _element_llr(m, v, sigma_x_sq)  # the slab-vs-spike evidence ratio
     safe_rho = np.clip(rho_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
     pi = expit(logit(safe_rho) + llr_ev)
     pi = np.where(rho_hat == 0.0, 0.0, np.where(rho_hat == 1.0, 1.0, pi))
+    total = sigma_x_sq + v
     mu_slab = m * sigma_x_sq / total
     v_slab = sigma_x_sq * v / total
     mean = pi * mu_slab
@@ -267,14 +274,6 @@ def extrinsic(pos: Moments, cav: Moments, v_min: float, v_max: float) -> Moments
         var = np.where(prec > 0.0, np.clip(1.0 / np.where(prec > 0, prec, 1.0), v_min, v_max), v_max)
     mean = var * (pos_mean / pos_var - cav_mean / cav_var)
     return Moments(mean, var)
-
-
-def _element_llr(m_x_lik, v_x_lik, sigma_x_sq):
-    # log N(0|m, sigma_x_sq + v) - log N(0|m, v) per element
-    v = np.asarray(v_x_lik, dtype=float)
-    m = np.asarray(m_x_lik, dtype=float)
-    total = sigma_x_sq + v
-    return 0.5 * (np.log(v) - np.log(total)) + 0.5 * m * m * (1.0 / v - 1.0 / total)
 
 
 def llr_messages(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:

@@ -91,6 +91,7 @@ def em_hygec_run(
         report.x_hat = x_pos
         if inner.termination == NUMERICAL_FAILURE:
             report.termination = NUMERICAL_FAILURE
+            report.failure = inner.failure
             break
         rho = em_update_rho(m_x_lik, v_x_lik, rho_hat, inst.groups, inst.sigma_x_sq)
         report.rho_trace.append(rho)

@@ -146,21 +146,48 @@ def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.
     )
 
 
-def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
+def _linear_z_lik(inst: ProblemInstance, cfg: HygecConfig) -> tuple[np.ndarray, np.ndarray]:
+    # z_posterior_awgn followed by extrinsic returns N(y, noise_var) for every
+    # z-prior message, so on the linear channel that is the z-likelihood message
+    v = np.clip(inst.channel.noise_var, cfg.v_min, cfg.v_max)
+    return np.array(inst.y, dtype=float), np.full(inst.m, v)
+
+
+def hygec_sweep(
+    state: GecState,
+    inst: ProblemInstance,
+    rho: float,
+    cfg: HygecConfig,
+    gram: np.ndarray | None = None,
+) -> GecState:
     """One full message-passing sweep, mutating `state` in place.
 
     Order: z-channel denoise, joint solve to the x side, spike-slab denoise,
     joint solve back to the z side, activity-message refresh. The first sweep
     runs undamped because the stale sides of the state are placeholders.
+
+    On the linear channel the z-likelihood message is the channel itself,
+    N(y, noise_var), whatever the z-prior message is. The sweep sets it
+    directly and skips the z-channel denoise and the z-side solve, whose only
+    output would feed that denoiser. `gram` is then the fixed
+    `lmmse_gram(H, v_z_lik)`; `hygec_run` builds it once per run, and it is
+    built here when not given. The quantized channel ignores `gram` and builds
+    its Gram every sweep from the new z-likelihood message.
     """
     damp = cfg.damping if state.t > 0 else 1.0
+    linear = inst.channel.kind == "linear"
 
-    z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
-    ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
-    state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
+    if linear:
+        state.m_z_lik, state.v_z_lik = _linear_z_lik(inst, cfg)
+        if gram is None:
+            gram = lmmse_gram(inst.H, state.v_z_lik)
+    else:
+        z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
+        ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
+        state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
+        # the z-side message is fixed for the rest of the sweep, so both solves share it
+        gram = lmmse_gram(inst.H, state.v_z_lik)
 
-    # the z-side message is fixed for the rest of the sweep, so both solves share it
-    gram = lmmse_gram(inst.H, state.v_z_lik)
     x_pos2, v_x_pos2 = lmmse_block(
         inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "x"
     )
@@ -182,13 +209,14 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     )
     state.m_x_pri, state.v_x_pri = _damp(ext, state.m_x_pri, state.v_x_pri, damp)
 
-    z_pos1, v_z_pos1 = lmmse_block(
-        inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z"
-    )
-    ext = extrinsic(
-        Moments(z_pos1, v_z_pos1), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max
-    )
-    state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
+    if not linear:
+        z_pos1, v_z_pos1 = lmmse_block(
+            inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z"
+        )
+        ext = extrinsic(
+            Moments(z_pos1, v_z_pos1), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max
+        )
+        state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
 
     state.rho_hat = llr_messages(
         state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups
@@ -209,8 +237,9 @@ def hygec_run(
     """Run sweeps until the posterior mean stops moving or the budget runs out.
 
     Returns (m_x_lik, v_x_lik, rho_hat, x_pos, report). Numerical trouble is
-    recorded in report.termination rather than raised, so parameter sweeps can
-    keep going past divergent configurations.
+    recorded in report.termination, with its cause and sweep in report.failure,
+    rather than raised, so parameter sweeps can keep going past divergent
+    configurations.
     """
     if not 0 < rho < 1:
         raise InvalidParameter("rho must lie in (0, 1)")
@@ -220,15 +249,19 @@ def hygec_run(
     if state is None:
         state = init_state(inst, rho, cfg)
 
+    gram = None
+    if inst.channel.kind == "linear":  # its Gram is the same in every sweep
+        gram = lmmse_gram(inst.H, _linear_z_lik(inst, cfg)[1])
     report = RecoveryReport(x_hat=state.x_pos)
     track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
     termination = MAX_ITERATIONS
     for _ in range(cfg.max_iter):
         x_prev = state.x_pos
         try:
-            hygec_sweep(state, inst, rho, cfg)
-        except (FactorizationFailure, NonFinite):
+            hygec_sweep(state, inst, rho, cfg, gram)
+        except (FactorizationFailure, NonFinite) as exc:
             termination = NUMERICAL_FAILURE
+            report.failure = f"{type(exc).__name__} in sweep {report.inner_iterations + 1}: {exc}"
             break
         report.inner_iterations += 1
         if track_nmse:

@@ -149,4 +149,4 @@ def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     ratio = float(np.dot(diff, diff)) / denom
     if ratio <= 1e-30:
         return -300.0
-    return max(10.0 * np.log10(ratio), -300.0)
+    return max(10.0 * float(np.log10(ratio)), -300.0)

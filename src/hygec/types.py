@@ -221,6 +221,10 @@ class GecState:
     Mean/variance pairs for z and x, each split into the prior-side and
     likelihood-side Gaussian messages, plus the activity messages and the
     current posterior estimate of x.
+
+    On the linear channel the z-likelihood message is the channel's own
+    N(y, noise_var), and (m_z_pri, v_z_pri) keep their `init_state` values:
+    no sweep reads or updates them there.
     """
 
     m_z_pri: np.ndarray
@@ -256,7 +260,11 @@ class GecState:
 
 @dataclass
 class RecoveryReport:
-    """Per-run bookkeeping: traces, iteration counts, and how the run ended."""
+    """Per-run bookkeeping: traces, iteration counts, and how the run ended.
+
+    `failure` names the error behind a numerical_failure termination, with its
+    message and the sweep it happened in; it is None otherwise.
+    """
 
     x_hat: np.ndarray
     nmse_trace: list[float] = field(default_factory=list)
@@ -265,3 +273,4 @@ class RecoveryReport:
     outer_iterations: int = 0
     termination: str = CONVERGED
     inner_counts: list[int] = field(default_factory=list)
+    failure: str | None = None

@@ -44,6 +44,18 @@ def test_run_writes_csv_and_prints_summary(tmp_path, capsys):
     assert "median_nmse_db" in printed
 
 
+def test_run_csv_nmse_cells_are_numbers(tmp_path):
+    sc = _scenario_file(tmp_path)
+    out = tmp_path / "rows.csv"
+    assert main(["run", sc, "--seeds", "0", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    col = header.split(",").index("nmse_db")
+    cells = [row.split(",")[col] for row in rows]
+    assert cells
+    for cell in cells:
+        float(cell)  # not "np.float64(...)"
+
+
 def test_run_seeds_override(tmp_path):
     sc = _scenario_file(tmp_path, seeds=[5])
     out = tmp_path / "rows.csv"

@@ -146,3 +146,4 @@ def test_em_run_propagates_numerical_failure():
         _, _, report = em_hygec_run(huge, 0.3)
     assert report.termination == NUMERICAL_FAILURE
     assert report.outer_iterations == 1
+    assert "in sweep 1: " in report.failure

@@ -1,10 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hygec.denoisers import PROB_FLOOR, x_posterior_spike_slab
+from hygec.denoisers import (
+    PROB_FLOOR,
+    Moments,
+    channel_posterior,
+    extrinsic,
+    llr_messages,
+    x_posterior_spike_slab,
+)
 from hygec.engine import (
     FactorizationFailure,
     HygecConfig,
+    NonFinite,
+    _damp,
     gaussian_reproduction_residuals,
     hygec_run,
     hygec_sweep,
@@ -210,11 +221,94 @@ def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
     monkeypatch.setattr("hygec.engine.lmmse_block", dense)
     for _ in range(5):
         hygec_sweep(ref, inst, 0.2, cfg)
-    for name in ("m_z_pri", "v_z_pri", "m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri",
-                 "m_x_lik", "v_x_lik", "x_pos", "v_x_pos", "rho_hat"):
+    names = ["m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "m_x_lik", "v_x_lik", "x_pos",
+             "v_x_pos", "rho_hat"]
+    if bits is not None:  # the linear sweep leaves the z-prior message at its initial zeros
+        names += ["m_z_pri", "v_z_pri"]
+    for name in names:
         a, b = getattr(fast, name), getattr(ref, name)
         err = np.max(np.abs(a - b)) / np.max(np.abs(b))
         assert err < 1e-9, f"{name}: relative error {err:.1e}"
+
+
+def _two_solve_sweep(state, inst, rho, cfg, gram=None):
+    # the sweep as it runs on every channel kind: z-channel denoise, x-side
+    # solve, spike-slab denoise, z-side solve, activity refresh; `gram` ignored
+    damp = cfg.damping if state.t > 0 else 1.0
+    z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
+    ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
+    state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
+    gram = lmmse_gram(inst.H, state.v_z_lik)
+    pos = lmmse_block(inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "x")
+    ext = extrinsic(Moments(*pos), Moments(state.m_x_pri, state.v_x_pri), cfg.v_min, cfg.v_max)
+    state.m_x_lik, state.v_x_lik = _damp(ext, state.m_x_lik, state.v_x_lik, damp)
+    (x_mean, x_var), _ = x_posterior_spike_slab(
+        state.m_x_lik, state.v_x_lik, state.rho_hat, inst.sigma_x_sq
+    )
+    state.x_pos, state.v_x_pos = x_mean, np.maximum(x_var, cfg.v_min)
+    ext = extrinsic(Moments(state.x_pos, state.v_x_pos), Moments(state.m_x_lik, state.v_x_lik),
+                    cfg.v_min, cfg.v_max)
+    state.m_x_pri, state.v_x_pri = _damp(ext, state.m_x_pri, state.v_x_pri, damp)
+    pos = lmmse_block(inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z")
+    ext = extrinsic(Moments(*pos), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max)
+    state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
+    state.rho_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
+    state.t += 1
+    if not state.all_finite():
+        raise NonFinite(f"non-finite message state after sweep {state.t}")
+    return state
+
+
+def test_linear_sweep_matches_two_solve_sweep(monkeypatch):
+    # on the linear channel the z-likelihood message is N(y, noise_var) for
+    # every z-prior message, so skipping the z side changes nothing on x
+    inst = _instance(5, 200, 400, 20, 0.1, 10.0)
+    nudged = dataclasses.replace(inst, y=np.nextafter(inst.y, np.inf))  # one ulp
+    cfg = HygecConfig()
+    fast, ref, ref_nudged = (init_state(inst, 0.1, cfg) for _ in range(3))
+
+    def rel_err(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for t in range(20):
+        hygec_sweep(fast, inst, 0.1, cfg)
+        _two_solve_sweep(ref, inst, 0.1, cfg)
+        _two_solve_sweep(ref_nudged, nudged, 0.1, cfg)
+        for name in ("m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "x_pos", "v_x_pos", "rho_hat"):
+            err = rel_err(getattr(fast, name), getattr(ref, name))
+            assert err < 1e-9, f"sweep {t + 1}, {name}: relative error {err:.1e}"
+        # the x-likelihood message divides the x posterior by a prior that
+        # pins inactive elements near v_min, which amplifies rounding by up to
+        # v_x_lik / v_x_pri ~ 1e9: there a one-ulp change of y moves the
+        # reference itself by ~1e-6, and the bound is ten times that move
+        for name in ("m_x_lik", "v_x_lik"):
+            err = rel_err(getattr(fast, name), getattr(ref, name))
+            ulp_move = rel_err(getattr(ref_nudged, name), getattr(ref, name))
+            bound = max(1e-9, 10.0 * ulp_move)
+            assert err < bound, f"sweep {t + 1}, {name}: relative error {err:.1e} > {bound:.1e}"
+    # hygec_run passes its once-per-run Gram to every sweep
+    _, _, _, x_pos, report = hygec_run(inst, 0.1, cfg)
+    monkeypatch.setattr("hygec.engine.hygec_sweep", _two_solve_sweep)
+    _, _, _, x_ref, ref_report = hygec_run(inst, 0.1, cfg)
+    assert report.inner_iterations == ref_report.inner_iterations
+    assert report.termination == ref_report.termination == CONVERGED
+    assert rel_err(x_pos, x_ref) < 1e-9
+
+
+@pytest.mark.parametrize("bits, per_sweep", [(None, 1), (2, 2)])
+def test_lmmse_solves_per_sweep(monkeypatch, bits, per_sweep):
+    inst = _instance(4, 30, 60, 10, 0.2, 15.0, bits=bits)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return lmmse_block(*args)
+
+    monkeypatch.setattr("hygec.engine.lmmse_block", counted)
+    _, _, _, _, report = hygec_run(inst, 0.2, HygecConfig(max_iter=4))
+    assert report.inner_iterations == 4
+    assert len(calls) == per_sweep * 4
+    assert calls[:per_sweep] == ["x", "z"][:per_sweep]
 
 
 def test_one_sweep_identity_sensing_matches_scalar_denoiser():
@@ -263,6 +357,7 @@ def test_run_converges_on_benign_instance():
     inst = _instance(0, 40, 60, 6, 0.2, 18.0)
     m_x_lik, v_x_lik, rho_hat, x_pos, report = hygec_run(inst, 0.2)
     assert report.termination == CONVERGED
+    assert report.failure is None
     assert 0 < report.inner_iterations < 200
     assert report.inner_counts == [report.inner_iterations]
     assert report.x_hat is x_pos
@@ -294,6 +389,9 @@ def test_run_records_overflow_as_numerical_failure():
     with np.errstate(all="ignore"):
         _, _, _, _, report = hygec_run(huge, 0.3)
     assert report.termination == NUMERICAL_FAILURE
+    assert report.inner_iterations == 0
+    assert report.failure.startswith(("FactorizationFailure in sweep 1: ",
+                                      "NonFinite in sweep 1: ")), report.failure
 
 
 def test_run_matches_exact_posterior_on_tiny_instances():
