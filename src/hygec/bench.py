@@ -4,8 +4,10 @@ parameter sweeps, and serializes results and instances."""
 from __future__ import annotations
 
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -91,6 +93,20 @@ class Scenario:
             raise InvalidParameter("need 1 <= m <= n and 1 <= k <= n")
         if not 0 < self.rho < 1:
             raise InvalidParameter("rho must lie in (0, 1)")
+        # options that build_instance would otherwise drop without a word
+        if self.sweep_values and self.sweep_param is None:
+            raise InvalidParameter("sweep_values needs a sweep_param")
+        if self.matrix_kind not in ("iid", "conditioned"):
+            raise InvalidParameter(f"unknown matrix kind {self.matrix_kind!r}")
+        if self.conditioned and (self.sweep_param == "mean" or self.matrix_mean != 0.0):
+            raise InvalidParameter("a conditioned matrix takes no matrix mean")
+        if not self.conditioned and self.kappa != 1.0:
+            raise InvalidParameter("kappa needs matrix_kind 'conditioned' or a kappa sweep")
+
+    @property
+    def conditioned(self) -> bool:
+        """Whether the matrix is drawn conditioned; a kappa sweep implies it."""
+        return self.matrix_kind == "conditioned" or self.sweep_param == "kappa"
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
@@ -146,8 +162,7 @@ def build_instance(scenario: Scenario, seed: int, sweep_value: float | None) -> 
     rng_signal = np.random.default_rng([seed, _ROLE_SIGNAL])
     rng_noise = np.random.default_rng([seed, _ROLE_NOISE])
 
-    kind = "conditioned" if scenario.sweep_param == "kappa" or scenario.matrix_kind == "conditioned" else "iid"
-    if kind == "conditioned":
+    if scenario.conditioned:
         spec = MatrixSpec("conditioned", scenario.m, scenario.n, kappa=kappa)
         H = gen_matrix(spec, rng_matrix)
         H_power_ref = H
@@ -197,35 +212,23 @@ def run_trial(scenario: Scenario, seed: int, sweep_value: float | None, algorith
     wall_ms = (time.perf_counter() - start) * 1e3
 
     total = report.inner_iterations
-    if total == 0:
-        # the first sweep already failed; still record the trial
-        return [{
-            "scenario": scenario.name,
-            "seed": seed,
-            "sweep_value": sweep_value,
-            "algorithm": algorithm,
-            "iteration": 1,
-            "nmse_db": None,
-            "rho_est": rho_trace[-1],
-            "terminated": report.termination,
-            "wall_ms": wall_ms,
-        }]
-    rho_per_iter = _rho_per_iteration(rho_trace, report.inner_counts, total)
-    trace = report.nmse_trace if report.nmse_trace else [None] * total
-    rows = []
-    for i in range(total):
-        rows.append({
+    # a trial whose first sweep already failed still gets one row
+    rho_per_iter = _rho_per_iteration(rho_trace, report.inner_counts, total) or [rho_trace[-1]]
+    trace = report.nmse_trace
+    return [
+        {
             "scenario": scenario.name,
             "seed": seed,
             "sweep_value": sweep_value,
             "algorithm": algorithm,
             "iteration": i + 1,
             "nmse_db": trace[i] if i < len(trace) else None,
-            "rho_est": rho_per_iter[i],
+            "rho_est": rho,
             "terminated": report.termination,
             "wall_ms": wall_ms,
-        })
-    return rows
+        }
+        for i, rho in enumerate(rho_per_iter)
+    ]
 
 
 def _trial_args(scenario: Scenario):
@@ -301,23 +304,30 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(rows: list[dict], path: str) -> None:
+@contextmanager
+def _output(path: str | None):
+    # the file at path, or stdout when no path is given
+    if path is None:
+        yield sys.stdout
+        return
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+            yield fh
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
 
-def write_json(rows: list[dict], summary: list[dict], path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump({"rows": rows, "summary": summary}, fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+def write_csv(rows: list[dict], path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+
+
+def write_json(rows: list[dict], summary: list[dict], path: str | None) -> None:
+    with _output(path) as fh:
+        json.dump({"rows": rows, "summary": summary}, fh, indent=1)
+        fh.write("\n")
 
 
 def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -> None:

@@ -9,12 +9,7 @@ import sys
 import numpy as np
 
 from . import bench
-from .denoisers import (
-    Moments,
-    x_posterior_spike_slab,
-    z_posterior_awgn,
-    z_posterior_quantized,
-)
+from .denoisers import x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
 from .engine import HygecConfig, hygec_run
 from .ensembles import (
     MatrixSpec,
@@ -55,32 +50,18 @@ def _cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
     rows = bench.run_scenario(scenario, threads=args.threads)
     summary = bench.summarize(rows)
+    if args.format == "csv":
+        bench.write_csv(rows, args.out)
+    else:
+        bench.write_json(rows, summary, args.out)
     if args.out:
-        if args.format == "csv":
-            bench.write_csv(rows, args.out)
-        else:
-            bench.write_json(rows, summary, args.out)
         for line in _summary_lines(summary):
             print(line)
-    else:
-        _emit_rows(rows, summary, args.format)
     failures = sum(s["failures"] for s in summary)
     if failures and not args.allow_failures:
         print(f"{failures} trial(s) hit {NUMERICAL_FAILURE}", file=sys.stderr)
         return 1
     return 0
-
-
-def _emit_rows(rows, summary, fmt: str) -> None:
-    if fmt == "csv":
-        print(",".join(bench.CSV_COLUMNS))
-        for row in rows:
-            print(",".join(bench._format_cell(row[c]) for c in bench.CSV_COLUMNS))
-    else:
-        import json
-
-        json.dump({"rows": rows, "summary": summary}, sys.stdout, indent=1)
-        print()
 
 
 def _summary_lines(summary) -> list[str]:
@@ -136,7 +117,7 @@ def _cmd_check(args) -> int:
         sig = np.sqrt(v + nv)
         lo = m + rng.uniform(-4, 3) * sig
         up = lo + rng.uniform(0.2, 4) * sig
-        closed = z_posterior_quantized(0, np.array([lo, up]), m, v, nv)
+        closed = z_posterior_cell(lo, up, m, v, nv)
         sw = np.sqrt(nv)
         quad = quad_z_posterior(lambda z: ndtr((up - z) / sw) - ndtr((lo - z) / sw), m, v)
         worst = max(worst, abs(float(closed.mean) - quad.mean), abs(float(closed.var) - quad.var))

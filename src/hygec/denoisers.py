@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf, erfcx, expit, logit
 
-from .types import GroupStructure, HygecError, InvalidParameter
+from .types import GroupStructure, InvalidParameter
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_PI = np.sqrt(2.0 / np.pi)
@@ -31,10 +31,6 @@ _SERIES_EDGE = 60.0
 _CLAMP_SIGMAS = 37.0
 
 PROB_FLOOR = 1e-15
-
-
-class DegenerateCell(HygecError):
-    pass
 
 
 class Moments(NamedTuple):
@@ -160,24 +156,6 @@ def trunc_gauss_moments(lower, upper, m, v) -> tuple[Moments, np.ndarray]:
     return Moments(m + sigma * mu01, v * var01), log_mass
 
 
-def z_posterior_quantized(cell, edges, m, v, noise_var) -> Moments:
-    """Moments of z ~ N(m, v) given that z + w fell in quantizer cell `cell`.
-
-    `edges` is the sorted edge vector of the quantizer (outer entries may be
-    infinite); the observed cell spans edges[cell] .. edges[cell + 1].
-    w ~ N(0, noise_var) with noise_var > 0.
-    """
-    if not np.all(np.asarray(noise_var) > 0):
-        raise InvalidParameter("noise_var must be positive")
-    edges = np.asarray(edges, dtype=float)
-    cell = np.asarray(cell, dtype=np.int64)
-    lower, upper = edges[cell], edges[cell + 1]
-    moments, log_mass = _conditioned_on_sum_in(lower, upper, m, v, noise_var)
-    if np.any(log_mass < _LOG_TINY_MASS):
-        raise DegenerateCell("cell probability underflowed; caller should clamp")
-    return moments
-
-
 def _conditioned_on_sum_in(lower, upper, m, v, noise_var):
     # z ~ N(m, v), s = z + w ~ N(m, v + noise_var); conditioning on s in
     # [lower, upper] truncates s, and z given s is Gaussian with slope
@@ -194,25 +172,21 @@ def _conditioned_on_sum_in(lower, upper, m, v, noise_var):
     return Moments(mean, var), log_mass
 
 
-def channel_posterior(channel, y, m, v) -> Moments:
-    """Vector z-denoiser for a whole observation under either channel kind.
+def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
+    """Moments of z ~ N(m, v) given that z + w fell in [lower, upper], w ~ N(0, noise_var).
 
-    Never raises on underflowing cells: the standardized cell is shifted so
-    its near edge sits at the saturation distance, capping the pull while
-    keeping the run alive.
+    Never raises on cells whose mass underflows: the standardized cell is
+    shifted so its near edge sits at the saturation distance, capping the pull
+    while keeping the run alive.
     """
-    if channel.kind == "linear":
-        return z_posterior_awgn(y, m, v, channel.noise_var)
-    lower, upper = channel.cell_bounds(y)
-    m = np.broadcast_to(np.asarray(m, dtype=float), lower.shape)
-    v = np.broadcast_to(np.asarray(v, dtype=float), lower.shape)
-    moments, log_mass = _conditioned_on_sum_in(lower, upper, m, v, channel.noise_var)
+    lower, upper, m, v = np.broadcast_arrays(lower, upper, m, v)
+    moments, log_mass = _conditioned_on_sum_in(lower, upper, m, v, noise_var)
     bad = log_mass < _LOG_TINY_MASS
     if not np.any(bad):
         return moments
     # degenerate cells lie entirely on one side of the prior; slide each one
     # (preserving width) until its near edge sits at the saturation distance
-    sigma_s = np.sqrt(v[bad] + channel.noise_var)
+    sigma_s = np.sqrt(v[bad] + noise_var)
     lo, up, mb = lower[bad], upper[bad], m[bad]
     alpha = (lo - mb) / sigma_s
     beta = (up - mb) / sigma_s
@@ -220,13 +194,20 @@ def channel_posterior(channel, y, m, v) -> Moments:
     fixed, _ = _conditioned_on_sum_in(
         np.where(alpha > 0, lo - shift, lo + shift),
         np.where(alpha > 0, up - shift, up + shift),
-        mb, v[bad], channel.noise_var,
+        mb, v[bad], noise_var,
     )
     mean = np.asarray(moments.mean).copy()
     var = np.asarray(moments.var).copy()
     mean[bad] = fixed.mean
     var[bad] = fixed.var
     return Moments(mean, var)
+
+
+def channel_posterior(channel, y, m, v) -> Moments:
+    """Vector z-denoiser for a whole observation under either channel kind."""
+    if channel.kind == "linear":
+        return z_posterior_awgn(y, m, v, channel.noise_var)
+    return z_posterior_cell(*channel.cell_bounds(y), m, v, channel.noise_var)
 
 
 def _element_llr(m_x_lik, v_x_lik, sigma_x_sq):

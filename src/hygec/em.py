@@ -36,18 +36,13 @@ class EmConfig:
             raise InvalidParameter("tol must be positive")
 
 
-def group_activity(m_x_lik_k, v_x_lik_k, rho_hat_k, sigma_x_sq: float) -> float:
-    """Posterior probability that one group is active, as a product over its
-    elements of per-element activity odds. Computed as a sum of log-sigmoids."""
-    llr = _element_llr(m_x_lik_k, v_x_lik_k, sigma_x_sq)
-    rho_hat_k = np.asarray(rho_hat_k, dtype=float)
-    return float(np.exp(np.sum(log_expit(logit(rho_hat_k) + llr))))
-
-
 def em_update_rho(
     m_x_lik, v_x_lik, rho_hat, groups: GroupStructure, sigma_x_sq: float
 ) -> float:
-    """One M-step: average the group activities, clip away the endpoints."""
+    """One M-step: average the group activities, clip away the endpoints.
+
+    A group's activity is the product of its elements' activity odds, summed
+    as log-sigmoids per group."""
     llr = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
     terms = log_expit(logit(np.asarray(rho_hat, dtype=float)) + llr)
     pi = np.exp(np.add.reduceat(terms, groups.offsets))

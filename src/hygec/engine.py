@@ -15,6 +15,7 @@ from .denoisers import (
     llr_messages,
     x_posterior_spike_slab,
 )
+from .ensembles import signal_power
 from .oracle import nmse
 from .types import (
     CONVERGED,
@@ -44,8 +45,6 @@ class HygecConfig:
     damping: float = 0.7
     v_min: float = 1e-11
     v_max: float = 1e11
-    p_z_init: float | str = "auto"  # positive value, or "auto"
-    x_var_init: str = "prior"  # "prior": rho*sigma_x_sq, "literal": rho
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -56,31 +55,20 @@ class HygecConfig:
             raise InvalidParameter("damping must lie in (0, 1]")
         if not 0 < self.v_min < self.v_max:
             raise InvalidParameter("need 0 < v_min < v_max")
-        if isinstance(self.p_z_init, str):
-            if self.p_z_init != "auto":
-                raise InvalidParameter("p_z_init must be positive or 'auto'")
-        elif not self.p_z_init > 0:
-            raise InvalidParameter("p_z_init must be positive or 'auto'")
-        if self.x_var_init not in ("prior", "literal"):
-            raise InvalidParameter("x_var_init must be 'prior' or 'literal'")
-
-
-def resolve_p_z(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> float:
-    if cfg.p_z_init != "auto":
-        return float(cfg.p_z_init)
-    m = inst.m
-    return rho * inst.sigma_x_sq * float(np.sum(inst.H**2)) / m + inst.channel.noise_var
 
 
 def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     """Fresh message state: zero means, prior-level variances, activity at rho.
 
+    The z-prior variance is the signal power plus the noise variance, the
+    x-side variances rho * sigma_x_sq.
+
     Likelihood-side messages are placeholders (they are recomputed before first
     use inside a sweep); their variances start at v_max, i.e. uninformative.
     """
     m, n = inst.m, inst.n
-    p_z = resolve_p_z(inst, rho, cfg)
-    v_x0 = rho * inst.sigma_x_sq if cfg.x_var_init == "prior" else rho
+    p_z = signal_power(inst.H, rho, inst.sigma_x_sq) + inst.channel.noise_var
+    v_x0 = rho * inst.sigma_x_sq
     return GecState(
         m_z_pri=np.zeros(m),
         v_z_pri=np.full(m, np.clip(p_z, cfg.v_min, cfg.v_max)),

@@ -98,18 +98,16 @@ def apply_channel(
     return out
 
 
-def snr_to_noise_var(H: np.ndarray, rho: float, sigma_x_sq: float, snr_db: float) -> float:
-    """Noise variance giving the requested SNR for the group-sparse source.
+def signal_power(H: np.ndarray, rho: float, sigma_x_sq: float) -> float:
+    """Per-measurement power of Hx for the group-sparse source: rho * sigma_x_sq * ||H||_F^2 / M."""
+    return rho * sigma_x_sq * float(np.sum(H**2)) / H.shape[0]
 
-    Per-measurement signal power is rho * sigma_x_sq * ||H||_F^2 / M.
-    """
-    m = H.shape[0]
-    signal_power = rho * sigma_x_sq * float(np.sum(H**2)) / m
-    return signal_power / 10.0 ** (snr_db / 10.0)
+
+def snr_to_noise_var(H: np.ndarray, rho: float, sigma_x_sq: float, snr_db: float) -> float:
+    """Noise variance giving the requested SNR for the group-sparse source."""
+    return signal_power(H, rho, sigma_x_sq) / 10.0 ** (snr_db / 10.0)
 
 
 def default_clip_range(H: np.ndarray, rho: float, sigma_x_sq: float, noise_var: float) -> float:
     """Quantizer saturation level: three standard deviations of the pre-quantizer output."""
-    m = H.shape[0]
-    var_z = rho * sigma_x_sq * float(np.sum(H**2)) / m
-    return 3.0 * np.sqrt(var_z + noise_var)
+    return 3.0 * np.sqrt(signal_power(H, rho, sigma_x_sq) + noise_var)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -63,18 +63,6 @@ class GroupStructure:
         """group_of[i] = index of the group containing flat index i."""
         return np.repeat(np.arange(self.k), self.group_sizes)
 
-    def flat_to_pair(self, i: int) -> tuple[int, int]:
-        """Map flat index i to (group index, position within group)."""
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        k = int(self.group_of[i])
-        return k, i - int(self.offsets[k])
-
-    def pair_to_flat(self, k: int, j: int) -> int:
-        if not 0 <= k < self.k or not 0 <= j < self.group_sizes[k]:
-            raise IndexError((k, j))
-        return int(self.offsets[k]) + j
-
     def slices(self) -> list[slice]:
         off = self.offsets
         return [slice(int(off[k]), int(off[k]) + self.group_sizes[k]) for k in range(self.k)]
@@ -86,22 +74,6 @@ class GroupStructure:
             raise GroupCoverage(f"cannot split {n} indices into {k} nonempty groups")
         base, extra = divmod(n, k)
         return GroupStructure(tuple(base + (1 if i < extra else 0) for i in range(k)))
-
-
-@dataclass(frozen=True)
-class SpikeSlabPrior:
-    """Per-element activity probabilities and the shared slab variance."""
-
-    rho_hat: np.ndarray
-    sigma_x_sq: float
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho_hat, dtype=float)
-        object.__setattr__(self, "rho_hat", rho)
-        if np.any(rho < 0) or np.any(rho > 1):
-            raise InvalidParameter("activity probabilities must lie in [0, 1]")
-        if not self.sigma_x_sq > 0:
-            raise InvalidParameter("slab variance must be positive")
 
 
 @dataclass(frozen=True)
@@ -240,22 +212,9 @@ class GecState:
     v_x_pos: np.ndarray
     t: int = 0
 
-    def copy(self) -> "GecState":
-        return GecState(
-            self.m_z_pri.copy(), self.v_z_pri.copy(),
-            self.m_z_lik.copy(), self.v_z_lik.copy(),
-            self.m_x_pri.copy(), self.v_x_pri.copy(),
-            self.m_x_lik.copy(), self.v_x_lik.copy(),
-            self.rho_hat.copy(), self.x_pos.copy(), self.v_x_pos.copy(), self.t,
-        )
-
     def all_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(a))
-            for a in (self.m_z_pri, self.v_z_pri, self.m_z_lik, self.v_z_lik,
-                      self.m_x_pri, self.v_x_pri, self.m_x_lik, self.v_x_lik,
-                      self.rho_hat, self.x_pos, self.v_x_pos)
-        )
+        arrays = (getattr(self, f.name) for f in fields(self) if f.name != "t")
+        return all(np.all(np.isfinite(a)) for a in arrays)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from hygec.denoisers import (
     indicator_beliefs,
     x_posterior_spike_slab,
     z_posterior_awgn,
-    z_posterior_quantized,
+    z_posterior_cell,
 )
 from hygec.em import em_hygec_run
 from hygec.engine import (
@@ -86,7 +86,7 @@ def test_denoisers_match_independent_oracles(capsys):
         center = m + rng.uniform(-6, 6) * s
         width = rng.uniform(0.05, 4) * s
         edges = np.array([center - width / 2, center + width / 2])
-        closed = z_posterior_quantized(0, edges, np.array([m]), np.array([v]), nv)
+        closed = z_posterior_cell(edges[0], edges[1], np.array([m]), np.array([v]), nv)
         root = np.sqrt(nv)
         ref = quad_z_posterior(
             lambda z: ndtr((edges[1] - z) / root) - ndtr((edges[0] - z) / root), m, v, grid

@@ -43,6 +43,9 @@ def _scenario(**overrides):
 
 def test_scenario_validation():
     _scenario()  # baseline is valid
+    _scenario(matrix_kind="conditioned", kappa=10.0)
+    _scenario(sweep_param="kappa", sweep_values=(1.0, 10.0))
+    _scenario(sweep_param="mean", sweep_values=(0.0, 0.1), matrix_mean=0.05)
     for bad in (
         dict(name="made-up"),
         dict(seeds=()),
@@ -53,6 +56,13 @@ def test_scenario_validation():
         dict(m=40),  # m > n
         dict(k=31),
         dict(rho=0.0),
+        # options build_instance would drop without a word
+        dict(matrix_kind="gaussian"),
+        dict(sweep_values=(1.0, 10.0)),  # no sweep_param
+        dict(matrix_kind="conditioned", sweep_param="mean", sweep_values=(0.0, 0.1)),
+        dict(matrix_kind="conditioned", matrix_mean=0.1),
+        dict(sweep_param="kappa", sweep_values=(1.0, 10.0), matrix_mean=0.1),
+        dict(kappa=1000.0),  # i.i.d. matrix, no kappa sweep
     ):
         with pytest.raises(InvalidParameter):
             _scenario(**bad)

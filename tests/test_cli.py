@@ -103,6 +103,16 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
+    # p_z_init and x_var_init are gone; a scenario that still sets one must
+    # fail and name it, never run with the option silently ignored
+    for knob, value in (("p_z_init", 7.0), ("x_var_init", "literal")):
+        sc = _scenario_file(tmp_path, engine={knob: value})
+        assert main(["run", sc]) == 2, knob
+        err = capsys.readouterr().err
+        assert "error:" in err and knob in err
+
+
 def test_gen_missing_spec_exits_two(tmp_path, capsys):
     assert main(["gen", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x.npz")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import pytest
 from scipy.stats import norm
 
 from hygec.denoisers import (
-    DegenerateCell,
     Moments,
     channel_posterior,
     extrinsic,
@@ -13,7 +12,7 @@ from hygec.denoisers import (
     trunc_gauss_moments,
     x_posterior_spike_slab,
     z_posterior_awgn,
-    z_posterior_quantized,
+    z_posterior_cell,
 )
 from hygec.oracle import quad_z_posterior
 from hygec.types import Channel, GroupStructure, InvalidParameter
@@ -145,18 +144,21 @@ def test_quantized_cell_posterior_matches_quadrature():
                 lo_c = norm.cdf((lo - z) / s) if np.isfinite(lo) else 0.0
                 return hi_c - lo_c
 
-            got = z_posterior_quantized(cell, ch.edges, m, v, ch.noise_var)
+            got = z_posterior_cell(ch.edges[cell], ch.edges[cell + 1], m, v, ch.noise_var)
             ref = quad_z_posterior(lik, m, v)
             assert abs(got.mean - ref.mean) < 1e-7 * max(1.0, abs(ref.mean))
             assert abs(got.var - ref.var) / ref.var < 1e-6
 
 
-def test_quantized_cell_validation_and_degenerate_mass():
-    with pytest.raises(InvalidParameter):
-        z_posterior_quantized(0, np.array([-np.inf, 0.0, np.inf]), 0.0, 1.0, 0.0)
-    edges = np.array([-np.inf, 50.0, 51.0, np.inf])
-    with pytest.raises(DegenerateCell):
-        z_posterior_quantized(1, edges, 0.0, 1.0, 0.01)
+def test_noiseless_cell_truncates_the_prior():
+    # with noise_var = 0 the cell bounds z itself: the posterior is the prior
+    # truncated to the cell
+    cases = ((-np.inf, 0.0, 0.0, 1.0), (-0.5, 0.7, 0.2, 1.3), (1.0, np.inf, -2.0, 0.4))
+    for lower, upper, m, v in cases:
+        got = z_posterior_cell(lower, upper, m, v, 0.0)
+        ref, _ = trunc_gauss_moments(lower, upper, m, v)
+        assert abs(got.mean - ref.mean) < 1e-12
+        assert abs(got.var - ref.var) < 1e-12
 
 
 def test_channel_posterior_linear_matches_awgn():
@@ -175,7 +177,7 @@ def test_channel_posterior_quantized_matches_cellwise():
     v = np.array([1.0, 0.5, 2.0, 0.8])
     got = channel_posterior(ch, y, m, v)
     for i in range(4):
-        ref = z_posterior_quantized(y[i], ch.edges, m[i], v[i], ch.noise_var)
+        ref = z_posterior_cell(ch.edges[y[i]], ch.edges[y[i] + 1], m[i], v[i], ch.noise_var)
         assert abs(got.mean[i] - ref.mean) < 1e-14
         assert abs(got.var[i] - ref.var) < 1e-14
 
@@ -195,7 +197,7 @@ def test_channel_posterior_clamps_unreachable_cells():
     gamma = 0.5
     assert mom.mean[0] < m[0]
     assert abs(mom.mean[0] - m[0]) <= 40.0 * sigma_s * gamma
-    ref = z_posterior_quantized(4, ch.edges, 0.2, 1.0, 1.0)
+    ref = z_posterior_cell(ch.edges[4], ch.edges[5], 0.2, 1.0, 1.0)
     assert abs(mom.mean[1] - ref.mean) < 1e-14
     assert abs(mom.var[1] - ref.var) < 1e-14
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import norm
 
-from hygec.em import RHO_FLOOR, EmConfig, em_hygec_run, em_update_rho, group_activity
+from hygec.em import RHO_FLOOR, EmConfig, em_hygec_run, em_update_rho
 from hygec.engine import HygecConfig
 from hygec.ensembles import (
     MatrixSpec,
@@ -40,16 +40,22 @@ def test_em_config_validation():
         EmConfig(tol=0.0)
 
 
+def _group_activity(m, v, rho_hat, sigma_x_sq):
+    # the rate update over a single group is that group's activity
+    return em_update_rho(m, v, rho_hat, GroupStructure((len(m),)), sigma_x_sq)
+
+
 def test_group_activity_singleton_closed_form():
     # m = 0, v = sigma_x_sq = 1, even prior: odds reduce to sqrt(v / (v + 1)),
     # so the activity is 1 / (1 + sqrt(2))
-    act = group_activity(np.array([0.0]), np.array([1.0]), np.array([0.5]), 1.0)
+    act = _group_activity(np.array([0.0]), np.array([1.0]), np.array([0.5]), 1.0)
     assert act == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), abs=1e-12)
 
 
 def test_group_activity_overwhelming_evidence():
-    act = group_activity(np.array([50.0]), np.array([0.01]), np.array([0.5]), 1.0)
-    assert act == pytest.approx(1.0, abs=1e-12)
+    # the activity rounds to 1, which the update clips to 1 - RHO_FLOOR
+    act = _group_activity(np.array([50.0]), np.array([0.01]), np.array([0.5]), 1.0)
+    assert act == pytest.approx(1.0 - RHO_FLOOR, abs=1e-12)
 
 
 def test_group_activity_matches_direct_product():
@@ -60,7 +66,8 @@ def test_group_activity_matches_direct_product():
     sx = 1.3
     llr = norm.logpdf(m, scale=np.sqrt(sx + v)) - norm.logpdf(m, scale=np.sqrt(v))
     expect = float(np.prod(expit(logit(rho_hat) + llr)))
-    assert group_activity(m, v, rho_hat, sx) == pytest.approx(expect, abs=1e-12)
+    assert expect > RHO_FLOOR  # so the update's clip does not apply
+    assert _group_activity(m, v, rho_hat, sx) == pytest.approx(expect, abs=1e-12)
 
 
 def test_em_update_is_mean_of_group_activities():
@@ -74,7 +81,7 @@ def test_em_update_is_mean_of_group_activities():
     m = np.sqrt((logit(targets) - base) / coef)
     groups = GroupStructure((1, 1, 1))
     for mm, t in zip(m, targets):
-        assert group_activity(np.array([mm]), np.array([v]), np.array([0.5]), 1.0) == pytest.approx(
+        assert _group_activity(np.array([mm]), np.array([v]), np.array([0.5]), 1.0) == pytest.approx(
             t, abs=1e-10
         )
     rho_new = em_update_rho(m, np.full(3, v), np.full(3, 0.5), groups, 1.0)

@@ -22,7 +22,6 @@ from hygec.engine import (
     init_state,
     lmmse_block,
     lmmse_gram,
-    resolve_p_z,
 )
 from hygec.ensembles import (
     MatrixSpec,
@@ -67,15 +66,12 @@ def test_config_validation():
         dict(damping=0.0),
         dict(damping=1.5),
         dict(v_min=1.0, v_max=1.0),
-        dict(p_z_init="bogus"),
-        dict(p_z_init=-1.0),
-        dict(x_var_init="other"),
     ):
         with pytest.raises(InvalidParameter):
             HygecConfig(**bad)
 
 
-def test_resolve_p_z():
+def test_init_state_z_prior_variance():
     inst = ProblemInstance(
         np.eye(4),
         np.zeros(4),
@@ -83,9 +79,9 @@ def test_resolve_p_z():
         Channel.linear_awgn(0.3),
         2.0,
     )
-    # ||H||_F^2 / M = 1 for the identity, so auto is rho*sigma_x_sq + noise_var
-    assert resolve_p_z(inst, 0.25, HygecConfig()) == pytest.approx(0.25 * 2.0 + 0.3)
-    assert resolve_p_z(inst, 0.25, HygecConfig(p_z_init=7.0)) == 7.0
+    # ||H||_F^2 / M = 1 for the identity, so the z-prior variance is rho*sigma_x_sq + noise_var
+    v_z_pri = init_state(inst, 0.25, HygecConfig()).v_z_pri
+    assert v_z_pri == pytest.approx(np.full(4, 0.25 * 2.0 + 0.3))
 
 
 def test_init_state_layout():
@@ -98,8 +94,6 @@ def test_init_state_layout():
     assert np.all(st.v_z_lik == cfg.v_max) and np.all(st.v_x_lik == cfg.v_max)
     assert np.all(st.v_x_pri == 0.2 * 2.0)
     assert np.all(st.rho_hat == 0.2)
-    lit = init_state(inst, 0.2, HygecConfig(x_var_init="literal"))
-    assert np.all(lit.v_x_pri == 0.2)
 
 
 def _lmmse_both_sides(H, mz, vz, mx, vx, gram=None):
