@@ -102,6 +102,11 @@ class Scenario:
             raise InvalidParameter("a conditioned matrix takes no matrix mean")
         if not self.conditioned and self.kappa != 1.0:
             raise InvalidParameter("kappa needs matrix_kind 'conditioned' or a kappa sweep")
+        # a sweep sets its own parameter at every point
+        if self.sweep_param == "kappa" and self.kappa != 1.0:
+            raise InvalidParameter("a kappa sweep sets kappa at every point; drop kappa")
+        if self.sweep_param == "mean" and self.matrix_mean != 0.0:
+            raise InvalidParameter("a mean sweep sets matrix_mean at every point; drop matrix_mean")
 
     @property
     def conditioned(self) -> bool:
@@ -226,6 +231,7 @@ def run_trial(scenario: Scenario, seed: int, sweep_value: float | None, algorith
             "rho_est": rho,
             "terminated": report.termination,
             "wall_ms": wall_ms,
+            "failure": report.failure,  # JSON output only; not a CSV column
         }
         for i, rho in enumerate(rho_per_iter)
     ]

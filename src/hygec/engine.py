@@ -106,6 +106,11 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     side "z" gives (H P^-1 r, diag H P^-1 H^T). No inverse of P is formed:
     diag P^-1 is the column sums of squares of L^-1, and diag H P^-1 H^T
     those of L^-1 H^T.
+
+    Every BLAS call goes through scipy. A numpy matvec would wake numpy's own
+    OpenBLAS thread pool, which then spins through scipy's factorizations on
+    the same cores. H.T is handed to dgemv because it is Fortran-ordered for a
+    C-ordered H, so f2py reads it in place instead of copying H.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
@@ -116,13 +121,14 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     chol, info = lapack.dpotrf(prec, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
-    rhs = H.T @ (np.asarray(m_z_lik, dtype=float) / v_z_lik) + np.asarray(m_x_pri) / v_x_pri
+    rhs = blas.dgemv(1.0, H.T, np.asarray(m_z_lik, dtype=float) / v_z_lik)
+    rhs += np.asarray(m_x_pri) / v_x_pri
     x_pos = cho_solve((chol, True), rhs, check_finite=False)
     if side == "x":
         factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
         return x_pos, np.einsum("ij,ij->j", factor, factor)
     factor = solve_triangular(chol, H.T, lower=True, check_finite=False)
-    return H @ x_pos, np.einsum("ij,ij->j", factor, factor)
+    return blas.dgemv(1.0, H.T, x_pos, trans=1), np.einsum("ij,ij->j", factor, factor)
 
 
 def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,6 @@ def test_scenario_validation():
     _scenario()  # baseline is valid
     _scenario(matrix_kind="conditioned", kappa=10.0)
     _scenario(sweep_param="kappa", sweep_values=(1.0, 10.0))
-    _scenario(sweep_param="mean", sweep_values=(0.0, 0.1), matrix_mean=0.05)
     for bad in (
         dict(name="made-up"),
         dict(seeds=()),
@@ -63,6 +62,9 @@ def test_scenario_validation():
         dict(matrix_kind="conditioned", matrix_mean=0.1),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0), matrix_mean=0.1),
         dict(kappa=1000.0),  # i.i.d. matrix, no kappa sweep
+        # a sweep overrides the scenario's own value at every point
+        dict(sweep_param="mean", sweep_values=(0.0, 0.1), matrix_mean=0.05),
+        dict(sweep_param="kappa", sweep_values=(1.0, 10.0), kappa=50.0),
     ):
         with pytest.raises(InvalidParameter):
             _scenario(**bad)
@@ -166,6 +168,7 @@ def test_run_trial_row_contract():
     assert all(r["terminated"] == CONVERGED for r in rows)
     assert all(isinstance(r["nmse_db"], float) for r in rows)
     assert all(r["wall_ms"] > 0 for r in rows)
+    assert all(r["failure"] is None for r in rows)
     em_rows = run_trial(sc, 0, None, "em-hygec")
     assert em_rows[0]["rho_est"] == sc.rho_init
     assert em_rows[-1]["rho_est"] != sc.rho_init

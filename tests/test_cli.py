@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -79,6 +80,23 @@ def test_run_emits_json_to_stdout(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"rows", "summary"}
     assert payload["rows"][0]["seed"] == 0
+
+
+def test_run_json_rows_name_the_numerical_failure(tmp_path, capsys, monkeypatch):
+    real_build = build_instance
+
+    def overflowing(scenario, seed, sweep_value):
+        inst = real_build(scenario, seed, sweep_value)
+        return dataclasses.replace(inst, H=inst.H * 1e160)
+
+    monkeypatch.setattr("hygec.bench.build_instance", overflowing)
+    sc = _scenario_file(tmp_path)
+    with np.errstate(all="ignore"):
+        assert main(["run", sc, "--format", "json", "--allow-failures"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["terminated"] == NUMERICAL_FAILURE
+    assert row["failure"].startswith(("FactorizationFailure in sweep 1: ",
+                                      "NonFinite in sweep 1: ")), row["failure"]
 
 
 def test_run_missing_scenario_exits_two(tmp_path, capsys):

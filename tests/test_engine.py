@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from hygec.denoisers import (
     PROB_FLOOR,
@@ -182,6 +185,38 @@ def test_lmmse_full_gram_and_lower_triangle_agree():
     poisoned[np.triu_indices(n, 1)] = np.nan
     for a, b in zip(_lmmse_both_sides(H, mz, vz, mx, vx, poisoned), got_lower):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column-slice"])
+def test_lmmse_matvecs_read_any_layout_of_h(layout):
+    # scipy's dgemv reads H.T in place for a C-ordered H; f2py copies other
+    # layouts, and the result must not depend on which
+    rng = np.random.default_rng(4)
+    m, n = 30, 50
+    wide = rng.standard_normal((m, 2 * n)) / np.sqrt(m)
+    H = {
+        "C": np.ascontiguousarray(wide[:, ::2]),
+        "F": np.asfortranarray(wide[:, ::2]),
+        "column-slice": wide[:, ::2],
+    }[layout]
+    assert (H.flags.c_contiguous, H.flags.f_contiguous) == {
+        "C": (True, False), "F": (False, True), "column-slice": (False, False)}[layout]
+    mz, vz = rng.uniform(-2, 2, m), rng.uniform(0.5, 2.0, m)
+    mx, vx = rng.uniform(-2, 2, n), 10.0 ** rng.uniform(-1, 1, n)
+    gram = lmmse_gram(H, vz)
+    x_pos, _, z_pos, _ = _lmmse_both_sides(H, mz, vz, mx, vx, gram)
+    prec = np.tril(gram) + np.tril(gram, -1).T + np.diag(1.0 / vx)
+    x_ref = cho_solve(cho_factor(prec, lower=True), H.T @ (mz / vz) + mx / vx)
+    assert np.max(np.abs(x_pos - x_ref)) < 1e-12 * np.max(np.abs(x_ref))
+    z_ref = H @ x_pos
+    assert np.max(np.abs(z_pos - z_ref)) < 1e-12 * np.max(np.abs(z_ref))
+
+
+def test_engine_has_no_numpy_matmul():
+    # a numpy matvec would wake numpy's own BLAS thread pool, which then spins
+    # through scipy's factorizations on the same cores
+    tree = ast.parse(inspect.getsource(inspect.getmodule(lmmse_block)))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
 
 
 def test_lmmse_translates_factorization_errors():

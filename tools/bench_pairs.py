@@ -1,0 +1,183 @@
+"""Run perfbench in alternating parent/change pairs and write BENCH_<label>.json.
+
+Give it two checkouts, the parent commit and the change, each with its own
+``perfbench/`` and ``src/``:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --label one_blas \
+        --pairs 10 --seed 21
+
+Every run lasts BENCHMARK.json's ``run_seconds``. Pair i runs every workload
+once per side at run seed ``--seed + i``. The side that runs first alternates
+from pair to pair, so a drift in machine speed does not favour either side.
+Each gated metric of ``BENCHMARK.json`` gets the per-side median and quartiles
+over the pairs and the number of pairs the change won (ties count for
+neither). After the pairs, each side runs every workload once more with
+``--trace 1`` at run seed ``--seed + pairs`` for the per-layer split. The
+machine facts come from the first run.
+
+The file reports, for each gated metric, whether the change shows a gain by
+the benchmark's rule (it wins at least 9 in 10 pairs and the medians differ by
+more than the parent's q1-q3 distance) and whether its median is worse than
+the parent's by more than the metric's bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+WIN_SHARE = 0.9
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=21, help="run seed of the first pair")
+    p.add_argument("--workloads", nargs="+", default=None, help="default: BENCHMARK.json's")
+    p.add_argument("--out", type=Path, default=None, help="default: BENCH_<label>.json here")
+    args = p.parse_args(argv)
+    if args.pairs < 1 or args.seed < 0:
+        p.error("--pairs must be >= 1 and --seed >= 0")
+    return args
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run in ``checkout``; its result line, report, checks and machine facts."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=3600)
+    if out.returncode not in (0, 1):  # 1 is a failed output check, still a result
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {out.returncode}:\n{out.stderr}")
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    run = {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "checks": [line[len("check "):] for line in lines if line.startswith("check ")],
+    }
+    for line in lines:
+        if line.startswith("machine "):
+            run["machine"] = json.loads(line[len("machine "):])
+        elif line.startswith("report "):
+            run["report"] = {k: v["value"] for k, v in json.loads(line[len("report "):]).items()}
+    return run
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(pairs: list[dict], name: str, spec: dict) -> dict:
+    """Per-side quartiles of one gated metric, wins per pair, and the verdicts."""
+    lower = spec["better"] == "lower"
+    values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+    stats = {side: quartiles(values[side]) for side in SIDES}
+    wins = ties = 0
+    for a, b in zip(values["parent"], values["change"]):
+        if a == b:
+            ties += 1
+        elif (b < a) == lower:
+            wins += 1
+    parent, change = stats["parent"]["median"], stats["change"]["median"]
+    gain = (parent - change) if lower else (change - parent)
+    worse_frac = -gain / parent if parent else 0.0
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "bound": spec["bound"],
+        **stats,
+        "values": values,
+        "change_wins": wins,
+        "ties": ties,
+        "pairs": len(pairs),
+        "change_vs_parent": change / parent if parent else None,
+        "gain_shown": wins >= WIN_SHARE * len(pairs)
+        and gain > stats["parent"]["q3"] - stats["parent"]["q1"],
+        "worse_beyond_bound": worse_frac > spec["bound"],
+    }
+
+
+def git_rev(checkout: Path) -> str | None:
+    out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    gated = {m["name"]: m for m in benchmark["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    pairs: dict[str, list[dict]] = {w: [] for w in workloads}
+    machine = None
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            pair = {"pair": i, "seed": seed, "first": order[0]}
+            for side in order:
+                run = run_perfbench(checkouts[side], workload, seed, seconds, trace=0)
+                machine = machine or run["machine"]
+                run["cholesky400_ms"] = run.pop("machine")["cholesky400_ms"]
+                pair[side] = run
+                print(f"pair {i} {workload} {side}: "
+                      + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
+                      file=sys.stderr, flush=True)
+            pairs[workload].append(pair)
+
+    trace_seed = args.seed + args.pairs
+    trace = {}
+    for workload in workloads:
+        trace[workload] = {"seed": trace_seed}
+        for side in SIDES:
+            run = run_perfbench(checkouts[side], workload, trace_seed, seconds, trace=1)
+            trace[workload][side] = {k: run[k] for k in ("correct", "failed", "metrics")}
+
+    doc = {
+        "label": args.label,
+        "command": benchmark["command"],
+        "settings": {"pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
+                     "workloads": workloads},
+        "revisions": {side: git_rev(path) for side, path in checkouts.items()},
+        "machine": machine,
+        "workloads": {
+            w: {
+                "metrics": {name: compare(pairs[w], name, spec) for name, spec in gated.items()},
+                "all_correct": all(p[s]["correct"] for p in pairs[w] for s in SIDES),
+                "failed": {s: sum(p[s]["failed"] for p in pairs[w]) for s in SIDES},
+                "runs": pairs[w],
+            }
+            for w in workloads
+        },
+        "trace": trace,
+    }
+    out = args.out or Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    for w in workloads:
+        for name, m in doc["workloads"][w]["metrics"].items():
+            print(f"{w} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+                  f"{m['unit']}, change won {m['change_wins']}/{m['pairs']}, "
+                  f"gain shown {m['gain_shown']}, worse beyond bound {m['worse_beyond_bound']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
