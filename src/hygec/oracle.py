@@ -2,7 +2,10 @@
 
 Everything here trades speed for independence: quadrature instead of closed
 forms, full enumeration instead of message passing. Used by tests to pin
-expected values and by the CLI `check` subcommand.
+expected values. `denoiser_parity` holds the quadrature check of the scalar
+denoisers (acceptance criterion 1), which the CLI `check` subcommand runs at
+a reduced draw count; the enumeration check of the engine (criterion 2) is
+`hygec.bench.enumeration_parity`, since the engine itself imports this module.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
-from .denoisers import Moments
+from .denoisers import Moments, x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
 from .types import HygecError, InvalidParameter, ProblemInstance
 
 
@@ -60,6 +63,72 @@ def quad_z_posterior(likelihood, m: float, v: float, grid: QuadGrid | None = Non
     mean_u = np.trapezoid(u * f, u) / z_mass
     var = np.trapezoid((u - mean_u) ** 2 * f, u) / z_mass
     return Moments(m + mean_u, var)
+
+
+def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
+    """Worst errors of the scalar denoisers over `draws` seeded draws each.
+
+    The linear and quantized-cell denoisers are checked against
+    `quad_z_posterior` on a 50 001-point grid (absolute mean error, relative
+    variance error); the spike-slab denoiser against a direct two-branch
+    mixture computed in log space. Returns (linear mean, linear var,
+    quantized mean, quantized var, spike-slab).
+    """
+    rng = np.random.default_rng(20260814)
+    grid = QuadGrid(half_width_sigmas=10.0, points=50_001)
+
+    # noise variance is coupled to v so the likelihood stays wider than
+    # ~100 quadrature steps; below that the trapezoid rule, not the
+    # closed form, is the thing being measured
+    lin_mean = lin_var = 0.0
+    for _ in range(draws):
+        v = 10.0 ** rng.uniform(-6, 4)
+        m = rng.uniform(-50, 50)
+        nv = v * 10.0 ** rng.uniform(-2.5, 2)
+        y = m + rng.uniform(-4, 4) * np.sqrt(v + nv)
+        closed = z_posterior_awgn(np.array([y]), np.array([m]), np.array([v]), nv)
+        ref = quad_z_posterior(lambda z: np.exp(-((z - y) ** 2) / (2 * nv)), m, v, grid)
+        lin_mean = max(lin_mean, abs(closed.mean[0] - ref.mean))
+        lin_var = max(lin_var, abs(closed.var[0] - ref.var) / ref.var)
+
+    q_mean = q_var = 0.0
+    for _ in range(draws):
+        v = 10.0 ** rng.uniform(-6, 4)
+        m = rng.uniform(-50, 50)
+        nv = v * 10.0 ** rng.uniform(-2.5, 2)
+        s = np.sqrt(v + nv)
+        center = m + rng.uniform(-6, 6) * s
+        width = rng.uniform(0.05, 4) * s
+        edges = np.array([center - width / 2, center + width / 2])
+        closed = z_posterior_cell(edges[0], edges[1], np.array([m]), np.array([v]), nv)
+        root = np.sqrt(nv)
+        ref = quad_z_posterior(
+            lambda z: ndtr((edges[1] - z) / root) - ndtr((edges[0] - z) / root), m, v, grid
+        )
+        q_mean = max(q_mean, abs(closed.mean[0] - ref.mean))
+        q_var = max(q_var, abs(closed.var[0] - ref.var) / ref.var)
+
+    ss_worst = 0.0
+    for _ in range(draws):
+        v = 10.0 ** rng.uniform(-6, 4)
+        m = rng.uniform(-50, 50)
+        rho = rng.uniform(0.01, 0.99)
+        sx = 10.0 ** rng.uniform(-2, 2)
+        pos, pi = x_posterior_spike_slab(np.array([m]), np.array([v]), rho, sx)
+        log_on = np.log(rho) - 0.5 * np.log(2 * np.pi * (v + sx)) - m**2 / (2 * (v + sx))
+        log_off = np.log1p(-rho) - 0.5 * np.log(2 * np.pi * v) - m**2 / (2 * v)
+        p_on = np.exp(log_on - logsumexp([log_on, log_off]))
+        mu_on = m * sx / (v + sx)
+        v_on = v * sx / (v + sx)
+        mean_ref = p_on * mu_on
+        var_ref = p_on * v_on + p_on * (1 - p_on) * mu_on**2
+        ss_worst = max(
+            ss_worst,
+            abs(pos.mean[0] - mean_ref),
+            abs(pos.var[0] - var_ref) / max(var_ref, 1e-300),
+            abs(pi[0] - p_on),
+        )
+    return lin_mean, lin_var, q_mean, q_var, ss_worst
 
 
 def exact_posterior_small(

@@ -10,35 +10,20 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
-from hygec.bench import Scenario, final_rows, run_scenario, summarize
+from hygec.bench import (
+    Scenario,
+    build_instance,
+    enumeration_parity,
+    final_rows,
+    run_scenario,
+    summarize,
+)
 from hygec.cli import main
-from hygec.denoisers import (
-    Moments,
-    extrinsic,
-    indicator_beliefs,
-    x_posterior_spike_slab,
-    z_posterior_awgn,
-    z_posterior_cell,
-)
+from hygec.denoisers import Moments, extrinsic
 from hygec.em import em_hygec_run
-from hygec.engine import (
-    HygecConfig,
-    gaussian_reproduction_residuals,
-    hygec_run,
-    hygec_sweep,
-    init_state,
-)
-from hygec.ensembles import (
-    MatrixSpec,
-    apply_channel,
-    gen_group_sparse_signal,
-    gen_matrix,
-    snr_to_noise_var,
-)
-from hygec.oracle import QuadGrid, exact_posterior_small, quad_z_posterior
-from hygec.types import CONVERGED, Channel, GroupStructure, ProblemInstance
+from hygec.engine import HygecConfig, gaussian_reproduction_residuals, hygec_sweep, init_state
+from hygec.oracle import denoiser_parity
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -48,73 +33,9 @@ def _report(capsys, label, ok, detail):
         print(f"\n{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
 
-def _desk_instance(seed):
-    groups = GroupStructure.even(400, 20)
-    H = gen_matrix(MatrixSpec("iid", 200, 400), np.random.default_rng([seed, 0]))
-    x, xi = gen_group_sparse_signal(groups, 0.1, 1.0, np.random.default_rng([seed, 1]))
-    noise_var = snr_to_noise_var(H, 0.1, 1.0, 10.0)
-    channel = Channel.linear_awgn(noise_var)
-    y = apply_channel(H, x, channel, np.random.default_rng([seed, 2]))
-    return ProblemInstance(H, y, groups, channel, 1.0, x, xi, 0.1)
-
-
 def test_denoisers_match_independent_oracles(capsys):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20260814)
-    grid = QuadGrid(half_width_sigmas=10.0, points=50_001)
-
-    # noise variance is coupled to v so the likelihood stays wider than
-    # ~100 quadrature steps; below that the trapezoid rule, not the
-    # closed form, is the thing being measured
-    lin_mean = lin_var = 0.0
-    for _ in range(1000):
-        v = 10.0 ** rng.uniform(-6, 4)
-        m = rng.uniform(-50, 50)
-        nv = v * 10.0 ** rng.uniform(-2.5, 2)
-        y = m + rng.uniform(-4, 4) * np.sqrt(v + nv)
-        closed = z_posterior_awgn(np.array([y]), np.array([m]), np.array([v]), nv)
-        ref = quad_z_posterior(lambda z: np.exp(-((z - y) ** 2) / (2 * nv)), m, v, grid)
-        lin_mean = max(lin_mean, abs(closed.mean[0] - ref.mean))
-        lin_var = max(lin_var, abs(closed.var[0] - ref.var) / ref.var)
-
-    q_mean = q_var = 0.0
-    for _ in range(1000):
-        v = 10.0 ** rng.uniform(-6, 4)
-        m = rng.uniform(-50, 50)
-        nv = v * 10.0 ** rng.uniform(-2.5, 2)
-        s = np.sqrt(v + nv)
-        center = m + rng.uniform(-6, 6) * s
-        width = rng.uniform(0.05, 4) * s
-        edges = np.array([center - width / 2, center + width / 2])
-        closed = z_posterior_cell(edges[0], edges[1], np.array([m]), np.array([v]), nv)
-        root = np.sqrt(nv)
-        ref = quad_z_posterior(
-            lambda z: ndtr((edges[1] - z) / root) - ndtr((edges[0] - z) / root), m, v, grid
-        )
-        q_mean = max(q_mean, abs(closed.mean[0] - ref.mean))
-        q_var = max(q_var, abs(closed.var[0] - ref.var) / ref.var)
-
-    ss_worst = 0.0
-    for _ in range(1000):
-        v = 10.0 ** rng.uniform(-6, 4)
-        m = rng.uniform(-50, 50)
-        rho = rng.uniform(0.01, 0.99)
-        sx = 10.0 ** rng.uniform(-2, 2)
-        pos, pi = x_posterior_spike_slab(np.array([m]), np.array([v]), rho, sx)
-        log_on = np.log(rho) - 0.5 * np.log(2 * np.pi * (v + sx)) - m**2 / (2 * (v + sx))
-        log_off = np.log1p(-rho) - 0.5 * np.log(2 * np.pi * v) - m**2 / (2 * v)
-        p_on = np.exp(log_on - logsumexp([log_on, log_off]))
-        mu_on = m * sx / (v + sx)
-        v_on = v * sx / (v + sx)
-        mean_ref = p_on * mu_on
-        var_ref = p_on * v_on + p_on * (1 - p_on) * mu_on**2
-        ss_worst = max(
-            ss_worst,
-            abs(pos.mean[0] - mean_ref),
-            abs(pos.var[0] - var_ref) / max(var_ref, 1e-300),
-            abs(pi[0] - p_on),
-        )
-
+    lin_mean, lin_var, q_mean, q_var, ss_worst = denoiser_parity(1000)
     elapsed = time.perf_counter() - t0
     ok = (
         lin_mean < 1e-7 and lin_var < 1e-6
@@ -133,34 +54,7 @@ def test_denoisers_match_independent_oracles(capsys):
 
 def test_engine_tracks_exhaustive_posterior_on_small_instances(capsys):
     t0 = time.perf_counter()
-    rho, sigma_x_sq = 0.1, 1.0
-    # tiny instances rail extrinsic variances at the default ceiling;
-    # a lower ceiling keeps the sweep inside its contraction region
-    cfg = HygecConfig(v_max=1e4)
-    se_sum = mae_sum = worst = 0.0
-    n_el = n_grp = nonconv = 0
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        groups = GroupStructure.even(12, 6)
-        H = gen_matrix(MatrixSpec("iid", 10, 12), rng)
-        x, xi = gen_group_sparse_signal(groups, rho, sigma_x_sq, rng)
-        noise_var = snr_to_noise_var(H, rho, sigma_x_sq, 15.0)
-        channel = Channel.linear_awgn(noise_var)
-        y = apply_channel(H, x, channel, rng)
-        inst = ProblemInstance(H, y, groups, channel, sigma_x_sq, x, xi, rho)
-        m_x_lik, v_x_lik, _, x_pos, report = hygec_run(inst, rho, cfg)
-        if report.termination != CONVERGED:
-            nonconv += 1
-            continue
-        x_ref, _, xi_ref = exact_posterior_small(inst, rho, sigma_x_sq)
-        se_sum += float(np.sum((x_pos - x_ref) ** 2))
-        n_el += inst.n
-        beliefs = indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
-        mae_sum += float(np.sum(np.abs(beliefs - xi_ref)))
-        n_grp += groups.k
-        worst = max(worst, float(np.sqrt(np.mean((x_pos - x_ref) ** 2))))
-    rms = float(np.sqrt(se_sum / n_el))
-    mae = mae_sum / n_grp
+    rms, worst, mae, nonconv = enumeration_parity(range(50))
     elapsed = time.perf_counter() - t0
     ok = nonconv == 0 and rms < 1e-2 and mae < 5e-2 and elapsed < 60.0
     detail = (
@@ -234,19 +128,14 @@ def test_rate_update_is_stationary_at_the_true_rate(capsys):
     # indicators otherwise moves the very first update to the empirical
     # rate, so seeds are screened for an exact match (5 of 50 groups)
     t0 = time.perf_counter()
-    groups = GroupStructure.even(400, 50)
+    scenario = Scenario(name="custom", m=200, n=400, k=50, rho=0.1, snr_db=20.0, seeds=(0,))
     accepted, seed = 0, 0
     worst = 0.0
     while accepted < 10 and seed < 200:
-        x, xi = gen_group_sparse_signal(groups, 0.1, 1.0, np.random.default_rng([seed, 1]))
-        if int(xi.sum()) != 5:
+        inst = build_instance(scenario, seed, None)
+        if int(inst.xi_true.sum()) != 5:
             seed += 1
             continue
-        H = gen_matrix(MatrixSpec("iid", 200, 400), np.random.default_rng([seed, 0]))
-        noise_var = snr_to_noise_var(H, 0.1, 1.0, 20.0)
-        channel = Channel.linear_awgn(noise_var)
-        y = apply_channel(H, x, channel, np.random.default_rng([seed, 2]))
-        inst = ProblemInstance(H, y, groups, channel, 1.0, x, xi, 0.1)
         _, _, report = em_hygec_run(inst, 0.1)
         worst = max(worst, float(np.max(np.abs(np.diff(report.rho_trace)))))
         accepted += 1
@@ -280,13 +169,14 @@ def test_message_algebra_identities_hold(capsys):
     # at a tight fixed point the prior- and likelihood-side messages
     # recombine into the spike-slab posterior on every unclamped element
     cfg = HygecConfig()
+    desk = Scenario(name="custom", m=200, n=400, k=20, rho=0.1, snr_db=10.0, seeds=(0,))
     worst_dm = worst_dv = 0.0
     for seed in range(4):
-        inst = _desk_instance(seed)
+        inst = build_instance(desk, seed, None)
         state = init_state(inst, 0.1, cfg)
         for _ in range(100):
             state = hygec_sweep(state, inst, 0.1, cfg)
-        dm, dv, clamped = gaussian_reproduction_residuals(state, cfg.v_min, cfg.v_max)
+        dm, dv, clamped = gaussian_reproduction_residuals(state, cfg)
         free = ~clamped
         assert free.any()
         worst_dm = max(worst_dm, float(dm[free].max()))

@@ -8,7 +8,6 @@ from hygec.bench import (
     IoError,
     Scenario,
     SchemaMismatch,
-    _rho_per_iteration,
     build_instance,
     export_instance,
     final_rows,
@@ -19,6 +18,7 @@ from hygec.bench import (
     write_csv,
     write_json,
 )
+from hygec.em import em_hygec_run
 from hygec.types import (
     CONVERGED,
     NUMERICAL_FAILURE,
@@ -148,13 +148,24 @@ def test_build_instance_mean_sweep_keeps_noise_calibration():
     assert np.all(y >= 0) and np.all(y < shifted.channel.n_cells)
 
 
-def test_rho_per_iteration_expansion():
-    assert _rho_per_iteration([0.01, 0.05, 0.1], [3, 2, 1], 6) == [
-        0.01, 0.01, 0.01, 0.05, 0.05, 0.1,
-    ]
-    # padding repeats the last value when counts undershoot the total
-    assert _rho_per_iteration([0.3], [2], 4) == [0.3, 0.3, 0.3, 0.3]
-    assert _rho_per_iteration([0.3, 0.4], [2, 2], 3) == [0.3, 0.3, 0.4]
+def test_run_trial_repeats_each_rate_over_its_sweeps(monkeypatch):
+    reports = []
+
+    def spy(*args):
+        out = em_hygec_run(*args)
+        reports.append(out[2])
+        return out
+
+    monkeypatch.setattr("hygec.bench.em_hygec_run", spy)
+    rows = run_trial(_scenario(m=40, n=60, rho=0.2, snr_db=18.0), 0, None, "em-hygec")
+    (report,) = reports
+    assert len(report.inner_counts) > 1
+    # outer stage j ran inner_counts[j] sweeps at rate rho_trace[j]
+    start = 0
+    for rho, count in zip(report.rho_trace, report.inner_counts):
+        assert [r["rho_est"] for r in rows[start:start + count]] == [rho] * count
+        start += count
+    assert start == len(rows)
 
 
 def test_run_trial_row_contract():

@@ -177,3 +177,22 @@ def test_check_reports_all_parity_lines(capsys):
         "spike-slab-vs-two-branch",
         "engine-vs-exact-enumeration",
     }
+
+
+def test_check_fails_the_check_whose_error_is_over_its_bound(capsys, monkeypatch):
+    calls = []
+
+    def spy(draws):
+        calls.append(draws)
+        return 0.0, 2e-6, 0.0, 0.0, 0.0  # linear variance error over its 1e-6 bound
+
+    monkeypatch.setattr("hygec.cli.denoiser_parity", spy)
+    assert main(["check"]) == 1
+    assert calls == [100]
+    lines = [l.split()[:2] for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert [(name.rstrip(":"), verdict) for verdict, name in lines] == [
+        ("linear-denoiser-vs-quadrature", "FAIL"),
+        ("quantized-denoiser-vs-quadrature", "PASS"),
+        ("spike-slab-vs-two-branch", "PASS"),
+        ("engine-vs-exact-enumeration", "PASS"),
+    ]

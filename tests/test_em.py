@@ -3,20 +3,12 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import norm
 
+from hygec.bench import Scenario, build_instance
 from hygec.em import RHO_FLOOR, EmConfig, em_hygec_run, em_update_rho
-from hygec.engine import HygecConfig
-from hygec.ensembles import (
-    MatrixSpec,
-    apply_channel,
-    gen_group_sparse_signal,
-    gen_matrix,
-    snr_to_noise_var,
-)
 from hygec.types import (
     CONVERGED,
     MAX_ITERATIONS,
     NUMERICAL_FAILURE,
-    Channel,
     GroupStructure,
     InvalidParameter,
     ProblemInstance,
@@ -24,13 +16,8 @@ from hygec.types import (
 
 
 def _instance(seed, m, n, k, rho, snr_db):
-    groups = GroupStructure.even(n, k)
-    H = gen_matrix(MatrixSpec("iid", m, n), np.random.default_rng([seed, 0]))
-    x, xi = gen_group_sparse_signal(groups, rho, 1.0, np.random.default_rng([seed, 1]))
-    noise_var = snr_to_noise_var(H, rho, 1.0, snr_db)
-    channel = Channel.linear_awgn(noise_var)
-    y = apply_channel(H, x, channel, np.random.default_rng([seed, 2]))
-    return ProblemInstance(H, y, groups, channel, 1.0, x, xi, rho)
+    sc = Scenario(name="custom", m=m, n=n, k=k, rho=rho, snr_db=snr_db, seeds=(seed,))
+    return build_instance(sc, seed, None)
 
 
 def test_em_config_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
     PROB_FLOOR,
     Moments,
@@ -26,14 +27,7 @@ from hygec.engine import (
     lmmse_block,
     lmmse_gram,
 )
-from hygec.ensembles import (
-    MatrixSpec,
-    apply_channel,
-    default_clip_range,
-    gen_group_sparse_signal,
-    gen_matrix,
-    snr_to_noise_var,
-)
+from hygec.ensembles import apply_channel, gen_group_sparse_signal
 from hygec.oracle import exact_posterior_small
 from hygec.types import (
     CONVERGED,
@@ -47,18 +41,9 @@ from hygec.types import (
 )
 
 
-def _instance(seed, m, n, k, rho, snr_db, sigma_x_sq=1.0, bits=None):
-    groups = GroupStructure.even(n, k)
-    H = gen_matrix(MatrixSpec("iid", m, n), np.random.default_rng([seed, 0]))
-    x, xi = gen_group_sparse_signal(groups, rho, sigma_x_sq, np.random.default_rng([seed, 1]))
-    noise_var = snr_to_noise_var(H, rho, sigma_x_sq, snr_db)
-    if bits is None:
-        channel = Channel.linear_awgn(noise_var)
-    else:
-        clip = default_clip_range(H, rho, sigma_x_sq, noise_var)
-        channel = Channel.quantized(noise_var, bits, clip)
-    y = apply_channel(H, x, channel, np.random.default_rng([seed, 2]))
-    return ProblemInstance(H, y, groups, channel, sigma_x_sq, x, xi, rho)
+def _instance(seed, m, n, k, rho, snr_db, **options):
+    sc = Scenario(name="custom", m=m, n=n, k=k, rho=rho, snr_db=snr_db, seeds=(seed,), **options)
+    return build_instance(sc, seed, None)
 
 
 def test_config_validation():
@@ -453,7 +438,7 @@ def test_reproduction_residuals_vanish_at_fixed_point():
     st = init_state(inst, 0.15, cfg)
     for _ in range(120):
         hygec_sweep(st, inst, 0.15, cfg)
-    d_mean, d_var, clamped = gaussian_reproduction_residuals(st)
+    d_mean, d_var, clamped = gaussian_reproduction_residuals(st, cfg)
     free = ~clamped
     assert np.any(free)
     assert np.max(d_mean[free]) < 1e-9
@@ -464,10 +449,10 @@ def test_reproduction_residuals_flag_clamped_elements():
     inst = _instance(0, 6, 10, 5, 0.2, 15.0)
     cfg = HygecConfig()
     st = init_state(inst, 0.2, cfg)
-    assert np.all(gaussian_reproduction_residuals(st)[2])  # fresh v_x_lik sits at v_max
+    assert np.all(gaussian_reproduction_residuals(st, cfg)[2])  # fresh v_x_lik sits at v_max
     st.v_x_lik = np.ones(10)
-    _, _, clamped = gaussian_reproduction_residuals(st)
+    _, _, clamped = gaussian_reproduction_residuals(st, cfg)
     assert not np.any(clamped)
     st.v_x_lik[4] = cfg.v_max
-    _, _, clamped = gaussian_reproduction_residuals(st)
+    _, _, clamped = gaussian_reproduction_residuals(st, cfg)
     assert clamped[4] and clamped.sum() == 1
