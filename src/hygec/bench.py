@@ -6,6 +6,7 @@ the oracle."""
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -61,6 +62,13 @@ class IoError(HygecError):
     pass
 
 
+def _require(name: str, values, kind, what: str) -> None:
+    # bool subclasses int, but true is no count, seed or rate
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
+    if bad:
+        raise InvalidParameter(f"{name} must be {what}, not {bad[0]!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -83,6 +91,16 @@ class Scenario:
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
+        # a JSON file may hold any type; a wrong one would fail deep in a run or be truncated
+        for name in ("m", "n", "k"):
+            _require(name, [getattr(self, name)], numbers.Integral, "an integer")
+        for name in ("rho", "snr_db", "sigma_x_sq", "rho_init", "matrix_mean", "kappa"):
+            _require(name, [getattr(self, name)], numbers.Real, "a real number")
+        _require("bits", [] if self.bits is None else [self.bits], numbers.Integral, "an integer")
+        _require("seeds", self.seeds, numbers.Integral, "integers")
+        _require("sweep_values", self.sweep_values, numbers.Real, "real numbers")
+        if any(seed < 0 for seed in self.seeds):
+            raise InvalidParameter(f"seeds must be nonnegative, not {self.seeds!r}")
         if self.name not in SCENARIO_NAMES:
             raise InvalidParameter(f"unknown scenario name {self.name!r}")
         if not self.seeds:
@@ -247,8 +265,10 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     Row order is fixed (sweep value, then algorithm, then seed, then iteration)
     regardless of thread count.
     """
+    if threads < 1:
+        raise InvalidParameter(f"threads must be at least 1, not {threads}")
     args = list(_trial_args(scenario))
-    if threads <= 1:
+    if threads == 1:
         batches = [run_trial(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:

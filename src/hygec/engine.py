@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 from .denoisers import (
     Moments,
@@ -86,48 +86,48 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
 
 
 def lmmse_gram(H, v_z_lik) -> np.ndarray:
-    """Lower triangle of H^T diag(1/v_z_lik) H, in Fortran order.
-
-    Built by one rank-m update (BLAS syrk) of the row-scaled H; the strict
-    upper triangle is left at zero and is never read by `lmmse_block`.
-    """
+    """H^T diag(1/v_z_lik) H by one BLAS syrk, in LAPACK packed lower storage."""
     scaled = np.asarray(H, dtype=float) / np.sqrt(np.asarray(v_z_lik, dtype=float))[:, None]
     # scaled.T is Fortran-contiguous, so syrk reads it in place: A A^T = scaled^T scaled
-    return blas.dsyrk(1.0, scaled.T, lower=1)
+    full = blas.dsyrk(1.0, scaled.T, lower=1)
+    del scaled  # before packing: the scaled H, square and packed Gram never coexist
+    return lapack.dtrttp(full, uplo="L")[0]
 
 
 def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     """Joint Gaussian combine of the z-side and x-side messages through H.
 
-    With `gram` = `lmmse_gram(H, v_z_lik)` (only its lower triangle is read),
-    factors P = H^T D H + diag(1/v_x_pri), D = diag(1/v_z_lik), as L L^T and
-    returns the posterior mean and marginal variances of one side: side "x"
-    gives (P^-1 r, diag P^-1) with r = H^T D m_z_lik + m_x_pri / v_x_pri;
-    side "z" gives (H P^-1 r, diag H P^-1 H^T). No inverse of P is formed:
-    diag P^-1 is the column sums of squares of L^-1, and diag H P^-1 H^T
-    those of L^-1 H^T.
+    With `gram` = `lmmse_gram(H, v_z_lik)`, factors P = H^T D H + diag(1/v_x_pri),
+    D = diag(1/v_z_lik), as L L^T and returns the posterior mean and marginal
+    variances of one side: side "x" gives (P^-1 r, diag P^-1) with
+    r = H^T D m_z_lik + m_x_pri / v_x_pri; side "z" gives (H P^-1 r,
+    diag H P^-1 H^T). No inverse of P is formed: diag P^-1 is the column sums
+    of squares of L^-1, and diag H P^-1 H^T those of L^-1 H^T.
 
-    Every BLAS call goes through scipy. A numpy matvec would wake numpy's own
-    OpenBLAS thread pool, which then spins through scipy's factorizations on
-    the same cores. H.T is handed to dgemv because it is Fortran-ordered for a
-    C-ordered H, so f2py reads it in place instead of copying H.
+    The Gram is unpacked into the n x n buffer that is factored in place; f2py
+    zero-fills it, so its upper triangle needs no clean. Every call is a direct
+    scipy BLAS or LAPACK routine: a numpy matvec would wake numpy's own OpenBLAS
+    thread pool, which then spins through scipy's factorizations on the same
+    cores. dgemv reads H.T in place, as it is Fortran-ordered for a C-ordered H.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
     H = np.asarray(H, dtype=float)
     v_x_pri = np.asarray(v_x_pri, dtype=float)
-    prec = np.array(gram, dtype=float, order="F")
+    prec = lapack.dtpttr(H.shape[1], gram, uplo="L")[0]
     prec[np.diag_indices(H.shape[1])] += 1.0 / v_x_pri
-    chol, info = lapack.dpotrf(prec, lower=1, clean=1, overwrite_a=1)
+    chol, info = lapack.dpotrf(prec, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
     rhs = blas.dgemv(1.0, H.T, np.asarray(m_z_lik, dtype=float) / v_z_lik)
     rhs += np.asarray(m_x_pri) / v_x_pri
-    x_pos = cho_solve((chol, True), rhs, check_finite=False)
+    x_pos = lapack.dpotrs(chol, rhs, lower=1)[0]
     if side == "x":
         factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
         return x_pos, np.einsum("ij,ij->j", factor, factor)
-    factor = solve_triangular(chol, H.T, lower=True, check_finite=False)
+    factor, info = lapack.dtrtrs(chol, H.T, lower=1)
+    if info != 0:
+        raise FactorizationFailure(f"triangular solve with the LMMSE factor failed (info {info})")
     return blas.dgemv(1.0, H.T, x_pos, trans=1), np.einsum("ij,ij->j", factor, factor)
 
 

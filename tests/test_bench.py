@@ -65,6 +65,15 @@ def test_scenario_validation():
         # a sweep overrides the scenario's own value at every point
         dict(sweep_param="mean", sweep_values=(0.0, 0.1), matrix_mean=0.05),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0), kappa=50.0),
+        # values of the wrong type, as a JSON file can hold them
+        dict(seeds="ab"),
+        dict(seeds=(0.5,)),
+        dict(seeds=(-1,)),
+        dict(m=4.5),
+        dict(m=True),
+        dict(snr_db="10"),
+        dict(sweep_param="mean", sweep_values=("x",)),
+        dict(bits=2.5),
     ):
         with pytest.raises(InvalidParameter):
             _scenario(**bad)

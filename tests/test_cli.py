@@ -106,16 +106,24 @@ def test_run_missing_scenario_exits_two(tmp_path, capsys):
 
 def test_run_bad_seed_list_exits_two(tmp_path, capsys):
     sc = _scenario_file(tmp_path)
-    for text in ("abc", "0-x"):
-        assert main(["run", sc, "--seeds", text]) == 2, text
+    for text in ("abc", "0-x", "-1"):
+        assert main(["run", sc, f"--seeds={text}"]) == 2, text
         assert "error:" in capsys.readouterr().err
+
+
+def test_run_threads_below_one_exits_two(tmp_path, capsys):
+    # the serial check fires before any process pool could start
+    assert main(["run", _scenario_file(tmp_path), "--threads", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_malformed_scenario_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ('{"name": "custom", "m": 20,', "[1, 2]", '{"name": "custom"}',
                  json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
-                             "snr_db": 18.0, "seeds": [0], "engine": {"bogus": 1}})):
+                             "snr_db": 18.0, "seeds": [0], "engine": {"bogus": 1}}),
+                 json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
+                             "snr_db": 18.0, "seeds": [0.5]})):
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2, text
         assert "error:" in capsys.readouterr().err
