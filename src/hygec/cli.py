@@ -63,7 +63,9 @@ def _cmd_gen(args) -> int:
     d = bench.load_json(args.spec)
     d.setdefault("name", "custom")
     d.setdefault("seeds", [args.seed])
-    inst = bench.build_instance(bench.Scenario.from_dict(d), args.seed, None)
+    scenario = bench.Scenario.from_dict(d)  # the spec's own seeds are checked as written
+    scenario = dataclasses.replace(scenario, seeds=(args.seed,))
+    inst = bench.build_instance(scenario, args.seed, None)
     bench.export_instance(inst, args.out, seed=args.seed)
     print(f"wrote {args.out} (m={inst.m}, n={inst.n}, k={inst.groups.k})")
     return 0

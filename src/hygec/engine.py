@@ -26,7 +26,6 @@ from .types import (
     InvalidParameter,
     ProblemInstance,
     RecoveryReport,
-    validate_instance,
 )
 
 
@@ -239,7 +238,6 @@ def hygec_run(
         raise InvalidParameter("rho must lie in (0, 1)")
     if cfg is None:
         cfg = HygecConfig()
-    validate_instance(inst)
     if state is None:
         state = init_state(inst, rho, cfg)
 

@@ -95,8 +95,8 @@ class Channel:
         if not self.noise_var >= 0:
             raise InvalidParameter("noise_var must be nonnegative")
         if self.kind == "quantized":
-            if self.bits is None or self.bits < 1:
-                raise InvalidParameter("quantized channel needs bits >= 1")
+            if self.bits is None or not 1 <= self.bits <= 16:  # 2^B cells are held in memory
+                raise InvalidParameter("quantized channel needs 1 <= bits <= 16")
             if self.clip_range is None or not self.clip_range > 0:
                 raise InvalidParameter("quantized channel needs clip_range > 0")
 
@@ -146,6 +146,35 @@ class ProblemInstance:
     xi_true: np.ndarray | None = None
     true_rho: float | None = None
 
+    def __post_init__(self):  # the first violated invariant raises its named error
+        H = np.asarray(self.H)
+        if H.ndim != 2:
+            raise DimensionMismatch("H must be a 2-d matrix")
+        m, n = H.shape
+        if np.asarray(self.y).shape != (m,):
+            raise DimensionMismatch(f"y must have length {m}")
+        if self.groups.n != n:
+            raise GroupCoverage(f"group sizes sum to {self.groups.n}, expected {n}")
+        if self.x_true is not None and np.asarray(self.x_true).shape != (n,):
+            raise DimensionMismatch(f"x_true must have length {n}")
+        if self.xi_true is not None:
+            xi = np.asarray(self.xi_true)
+            if xi.shape != (self.groups.k,):
+                raise DimensionMismatch(f"xi_true must have length {self.groups.k}")
+            if self.x_true is not None:
+                bad = (np.asarray(self.x_true) != 0) & (xi[self.groups.group_of] == 0)
+                if np.any(bad):  # name the first such group
+                    k = self.groups.group_of[np.argmax(bad)]
+                    raise SupportViolation(f"group {k} is inactive but x_true is nonzero there")
+        if self.channel.kind == "quantized":
+            y = np.asarray(self.y)
+            if np.any(y < 0) or np.any(y >= self.channel.n_cells):
+                raise DimensionMismatch("quantized observations must be valid cell indices")
+        if self.true_rho is not None and not 0 < self.true_rho < 1:
+            raise InvalidParameter("true_rho must lie in (0, 1)")
+        if not self.sigma_x_sq > 0:
+            raise InvalidParameter("sigma_x_sq must be positive")
+
     @property
     def m(self) -> int:
         return self.H.shape[0]
@@ -153,37 +182,6 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.H.shape[1]
-
-
-def validate_instance(inst: ProblemInstance) -> None:
-    """Raise the named error for the first violated ProblemInstance invariant."""
-    H = np.asarray(inst.H)
-    if H.ndim != 2:
-        raise DimensionMismatch("H must be a 2-d matrix")
-    m, n = H.shape
-    if np.asarray(inst.y).shape != (m,):
-        raise DimensionMismatch(f"y must have length {m}")
-    if inst.groups.n != n:
-        raise GroupCoverage(f"group sizes sum to {inst.groups.n}, expected {n}")
-    if inst.x_true is not None and np.asarray(inst.x_true).shape != (n,):
-        raise DimensionMismatch(f"x_true must have length {n}")
-    if inst.xi_true is not None:
-        xi = np.asarray(inst.xi_true)
-        if xi.shape != (inst.groups.k,):
-            raise DimensionMismatch(f"xi_true must have length {inst.groups.k}")
-        if inst.x_true is not None:
-            x = np.asarray(inst.x_true)
-            for k, sl in enumerate(inst.groups.slices()):
-                if xi[k] == 0 and np.any(x[sl] != 0):
-                    raise SupportViolation(f"group {k} is inactive but x_true is nonzero there")
-    if inst.channel.kind == "quantized":
-        y = np.asarray(inst.y)
-        if np.any(y < 0) or np.any(y >= inst.channel.n_cells):
-            raise DimensionMismatch("quantized observations must be valid cell indices")
-    if inst.true_rho is not None and not 0 < inst.true_rho < 1:
-        raise InvalidParameter("true_rho must lie in (0, 1)")
-    if not inst.sigma_x_sq > 0:
-        raise InvalidParameter("sigma_x_sq must be positive")
 
 
 @dataclass

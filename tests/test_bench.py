@@ -22,8 +22,10 @@ from hygec.em import em_hygec_run
 from hygec.types import (
     CONVERGED,
     NUMERICAL_FAILURE,
+    DimensionMismatch,
     InvalidParameter,
     RecoveryReport,
+    SupportViolation,
 )
 
 
@@ -362,3 +364,22 @@ def test_import_rejects_instance_missing_a_field(tmp_path):
     text.write_text("not an archive")
     with pytest.raises(SchemaMismatch):
         import_instance(str(text))
+
+
+def test_import_rejects_tampered_instance(tmp_path):
+    # a file with every field present but inconsistent fails at load, not in a later run
+    inst = build_instance(_scenario(), 7, None)
+    path = str(tmp_path / "full.npz")
+    export_instance(inst, path)
+    full = dict(np.load(path))
+    cut = str(tmp_path / "cut_y.npz")
+    np.savez(cut, **{**full, "y": full["y"][:-1]})
+    with pytest.raises(DimensionMismatch):
+        import_instance(cut)
+    active = int(np.flatnonzero(full["xi_true"])[0])
+    xi = full["xi_true"].copy()
+    xi[active] = 0  # x_true stays nonzero in that group
+    flipped = str(tmp_path / "flipped_xi.npz")
+    np.savez(flipped, **{**full, "xi_true": xi})
+    with pytest.raises(SupportViolation):
+        import_instance(flipped)

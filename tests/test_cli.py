@@ -123,7 +123,11 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
                  json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
                              "snr_db": 18.0, "seeds": [0], "engine": {"bogus": 1}}),
                  json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
-                             "snr_db": 18.0, "seeds": [0.5]})):
+                             "snr_db": 18.0, "seeds": [0.5]}),
+                 json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
+                             "snr_db": 18.0, "seeds": [0], "bits": 40}),
+                 json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
+                             "snr_db": 18.0, "seeds": [0], "bits": 64})):
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2, text
         assert "error:" in capsys.readouterr().err
@@ -143,6 +147,22 @@ def test_gen_missing_spec_exits_two(tmp_path, capsys):
     assert main(["gen", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x.npz")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x.npz").exists()
+
+
+def test_gen_negative_seed_exits_two_when_spec_lists_seeds(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0,
+                                "seeds": [0]}))
+    out = tmp_path / "x.npz"
+    assert main(["gen", str(spec), "--seed", "-1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    # the spec's own seeds are still checked as written
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0,
+                                "seeds": [0.5]}))
+    assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):

@@ -379,11 +379,10 @@ def test_run_validates_inputs():
         hygec_run(inst, 0.0)
     with pytest.raises(InvalidParameter):
         hygec_run(inst, 1.0)
-    short = ProblemInstance(
-        inst.H, inst.y[:-1], inst.groups, inst.channel, 1.0, inst.x_true, inst.xi_true, 0.2
-    )
-    with pytest.raises(DimensionMismatch):
-        hygec_run(short, 0.2)
+    with pytest.raises(DimensionMismatch):  # an inconsistent instance never reaches a run
+        ProblemInstance(
+            inst.H, inst.y[:-1], inst.groups, inst.channel, 1.0, inst.x_true, inst.xi_true, 0.2
+        )
 
 
 def test_run_converges_on_benign_instance():

@@ -12,7 +12,6 @@ from hygec.types import (
     InvalidParameter,
     ProblemInstance,
     SupportViolation,
-    validate_instance,
 )
 
 
@@ -61,6 +60,9 @@ def test_channel_construction_and_validation():
         Channel("quantized", 0.1, bits=0, clip_range=1.0)
     with pytest.raises(InvalidParameter):
         Channel("quantized", 0.1, bits=2, clip_range=0.0)
+    Channel.quantized(0.1, 16, 1.0)
+    with pytest.raises(InvalidParameter):  # 2^17 cells: rejected before any edge is built
+        Channel.quantized(0.1, 17, 1.0)
 
 
 def test_quantizer_edges_layout():
@@ -102,67 +104,66 @@ def _consistent_instance():
 
 
 def test_validate_consistent_instance():
-    validate_instance(_consistent_instance())
+    inst = _consistent_instance()
+    assert (inst.m, inst.n) == (4, 6)
+    # a NaN observation is consistent: the run, not the instance, must report it
+    y_nan = inst.y.copy()
+    y_nan[0] = np.nan
+    dataclasses.replace(inst, y=y_nan)
 
 
 def test_validate_dimension_mismatch():
     inst = _consistent_instance()
-    bad = ProblemInstance(
-        H=inst.H, y=inst.y[:-1], groups=inst.groups, channel=inst.channel,
-        sigma_x_sq=1.0,
-    )
     with pytest.raises(DimensionMismatch):
-        validate_instance(bad)
+        ProblemInstance(
+            H=inst.H, y=inst.y[:-1], groups=inst.groups, channel=inst.channel,
+            sigma_x_sq=1.0,
+        )
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(inst, y=inst.y[:-1])
 
 
 def test_validate_group_coverage():
     inst = _consistent_instance()
-    bad = ProblemInstance(
-        H=inst.H, y=inst.y, groups=GroupStructure((3, 2)), channel=inst.channel,
-        sigma_x_sq=1.0,
-    )
     with pytest.raises(GroupCoverage):
-        validate_instance(bad)
+        ProblemInstance(
+            H=inst.H, y=inst.y, groups=GroupStructure((3, 2)), channel=inst.channel,
+            sigma_x_sq=1.0,
+        )
 
 
 def test_validate_support_violation():
     inst = _consistent_instance()
     x_bad = inst.x_true.copy()
     x_bad[5] = 1.0  # group 1 is flagged inactive
-    bad = ProblemInstance(
-        H=inst.H, y=inst.y, groups=inst.groups, channel=inst.channel,
-        sigma_x_sq=1.0, x_true=x_bad, xi_true=inst.xi_true,
-    )
     with pytest.raises(SupportViolation):
-        validate_instance(bad)
+        ProblemInstance(
+            H=inst.H, y=inst.y, groups=inst.groups, channel=inst.channel,
+            sigma_x_sq=1.0, x_true=x_bad, xi_true=inst.xi_true,
+        )
 
 
 def test_validate_quantized_cell_range():
     inst = _consistent_instance()
     q = Channel.quantized(0.1, 1, 1.0)
-    bad = ProblemInstance(
-        H=inst.H, y=np.array([0, 1, 2, 0]), groups=inst.groups, channel=q,
-        sigma_x_sq=1.0,
-    )
     with pytest.raises(DimensionMismatch):
-        validate_instance(bad)
+        ProblemInstance(
+            H=inst.H, y=np.array([0, 1, 2, 0]), groups=inst.groups, channel=q,
+            sigma_x_sq=1.0,
+        )
 
 
 def test_validate_parameter_ranges():
     inst = _consistent_instance()
     with pytest.raises(InvalidParameter):
-        validate_instance(
-            ProblemInstance(
-                H=inst.H, y=inst.y, groups=inst.groups, channel=inst.channel,
-                sigma_x_sq=0.0,
-            )
+        ProblemInstance(
+            H=inst.H, y=inst.y, groups=inst.groups, channel=inst.channel,
+            sigma_x_sq=0.0,
         )
     with pytest.raises(InvalidParameter):
-        validate_instance(
-            ProblemInstance(
-                H=inst.H, y=inst.y, groups=inst.groups, channel=inst.channel,
-                sigma_x_sq=1.0, true_rho=1.5,
-            )
+        ProblemInstance(
+            H=inst.H, y=inst.y, groups=inst.groups, channel=inst.channel,
+            sigma_x_sq=1.0, true_rho=1.5,
         )
 
 
