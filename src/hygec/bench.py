@@ -192,14 +192,12 @@ def build_instance(scenario: Scenario, seed: int, sweep_value: float | None) -> 
 
     if scenario.conditioned:
         spec = MatrixSpec("conditioned", scenario.m, scenario.n, kappa=kappa)
-        H = gen_matrix(spec, rng_matrix)
-        H_power_ref = H
     else:
-        base = gen_matrix(MatrixSpec("iid", scenario.m, scenario.n), rng_matrix)
-        H = base + mean if mean != 0.0 else base
-        H_power_ref = base
-
-    noise_var = snr_to_noise_var(H_power_ref, scenario.rho, scenario.sigma_x_sq, scenario.snr_db)
+        spec = MatrixSpec("iid", scenario.m, scenario.n)
+    H = gen_matrix(spec, rng_matrix)
+    noise_var = snr_to_noise_var(H, scenario.rho, scenario.sigma_x_sq, scenario.snr_db)
+    if mean != 0.0:  # only an iid matrix takes a mean; shift the base in place
+        H += mean
 
     groups = GroupStructure.even(scenario.n, scenario.k)
     x, xi = gen_group_sparse_signal(groups, scenario.rho, scenario.sigma_x_sq, rng_signal)

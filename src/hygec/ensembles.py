@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .types import Channel, GroupStructure, InvalidParameter
 
@@ -58,7 +59,11 @@ def geometric_spectrum(m: int, kappa: float) -> np.ndarray:
 
 def gen_matrix(spec: MatrixSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "iid":
-        return spec.mean + rng.standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
+        H = rng.standard_normal((spec.m, spec.n))
+        H /= np.sqrt(spec.m)
+        if spec.mean != 0.0:
+            H += spec.mean
+        return H
     s = geometric_spectrum(spec.m, spec.kappa)
     u = haar_orthogonal(spec.m, rng)
     v = haar_orthogonal(spec.n, rng)
@@ -89,8 +94,10 @@ def apply_channel(
     """Push x through the channel: y = Hx + w, optionally quantized to cell indices.
 
     Noise is drawn even when noise_var == 0 so streams match across noise levels.
+    Hx comes from scipy's BLAS, as in the engine's LMMSE step, so building an
+    instance does not wake numpy's BLAS thread pool right before a solve.
     """
-    z = H @ x
+    z = blas.dgemv(1.0, H.T, x, trans=1)
     w = rng.standard_normal(z.shape[0]) * np.sqrt(channel.noise_var)
     out = z + w
     if channel.kind == "quantized":
@@ -98,9 +105,29 @@ def apply_channel(
     return out
 
 
+_SQUARES_LEAF = 1 << 16  # elements squared at a time: 512 KB, cache-sized
+
+
+def _sum_squares(flat: np.ndarray) -> float:
+    """``np.sum(flat**2)`` bit for bit, without an array the size of ``flat``.
+
+    Splits the way numpy's pairwise summation does (half, rounded down to a
+    multiple of 8), so each leaf's ``np.sum`` is one subtree of numpy's own.
+    """
+    if flat.size <= _SQUARES_LEAF:
+        return np.sum(np.square(flat))
+    half = flat.size // 2
+    half -= half % 8
+    return _sum_squares(flat[:half]) + _sum_squares(flat[half:])
+
+
 def signal_power(H: np.ndarray, rho: float, sigma_x_sq: float) -> float:
-    """Per-measurement power of Hx for the group-sparse source: rho * sigma_x_sq * ||H||_F^2 / M."""
-    return rho * sigma_x_sq * float(np.sum(H**2)) / H.shape[0]
+    """Per-measurement power of Hx for the group-sparse source: rho * sigma_x_sq * ||H||_F^2 / M.
+
+    ||H||_F^2 equals ``np.sum(H**2)`` bit for bit. It is summed over H in memory
+    order, a view for a contiguous H (a strided H is copied once, as H**2 was).
+    """
+    return rho * sigma_x_sq * float(_sum_squares(H.ravel(order="K"))) / H.shape[0]
 
 
 def snr_to_noise_var(H: np.ndarray, rho: float, sigma_x_sq: float, snr_db: float) -> float:

@@ -198,9 +198,12 @@ def test_lmmse_matvecs_read_any_layout_of_h(layout):
 def test_engine_has_no_numpy_matmul():
     # a numpy matvec would wake numpy's own BLAS thread pool, which then spins
     # through scipy's factorizations on the same cores; scipy.linalg's wrappers
-    # would hide which routine runs, so the step calls blas and lapack directly
+    # would hide which routine runs, so the step calls blas and lapack directly.
+    # apply_channel runs just before a solve when an instance is built.
     tree = ast.parse(inspect.getsource(inspect.getmodule(lmmse_block)))
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+    channel_tree = ast.parse(inspect.getsource(apply_channel))
+    assert not [node for node in ast.walk(channel_tree) if isinstance(node, ast.MatMult)]
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
             assert {alias.name for alias in node.names} <= {"blas", "lapack"}

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hygec.bench import _ROLE_MATRIX, _ROLE_NOISE, _ROLE_SIGNAL, Scenario, build_instance
 from hygec.ensembles import (
     MatrixSpec,
     apply_channel,
@@ -9,6 +12,7 @@ from hygec.ensembles import (
     gen_matrix,
     geometric_spectrum,
     haar_orthogonal,
+    signal_power,
     snr_to_noise_var,
 )
 from hygec.types import Channel, GroupStructure, InvalidParameter
@@ -103,11 +107,13 @@ def test_signal_parameter_validation():
 
 
 def test_apply_channel_noiseless_is_exact():
+    # Hx is scipy's dgemv; it must give numpy's H @ x bit for bit
     rng = np.random.default_rng(8)
-    H = rng.standard_normal((5, 7))
-    x = rng.standard_normal(7)
-    y = apply_channel(H, x, Channel.linear_awgn(0.0), np.random.default_rng(9))
-    assert np.array_equal(y, H @ x)
+    for m, n in ((5, 7), (200, 400), (1000, 2000)):
+        H = rng.standard_normal((m, n))
+        x = rng.standard_normal(n)
+        y = apply_channel(H, x, Channel.linear_awgn(0.0), np.random.default_rng(9))
+        assert np.array_equal(y, H @ x)
 
 
 def test_apply_channel_one_bit_is_sign_detector():
@@ -162,3 +168,64 @@ def test_snr_mapping_plug_ins():
 def test_default_clip_range_formula():
     H = np.eye(3)
     assert default_clip_range(H, 0.5, 2.0, 0.25) == pytest.approx(3.0 * np.sqrt(1.25))
+
+
+@pytest.mark.parametrize("m, n", [(10, 12), (200, 400), (1000, 2000)])
+def test_signal_power_is_the_sum_of_squares_bit_for_bit(m, n):
+    # the noise level of every instance is calibrated on this sum, so its last
+    # bit reaches every downstream result
+    H = gen_matrix(MatrixSpec("iid", m, n, mean=0.1), np.random.default_rng(m))
+    for A in (H, np.asfortranarray(H), H[:, ::2]):
+        assert signal_power(A, 0.1, 2.0) == 0.1 * 2.0 * float(np.sum(A**2)) / A.shape[0]
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.2])
+def test_iid_matrix_is_the_scaled_draw_bit_for_bit(mean):
+    H = gen_matrix(MatrixSpec("iid", 200, 400, mean=mean), np.random.default_rng(16))
+    draw = np.random.default_rng(16).standard_normal((200, 400))
+    assert np.array_equal(H, mean + draw / np.sqrt(200))
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_mean_sweep_instance_is_the_two_matrix_recipe_bit_for_bit(bits):
+    # the recipe as written with a separate zero-mean base matrix for the
+    # noise calibration and a shifted copy for the channel
+    sc = Scenario(name="mean-sweep", m=100, n=200, k=20, rho=0.1, snr_db=12.0, seeds=(0, 1),
+                  sweep_param="mean", sweep_values=(0.0, 0.2), bits=bits)
+    for seed in sc.seeds:
+        for mean in sc.sweep_values:
+            inst = build_instance(sc, seed, mean)
+            base = np.random.default_rng([seed, _ROLE_MATRIX]).standard_normal((sc.m, sc.n))
+            base = 0.0 + base / np.sqrt(sc.m)
+            H = base + mean if mean != 0.0 else base
+            power = sc.rho * sc.sigma_x_sq * float(np.sum(base**2)) / sc.m
+            noise_var = power / 10.0 ** (sc.snr_db / 10.0)
+            x, _ = gen_group_sparse_signal(GroupStructure.even(sc.n, sc.k), sc.rho, sc.sigma_x_sq,
+                                           np.random.default_rng([seed, _ROLE_SIGNAL]))
+            w = np.random.default_rng([seed, _ROLE_NOISE]).standard_normal(sc.m)
+            y = H @ x + w * np.sqrt(noise_var)
+            if bits is None:
+                channel = Channel.linear_awgn(noise_var)
+            else:
+                shifted = sc.rho * sc.sigma_x_sq * float(np.sum(H**2)) / sc.m
+                channel = Channel.quantized(noise_var, bits, 3.0 * np.sqrt(shifted + noise_var))
+                y = channel.quantize(y)
+            assert np.array_equal(inst.H, H)
+            assert np.array_equal(inst.y, y)
+            assert inst.channel == channel
+
+
+def test_build_instance_peak_memory_is_one_matrix():
+    # the draw is scaled and shifted in place and its power summed in
+    # cache-sized blocks; an m x n temporary (H**2, or a shifted copy of the
+    # base) takes the peak to about twice the bytes of H
+    sc = Scenario(name="mean-sweep", m=1000, n=2000, k=100, rho=0.1, snr_db=12.0, seeds=(0,),
+                  sweep_param="mean", sweep_values=(0.2,))
+    build_instance(sc, 0, 0.2)  # warm-up, so first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        inst = build_instance(sc, 0, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * inst.H.nbytes, f"peak {peak / inst.H.nbytes:.2f} times the bytes of H"

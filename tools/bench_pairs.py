@@ -113,9 +113,15 @@ def compare(pairs: list[dict], name: str, spec: dict) -> dict:
 
 
 def git_rev(checkout: Path) -> str | None:
-    out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """HEAD's commit, with "+dirty" if tracked files differ from it; None outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
 def main(argv=None) -> int:
