@@ -9,7 +9,6 @@ import json
 import numbers
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -269,6 +268,7 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     if threads == 1:
         batches = [run_trial(*a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(run_trial, *zip(*args)))
     return [row for batch in batches for row in batch]
@@ -414,29 +414,30 @@ def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -
 
 def import_instance(path: str) -> ProblemInstance:
     try:
-        data = np.load(path)
+        with np.load(path) as archive:
+            data = {key: archive[key] for key in archive.files}
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    except ValueError as exc:  # not an .npz archive
+    except Exception as exc:  # zipfile, zlib and numpy each have their own errors for bad bytes
         raise SchemaMismatch(f"{path}: not an instance file ({exc})") from exc
-    if "schema_version" not in data or int(data["schema_version"]) != SCHEMA_VERSION:
-        raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
     try:
-        kind = str(data["channel_kind"])
+        if "schema_version" not in data or int(data["schema_version"]) != SCHEMA_VERSION:
+            raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
+        kind = data["channel_kind"].item()
         noise_var = float(data["noise_var"])
         if kind == "quantized":
             channel = Channel.quantized(noise_var, int(data["bits"]), float(data["clip_range"]))
         else:
-            channel = Channel.linear_awgn(noise_var)
+            channel = Channel(kind, noise_var)
         return ProblemInstance(
             H=data["H"],
             y=data["y"],
-            groups=GroupStructure(tuple(int(s) for s in data["group_sizes"])),
+            groups=GroupStructure(data["group_sizes"].astype(np.int64, casting="safe")),
             channel=channel,
             sigma_x_sq=float(data["sigma_x_sq"]),
-            x_true=data["x_true"] if "x_true" in data else None,
-            xi_true=data["xi_true"] if "xi_true" in data else None,
+            x_true=data.get("x_true"),
+            xi_true=data.get("xi_true"),
             true_rho=float(data["true_rho"]) if "true_rho" in data else None,
         )
-    except KeyError as exc:
-        raise SchemaMismatch(f"{path}: instance file lacks field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a field missing or malformed
+        raise SchemaMismatch(f"{path}: missing or malformed field: {exc!r}") from exc

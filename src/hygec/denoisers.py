@@ -7,6 +7,7 @@ log domain throughout.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +57,8 @@ def _tail_series(a):
     return mean, var
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
+# built on first use: leggauss calls LAPACK, which an import never does
+_gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(80))
 
 
 def _narrow_tail_cell(a, w):
@@ -64,9 +66,10 @@ def _narrow_tail_cell(a, w):
     # for a >= _SERIES_EDGE and a cell narrow enough to retain two finite edges.
     # Fixed-order Gauss-Legendre on the tilted window; the integrand spans at
     # most ~e^-45 so 80 nodes resolve it to near machine precision.
+    nodes, weights = _gauss_legendre()
     half = 0.5 * min(w, 45.0 / a)
-    u = half * (_GL_NODES + 1.0)
-    f = _GL_WEIGHTS * np.exp(-a * u - 0.5 * u * u)
+    u = half * (nodes + 1.0)
+    f = weights * np.exp(-a * u - 0.5 * u * u)
     m0 = half * np.sum(f)
     m1 = half * np.sum(u * f)
     m2 = half * np.sum(u * u * f)
@@ -204,9 +207,7 @@ def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
 
 
 def channel_posterior(channel, y, m, v) -> Moments:
-    """Vector z-denoiser for a whole observation under either channel kind."""
-    if channel.kind == "linear":
-        return z_posterior_awgn(y, m, v, channel.noise_var)
+    """Vector z-denoiser for a whole observation of the quantized channel."""
     return z_posterior_cell(*channel.cell_bounds(y), m, v, channel.noise_var)
 
 

@@ -14,7 +14,7 @@ from .types import Channel, GroupStructure, InvalidParameter
 class MatrixSpec:
     """Recipe for drawing a measurement matrix.
 
-    kind "iid": entries N(mean, 1/M).
+    kind "iid": entries N(0, 1/M).
     kind "conditioned": H = U diag(s) V^T with Haar factors and a geometric
     singular-value profile whose extreme ratio equals kappa.
     """
@@ -22,7 +22,6 @@ class MatrixSpec:
     kind: str  # "iid" | "conditioned"
     m: int
     n: int
-    mean: float = 0.0
     kappa: float = 1.0
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ def gen_matrix(spec: MatrixSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "iid":
         H = rng.standard_normal((spec.m, spec.n))
         H /= np.sqrt(spec.m)
-        if spec.mean != 0.0:
-            H += spec.mean
         return H
     s = geometric_spectrum(spec.m, spec.kappa)
     u = haar_orthogonal(spec.m, rng)

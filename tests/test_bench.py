@@ -366,6 +366,32 @@ def test_import_rejects_instance_missing_a_field(tmp_path):
         import_instance(str(text))
 
 
+# fields of an exported instance replaced by a value of the wrong shape or type
+_MALFORMED_FIELDS = {
+    "schema_version_array": {"schema_version": np.array([1, 1])},
+    "noise_var_array": {"noise_var": np.array([0.1, 0.2])},
+    "object_H": {"H": np.ones((20, 30), dtype=object)},
+    "text_group_sizes": {"group_sizes": np.array(["a"] * 6)},
+    "float_group_sizes": {"group_sizes": np.full(6, 5.5)},
+    "two_channel_kinds": {"channel_kind": np.array(["linear", "quantized"])},
+}
+
+
+@pytest.mark.parametrize("name", [*_MALFORMED_FIELDS, "truncated", "empty"])
+def test_import_raises_schema_mismatch_for_a_malformed_file(tmp_path, name):
+    path = tmp_path / "inst.npz"
+    export_instance(build_instance(_scenario(), 7, None), str(path))
+    if name in _MALFORMED_FIELDS:
+        with np.load(path) as archive:
+            fields = {**archive, **_MALFORMED_FIELDS[name]}
+        np.savez(path, **fields)
+    else:
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2] if name == "truncated" else b"")
+    with pytest.raises(SchemaMismatch):
+        import_instance(str(path))
+
+
 def test_import_rejects_tampered_instance(tmp_path):
     # a file with every field present but inconsistent fails at load, not in a later run
     inst = build_instance(_scenario(), 7, None)

@@ -33,6 +33,8 @@ def test_bench_record_schema(path):
     assert set(doc["workloads"]) == set(settings["workloads"]) == set(doc["trace"])
     for key in ("nproc", "python", "numpy", "scipy", "blas_name", "blas_env", "cholesky400_ms"):
         assert key in doc["machine"], key
+    # records made before the key was added lack it
+    assert isinstance(doc["machine"].get("dont_write_bytecode", False), bool)
     assert set(doc["revisions"]) == set(SIDES)
 
     for name, workload in doc["workloads"].items():

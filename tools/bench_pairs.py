@@ -13,7 +13,10 @@ Each gated metric of ``BENCHMARK.json`` gets the per-side median and quartiles
 over the pairs and the number of pairs the change won (ties count for
 neither). After the pairs, each side runs every workload once more with
 ``--trace 1`` at run seed ``--seed + pairs`` for the per-layer split. The
-machine facts come from the first run.
+machine facts come from the first run, plus this process's
+``sys.dont_write_bytecode``. The runs inherit it through
+``PYTHONDONTWRITEBYTECODE``; when it is set, each import probe compiles the
+package from source, and ``setup_s`` includes that.
 
 The file reports, for each gated metric, whether the change shows a gain by
 the benchmark's rule (it wins at least 9 in 10 pairs and the medians differ by
@@ -163,7 +166,7 @@ def main(argv=None) -> int:
         "settings": {"pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
                      "workloads": workloads},
         "revisions": {side: git_rev(path) for side, path in checkouts.items()},
-        "machine": machine,
+        "machine": {**machine, "dont_write_bytecode": sys.dont_write_bytecode},
         "workloads": {
             w: {
                 "metrics": {name: compare(pairs[w], name, spec) for name, spec in gated.items()},
