@@ -424,11 +424,10 @@ def import_instance(path: str) -> ProblemInstance:
         if "schema_version" not in data or int(data["schema_version"]) != SCHEMA_VERSION:
             raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
         kind = data["channel_kind"].item()
-        noise_var = float(data["noise_var"])
         if kind == "quantized":
-            channel = Channel.quantized(noise_var, int(data["bits"]), float(data["clip_range"]))
+            channel = Channel.quantized(data["noise_var"], data["bits"], data["clip_range"])
         else:
-            channel = Channel(kind, noise_var)
+            channel = Channel(kind, float(data["noise_var"]))
         return ProblemInstance(
             H=data["H"],
             y=data["y"],

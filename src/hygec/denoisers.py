@@ -57,7 +57,6 @@ def _tail_series(a):
     return mean, var
 
 
-# built on first use: leggauss calls LAPACK, which an import never does
 _gauss_legendre = cache(lambda: np.polynomial.legendre.leggauss(80))
 
 
@@ -66,7 +65,7 @@ def _narrow_tail_cell(a, w):
     # for a >= _SERIES_EDGE and a cell narrow enough to retain two finite edges.
     # Fixed-order Gauss-Legendre on the tilted window; the integrand spans at
     # most ~e^-45 so 80 nodes resolve it to near machine precision.
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _gauss_legendre()  # built on first use: an import runs no LAPACK
     half = 0.5 * min(w, 45.0 / a)
     u = half * (nodes + 1.0)
     f = weights * np.exp(-a * u - 0.5 * u * u)
@@ -207,7 +206,9 @@ def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
 
 
 def channel_posterior(channel, y, m, v) -> Moments:
-    """Vector z-denoiser for a whole observation of the quantized channel."""
+    """Vector z-denoiser for a whole observation under either channel kind."""
+    if channel.kind == "linear":
+        return z_posterior_awgn(y, m, v, channel.noise_var)
     return z_posterior_cell(*channel.cell_bounds(y), m, v, channel.noise_var)
 
 
