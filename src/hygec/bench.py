@@ -385,7 +385,9 @@ def write_json(rows: list[dict], summary: list[dict], path: str | None) -> None:
 
 
 def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -> None:
-    """Lossless npz dump of an instance, tagged with a schema version."""
+    """Lossless npz dump of an instance, tagged with a schema version.
+
+    Writes to `path` as given: np.savez would add ".npz" to a bare name."""
     payload = {
         "schema_version": np.int64(SCHEMA_VERSION),
         "H": inst.H,
@@ -407,7 +409,8 @@ def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -
     if seed is not None:
         payload["seed"] = np.int64(seed)
     try:
-        np.savez(path, **payload)
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

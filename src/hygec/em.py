@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import log_expit, logit
 
 from .denoisers import _element_llr
-from .engine import HygecConfig, hygec_run, init_state
+from .engine import HygecConfig, hygec_run
 from .types import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -26,8 +26,7 @@ RHO_FLOOR = 1e-6
 @dataclass(frozen=True)
 class EmConfig:
     max_outer: int = 20
-    tol: float = 1e-4
-    warm_start: bool = False
+    tol: float = 1e-6  # on the rate's last move
 
     def __post_init__(self):
         if self.max_outer < 1:
@@ -57,10 +56,12 @@ def em_hygec_run(
 ) -> tuple[np.ndarray, float, RecoveryReport]:
     """Alternate inner recovery at the current rate with the rate update.
 
-    Each outer iteration runs the inner engine to its own convergence (cold
-    start by default; warm_start reuses the previous message state), then
-    re-estimates rho. Stops when successive posterior means agree to tol or
-    the outer budget is exhausted. Returns (x_pos, rho_final, report).
+    Each outer iteration runs the inner engine cold, to its own convergence,
+    at the current rate, then re-estimates the rate. A cold inner run depends
+    only on the rate, so once the M-step moves the rate by at most `tol` the
+    next inner run would repeat the last one, and the loop stops there; it
+    also stops when the outer budget is exhausted. Returns (x_pos, rho_final,
+    report): the last inner run's posterior mean and the last M-step's rate.
     """
     if not 0 < rho_init < 1:
         raise InvalidParameter("rho_init must lie in (0, 1)")
@@ -73,12 +74,8 @@ def em_hygec_run(
     report = RecoveryReport(x_hat=np.zeros(inst.n))
     report.rho_trace.append(rho)
     report.termination = MAX_ITERATIONS
-    state = None
-    x_prev = None
     for _ in range(em_cfg.max_outer):
-        if not (em_cfg.warm_start and state is not None):
-            state = init_state(inst, rho, cfg)
-        m_x_lik, v_x_lik, rho_hat, x_pos, inner = hygec_run(inst, rho, cfg, state=state)
+        m_x_lik, v_x_lik, rho_hat, x_pos, inner = hygec_run(inst, rho, cfg)
         report.outer_iterations += 1
         report.inner_iterations += inner.inner_iterations
         report.inner_counts.append(inner.inner_iterations)
@@ -90,11 +87,8 @@ def em_hygec_run(
             break
         rho = em_update_rho(m_x_lik, v_x_lik, rho_hat, inst.groups, inst.sigma_x_sq)
         report.rho_trace.append(rho)
-        if x_prev is not None and float(np.linalg.norm(x_pos - x_prev)) < em_cfg.tol * np.sqrt(
-            inst.n
-        ):
+        if abs(rho - report.rho_trace[-2]) <= em_cfg.tol:
             report.termination = CONVERGED
             break
-        x_prev = x_pos
 
     return report.x_hat, rho, report

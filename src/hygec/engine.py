@@ -225,9 +225,9 @@ def hygec_run(
     inst: ProblemInstance,
     rho: float,
     cfg: HygecConfig | None = None,
-    state: GecState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RecoveryReport]:
-    """Run sweeps until the posterior mean stops moving or the budget runs out.
+    """Run sweeps from a fresh state until the posterior mean stops moving or
+    the budget runs out.
 
     Returns (m_x_lik, v_x_lik, rho_hat, x_pos, report). Numerical trouble is
     recorded in report.termination, with its cause and sweep in report.failure,
@@ -238,8 +238,7 @@ def hygec_run(
         raise InvalidParameter("rho must lie in (0, 1)")
     if cfg is None:
         cfg = HygecConfig()
-    if state is None:
-        state = init_state(inst, rho, cfg)
+    state = init_state(inst, rho, cfg)
 
     gram = None
     if inst.channel.kind == "linear":  # its Gram is the same in every sweep

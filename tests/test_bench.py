@@ -206,7 +206,7 @@ def test_run_trial_zero_truth_leaves_nmse_blank():
 
 
 def test_run_trial_records_immediate_failure(monkeypatch):
-    def exploding_run(inst, rho, cfg=None, state=None):
+    def exploding_run(inst, rho, cfg=None):
         report = RecoveryReport(x_hat=np.zeros(inst.n))
         report.termination = NUMERICAL_FAILURE
         return np.zeros(inst.n), np.ones(inst.n), np.zeros(inst.n), np.zeros(inst.n), report

@@ -1,4 +1,5 @@
-"""The revision stamp tools/bench_pairs.py writes for each side of a record."""
+"""The revision stamp tools/bench_pairs.py writes for each side of a record, and the
+traced metrics it prints."""
 
 import importlib.util
 import subprocess
@@ -31,3 +32,25 @@ def test_git_rev_marks_uncommitted_tracked_changes(tmp_path):
 
     _git(tmp_path, "commit", "-q", "-am", "second")
     assert bench_pairs.git_rev(tmp_path) == _git(tmp_path, "rev-parse", "HEAD")
+
+
+def test_trace_diffs_lists_each_traced_metric_that_moved():
+    def side(**metrics):
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    trace = {
+        "desk-linear": {"seed": 31,
+                        "parent": side(**{"engine.sweeps": 1351, "em.inner_sweeps": 1088,
+                                          "em.em_update_rho.s": 0.0073}),
+                        "change": side(**{"engine.sweeps": 1087, "em.inner_sweeps": 824,
+                                          "em.em_update_rho.s": 0.0073})},
+        "full-linear": {"seed": 31,
+                        "parent": side(**{"engine.sweeps": 40, "oracle.nmse.s": 0.25}),
+                        "change": side(**{"engine.sweeps": 40, "trace.overhead_s": 1.5})},
+    }
+    assert bench_pairs.trace_diffs(trace) == [
+        "desk-linear engine.sweeps 1351 -> 1087",
+        "desk-linear em.inner_sweeps 1088 -> 824",
+        "full-linear oracle.nmse.s 0.25 -> -",
+        "full-linear trace.overhead_s - -> 1.5",
+    ]

@@ -134,13 +134,15 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
 
 
 def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
-    # p_z_init and x_var_init are gone; a scenario that still sets one must
-    # fail and name it, never run with the option silently ignored
-    for knob, value in (("p_z_init", 7.0), ("x_var_init", "literal")):
-        sc = _scenario_file(tmp_path, engine={knob: value})
+    # p_z_init, x_var_init and EM's warm_start (every inner run now starts
+    # cold) are gone; a scenario that still sets one must fail and name it,
+    # never run with the option silently ignored
+    for block, knob, value in (("engine", "p_z_init", 7.0), ("engine", "x_var_init", "literal"),
+                               ("em", "warm_start", True)):
+        sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **{block: {knob: value}})
         assert main(["run", sc]) == 2, knob
         err = capsys.readouterr().err
-        assert "error:" in err and knob in err
+        assert "error: malformed scenario: " in err and knob in err
 
 
 def test_gen_missing_spec_exits_two(tmp_path, capsys):
@@ -191,6 +193,21 @@ def test_gen_round_trips_through_import(tmp_path, capsys):
     assert np.array_equal(inst.H, ref.H)
     assert np.array_equal(inst.y, ref.y)
     assert np.array_equal(inst.x_true, ref.x_true)
+
+
+def test_gen_writes_the_out_path_as_given(tmp_path, capsys):
+    spec = tmp_path / "inst.json"
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}))
+    out = tmp_path / "inst"  # no suffix
+    assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst", "inst.json"]
+    inst = import_instance(str(out))
+    ref = build_instance(
+        Scenario(name="custom", m=10, n=20, k=4, rho=0.25, snr_db=15.0, seeds=(3,)), 3, None
+    )
+    assert np.array_equal(inst.H, ref.H)
+    assert np.array_equal(inst.y, ref.y)
 
 
 def test_check_reports_all_parity_lines(capsys):

@@ -443,16 +443,6 @@ def test_run_matches_exact_posterior_on_tiny_instances():
         assert rms < 1e-3, f"seed {seed}: rms {rms}"
 
 
-def test_run_continues_from_supplied_state():
-    inst = _instance(0, 40, 60, 6, 0.2, 18.0)
-    cfg3 = HygecConfig(max_iter=3)
-    st = init_state(inst, 0.2, cfg3)
-    hygec_run(inst, 0.2, cfg3, state=st)
-    assert st.t == 3
-    hygec_run(inst, 0.2, HygecConfig(max_iter=5), state=st)
-    assert st.t == 8
-
-
 def test_reproduction_residuals_vanish_at_fixed_point():
     inst = _instance(1, 60, 100, 10, 0.15, 15.0)
     cfg = HygecConfig(max_iter=120, tol=1e-30)

@@ -21,7 +21,9 @@ package from source, and ``setup_s`` includes that.
 The file reports, for each gated metric, whether the change shows a gain by
 the benchmark's rule (it wins at least 9 in 10 pairs and the medians differ by
 more than the parent's q1-q3 distance) and whether its median is worse than
-the parent's by more than the metric's bound.
+the parent's by more than the metric's bound. The printout ends with every
+per-layer metric of the traced runs whose parent and change values differ, so
+a change that moves a count, such as ``em.inner_sweeps``, shows it on screen.
 """
 
 from __future__ import annotations
@@ -115,6 +117,21 @@ def compare(pairs: list[dict], name: str, spec: dict) -> dict:
     }
 
 
+def trace_diffs(trace: dict) -> list[str]:
+    """One line per workload and traced metric whose parent and change values differ."""
+    def show(value):
+        return "-" if value is None else str(value) if isinstance(value, int) else f"{value:.4g}"
+
+    lines = []
+    for workload, sides in trace.items():
+        parent, change = sides["parent"]["metrics"], sides["change"]["metrics"]
+        for name in [*parent, *(k for k in change if k not in parent)]:
+            if parent.get(name) != change.get(name):
+                lines.append(f"{workload} {name} {show(parent.get(name))} -> "
+                             f"{show(change.get(name))}")
+    return lines
+
+
 def git_rev(checkout: Path) -> str | None:
     """HEAD's commit, with "+dirty" if tracked files differ from it; None outside git."""
     def git(*args):
@@ -185,6 +202,8 @@ def main(argv=None) -> int:
             print(f"{w} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
                   f"{m['unit']}, change won {m['change_wins']}/{m['pairs']}, "
                   f"gain shown {m['gain_shown']}, worse beyond bound {m['worse_beyond_bound']}")
+    for line in trace_diffs(trace):
+        print(line)
     return 0
 
 
