@@ -6,6 +6,7 @@ the oracle."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 import time
@@ -62,8 +63,10 @@ class IoError(HygecError):
 
 
 def _require(name: str, values, kind, what: str) -> None:
-    # bool subclasses int, but true is no count, seed or rate
-    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
+    # bool subclasses int, but true is no count, seed or rate; JSON also
+    # reads NaN and Infinity, which no field takes
+    bad = [v for v in values
+           if isinstance(v, bool) or not isinstance(v, kind) or not -math.inf < v < math.inf]
     if bad:
         raise InvalidParameter(f"{name} must be {what}, not {bad[0]!r}")
 
@@ -94,10 +97,10 @@ class Scenario:
         for name in ("m", "n", "k"):
             _require(name, [getattr(self, name)], numbers.Integral, "an integer")
         for name in ("rho", "snr_db", "sigma_x_sq", "rho_init", "matrix_mean", "kappa"):
-            _require(name, [getattr(self, name)], numbers.Real, "a real number")
+            _require(name, [getattr(self, name)], numbers.Real, "a finite real number")
         _require("bits", [] if self.bits is None else [self.bits], numbers.Integral, "an integer")
         _require("seeds", self.seeds, numbers.Integral, "integers")
-        _require("sweep_values", self.sweep_values, numbers.Real, "real numbers")
+        _require("sweep_values", self.sweep_values, numbers.Real, "finite real numbers")
         if any(seed < 0 for seed in self.seeds):
             raise InvalidParameter(f"seeds must be nonnegative, not {self.seeds!r}")
         if self.name not in SCENARIO_NAMES:
@@ -265,11 +268,13 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, not {threads}")
     args = list(_trial_args(scenario))
-    if threads == 1:
+    # a fork pool starts all its workers at the first submit: no more than trials
+    workers = min(threads, len(args))
+    if workers <= 1:
         batches = [run_trial(*a) for a in args]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_trial, *zip(*args)))
     return [row for batch in batches for row in batch]
 

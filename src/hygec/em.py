@@ -71,7 +71,7 @@ def em_hygec_run(
         em_cfg = EmConfig()
 
     rho = rho_init
-    report = RecoveryReport(x_hat=np.zeros(inst.n))
+    report = RecoveryReport()
     report.rho_trace.append(rho)
     report.termination = MAX_ITERATIONS
     for _ in range(em_cfg.max_outer):
@@ -80,7 +80,6 @@ def em_hygec_run(
         report.inner_iterations += inner.inner_iterations
         report.inner_counts.append(inner.inner_iterations)
         report.nmse_trace.extend(inner.nmse_trace)
-        report.x_hat = x_pos
         if inner.termination == NUMERICAL_FAILURE:
             report.termination = NUMERICAL_FAILURE
             report.failure = inner.failure
@@ -91,4 +90,4 @@ def em_hygec_run(
             report.termination = CONVERGED
             break
 
-    return report.x_hat, rho, report
+    return x_pos, rho, report

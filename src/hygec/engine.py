@@ -243,7 +243,7 @@ def hygec_run(
     gram = None
     if inst.channel.kind == "linear":  # its Gram is the same in every sweep
         gram = lmmse_gram(inst.H, _linear_z_lik(inst, cfg)[1])
-    report = RecoveryReport(x_hat=state.x_pos)
+    report = RecoveryReport()
     track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
     termination = MAX_ITERATIONS
     for _ in range(cfg.max_iter):
@@ -262,7 +262,6 @@ def hygec_run(
             break
 
     report.termination = termination
-    report.x_hat = state.x_pos
     report.inner_counts = [report.inner_iterations]
     return state.m_x_lik, state.v_x_lik, state.rho_hat, state.x_pos, report
 

@@ -223,7 +223,6 @@ class RecoveryReport:
     message and the sweep it happened in; it is None otherwise.
     """
 
-    x_hat: np.ndarray
     nmse_trace: list[float] = field(default_factory=list)
     rho_trace: list[float] = field(default_factory=list)
     inner_iterations: int = 0

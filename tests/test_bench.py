@@ -79,6 +79,18 @@ def test_scenario_validation():
     ):
         with pytest.raises(InvalidParameter):
             _scenario(**bad)
+    # JSON reads NaN and Infinity as floats; each must be refused by name
+    for name, bad in (
+        ("snr_db", dict(snr_db=-float("inf"))),
+        ("matrix_mean", dict(matrix_mean=float("nan"))),
+        ("sigma_x_sq", dict(sigma_x_sq=float("inf"))),
+        ("rho", dict(rho=float("nan"))),
+        ("rho_init", dict(rho_init=float("nan"))),
+        ("kappa", dict(matrix_kind="conditioned", kappa=float("inf"))),
+        ("sweep_values", dict(sweep_param="mean", sweep_values=(0.0, float("nan")))),
+    ):
+        with pytest.raises(InvalidParameter, match=name):
+            _scenario(**bad)
 
 
 def test_scenario_from_dict():
@@ -207,7 +219,7 @@ def test_run_trial_zero_truth_leaves_nmse_blank():
 
 def test_run_trial_records_immediate_failure(monkeypatch):
     def exploding_run(inst, rho, cfg=None):
-        report = RecoveryReport(x_hat=np.zeros(inst.n))
+        report = RecoveryReport()
         report.termination = NUMERICAL_FAILURE
         return np.zeros(inst.n), np.ones(inst.n), np.zeros(inst.n), np.zeros(inst.n), report
 
@@ -247,6 +259,32 @@ def test_run_scenario_row_order_and_thread_parity():
             if col == "wall_ms":
                 continue
             assert a[col] == b[col], col
+
+
+def test_run_scenario_pool_has_no_more_workers_than_trials(monkeypatch):
+    # a fork pool starts every worker at its first submit; the fake starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    sc = _scenario(seeds=(0, 1))
+    rows = run_scenario(sc, threads=64)
+    assert sizes == [2]
+    assert [r["seed"] for r in rows] == [r["seed"] for r in run_scenario(sc, threads=1)]
+    run_scenario(_scenario(), threads=64)  # one trial runs in this process
+    assert sizes == [2]
 
 
 def test_empty_sweep_produces_no_rows():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,14 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2, text
         assert "error:" in capsys.readouterr().err
+    # Python's json reads NaN and Infinity; the run must refuse them by name
+    base = {"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2, "snr_db": 18.0, "seeds": [0]}
+    for key, value in (("snr_db", -math.inf), ("matrix_mean", math.nan), ("sigma_x_sq", math.inf),
+                       ("sweep_values", [0.0, math.nan])):
+        extra = {"sweep_param": "mean"} if key == "sweep_values" else {}
+        bad.write_text(json.dumps({**base, **extra, key: value}))
+        assert main(["run", str(bad), "--threads", "1"]) == 2, key
+        assert f"error: {key} must be " in capsys.readouterr().err
 
 
 def test_run_rejects_removed_engine_knobs(tmp_path, capsys):

@@ -4,7 +4,10 @@ import pytest
 from scipy.stats import norm
 
 from hygec.denoisers import (
+    _CLAMP_SIGMAS,
+    _LOG_TINY_MASS,
     Moments,
+    _std_trunc_moments,
     channel_posterior,
     extrinsic,
     indicator_beliefs,
@@ -89,9 +92,9 @@ def test_trunc_moments_symmetric_cell_is_centered():
     assert var < 1.44
 
 
-# standardized windows spanning every code path: edges straddling zero,
-# one-sided erfcx ratios up to the series edge, the asymptotic series, the
-# narrow-far-cell quadrature, and infinite edges
+# standardized windows across both regimes: edges straddling zero, and
+# one-sided erfcx ratios from near zero out to 120 standard deviations, on
+# narrow, wide and half-infinite cells
 _WINDOWS = [
     (-3.0, -1.0),
     (-1.0, 0.5),
@@ -129,6 +132,21 @@ def test_trunc_moments_match_high_precision_reference(a, b):
     # relative (not absolute) precision there, hence the small atol
     assert abs(got_std_var - ref_var) <= 1e-8 * ref_var + 1e-10
     assert abs(log_mass - ref_log) <= 1e-8
+
+
+def test_cells_past_the_clamp_distance_fall_below_the_mass_threshold():
+    # z_posterior_cell recomputes every such cell at _CLAMP_SIGMAS, so no
+    # moments computed this far out are kept; the log mass must say so, and
+    # never be NaN, whatever the cell's width
+    near = np.geomspace(37.5, 1e150, 400)
+    upper_tail = [(near, np.inf), (near, np.nextafter(near, np.inf)), (near, 2.0 * near),
+                  (near, 1.001 * near)]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for a, b in upper_tail:
+            for lo, hi in ((a, b), (-b, -a)):
+                _, _, log_mass = _std_trunc_moments(*np.broadcast_arrays(lo, hi))
+                assert np.all(log_mass < _LOG_TINY_MASS)
+    assert _std_trunc_moments(_CLAMP_SIGMAS, np.inf)[2] > _LOG_TINY_MASS
 
 
 def test_quantized_cell_posterior_matches_quadrature():
@@ -200,6 +218,21 @@ def test_channel_posterior_clamps_unreachable_cells():
     ref = z_posterior_cell(ch.edges[4], ch.edges[5], 0.2, 1.0, 1.0)
     assert abs(mom.mean[1] - ref.mean) < 1e-14
     assert abs(mom.var[1] - ref.var) < 1e-14
+    # priors 60 to 1e8 sigma_s away from one- and two-sided cells, on both sides
+    dist = np.geomspace(60.0, 1e8, 50) * sigma_s
+    for bits in (1, 2, 3):
+        ch = Channel.quantized(1.0, bits, 1.0)
+        for cell in range(ch.n_cells):
+            # the prior lies beyond each finite edge; the pull points back at the cell
+            for edge, side in ((ch.edges[cell + 1], 1.0), (ch.edges[cell], -1.0)):
+                if not np.isfinite(edge):
+                    continue
+                m = edge + side * dist
+                mom = channel_posterior(ch, np.full(m.size, cell), m, np.ones(m.size))
+                assert np.all(np.isfinite(mom.mean)) and np.all(np.isfinite(mom.var))
+                assert np.all(mom.var > 0)
+                assert np.all(side * (mom.mean - m) < 0)
+                assert np.all(np.abs(mom.mean - m) <= 40.0 * sigma_s * gamma)
 
 
 def test_spike_slab_degenerate_rates_short_circuit():
