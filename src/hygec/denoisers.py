@@ -211,28 +211,28 @@ def extrinsic(pos: Moments, cav: Moments, v_min: float, v_max: float) -> Moments
     return Moments(mean, var)
 
 
+def _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure):
+    # each element's evidence log-odds, and each group's posterior log-odds:
+    # the prior's plus the evidence of all its elements
+    if not 0 < rho < 1:
+        raise InvalidParameter("rho must lie in (0, 1)")
+    if np.any(np.asarray(v_x_lik, dtype=float) <= 0):
+        raise InvalidParameter("v_x_lik must be positive")
+    llr_in = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
+    return llr_in, logit(rho) + np.add.reduceat(llr_in, groups.offsets)
+
+
 def llr_messages(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:
     """Per-element activity probabilities from the indicator subgraph.
 
     Each element receives the group belief minus its own contribution (the
     extrinsic rule), so its own evidence never feeds back to itself.
     """
-    if not 0 < rho < 1:
-        raise InvalidParameter("rho must lie in (0, 1)")
-    v = np.asarray(v_x_lik, dtype=float)
-    if np.any(v <= 0):
-        raise InvalidParameter("v_x_lik must be positive")
-    llr_in = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
-    group_sum = np.add.reduceat(llr_in, groups.offsets)
-    llr_k = logit(rho) + group_sum
+    llr_in, llr_k = _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
     llr_out = llr_k[groups.group_of] - llr_in
     return np.clip(expit(llr_out), PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:
     """Length-K posterior activity beliefs combining the prior and all evidence."""
-    if not 0 < rho < 1:
-        raise InvalidParameter("rho must lie in (0, 1)")
-    llr_in = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
-    group_sum = np.add.reduceat(llr_in, groups.offsets)
-    return expit(logit(rho) + group_sum)
+    return expit(_group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)[1])

@@ -1,14 +1,13 @@
 """Outer loop learning the sparse rate: alternate full inner recovery runs with
-a closed-form activity-averaging update."""
+a closed-form update that averages the posterior group activities."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit, logit
 
-from .denoisers import _element_llr
+from .denoisers import indicator_beliefs
 from .engine import HygecConfig, hygec_run
 from .types import (
     CONVERGED,
@@ -36,16 +35,15 @@ class EmConfig:
 
 
 def em_update_rho(
-    m_x_lik, v_x_lik, rho_hat, groups: GroupStructure, sigma_x_sq: float
+    m_x_lik, v_x_lik, rho: float, groups: GroupStructure, sigma_x_sq: float
 ) -> float:
-    """One M-step: average the group activities, clip away the endpoints.
+    """One M-step: the mean posterior group activity, clipped away from the endpoints.
 
-    A group's activity is the product of its elements' activity odds, summed
-    as log-sigmoids per group."""
-    llr = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
-    terms = log_expit(logit(np.asarray(rho_hat, dtype=float)) + llr)
-    pi = np.exp(np.add.reduceat(terms, groups.offsets))
-    return float(np.clip(np.mean(pi), RHO_FLOOR, 1.0 - RHO_FLOOR))
+    The activities are the `indicator_beliefs` at the current rate `rho`, the
+    beliefs that acceptance criterion 2 checks against exhaustive enumeration.
+    """
+    beliefs = indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
+    return float(np.clip(np.mean(beliefs), RHO_FLOOR, 1.0 - RHO_FLOOR))
 
 
 def em_hygec_run(
@@ -75,16 +73,14 @@ def em_hygec_run(
     report.rho_trace.append(rho)
     report.termination = MAX_ITERATIONS
     for _ in range(em_cfg.max_outer):
-        m_x_lik, v_x_lik, rho_hat, x_pos, inner = hygec_run(inst, rho, cfg)
-        report.outer_iterations += 1
-        report.inner_iterations += inner.inner_iterations
-        report.inner_counts.append(inner.inner_iterations)
+        m_x_lik, v_x_lik, _, x_pos, inner = hygec_run(inst, rho, cfg)
+        report.inner_counts.extend(inner.inner_counts)
         report.nmse_trace.extend(inner.nmse_trace)
         if inner.termination == NUMERICAL_FAILURE:
             report.termination = NUMERICAL_FAILURE
             report.failure = inner.failure
             break
-        rho = em_update_rho(m_x_lik, v_x_lik, rho_hat, inst.groups, inst.sigma_x_sq)
+        rho = em_update_rho(m_x_lik, v_x_lik, rho, inst.groups, inst.sigma_x_sq)
         report.rho_trace.append(rho)
         if abs(rho - report.rho_trace[-2]) <= em_cfg.tol:
             report.termination = CONVERGED

@@ -246,15 +246,16 @@ def hygec_run(
     report = RecoveryReport()
     track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
     termination = MAX_ITERATIONS
+    sweeps = 0  # completed sweeps; state.t also counts one that failed
     for _ in range(cfg.max_iter):
         x_prev = state.x_pos
         try:
             hygec_sweep(state, inst, rho, cfg, gram)
         except (FactorizationFailure, NonFinite) as exc:
             termination = NUMERICAL_FAILURE
-            report.failure = f"{type(exc).__name__} in sweep {report.inner_iterations + 1}: {exc}"
+            report.failure = f"{type(exc).__name__} in sweep {sweeps + 1}: {exc}"
             break
-        report.inner_iterations += 1
+        sweeps += 1
         if track_nmse:
             report.nmse_trace.append(nmse(state.x_pos, inst.x_true))
         if float(np.sum((state.x_pos - x_prev) ** 2)) < cfg.tol * inst.n:
@@ -262,7 +263,7 @@ def hygec_run(
             break
 
     report.termination = termination
-    report.inner_counts = [report.inner_iterations]
+    report.inner_counts = [sweeps]
     return state.m_x_lik, state.v_x_lik, state.rho_hat, state.x_pos, report
 
 

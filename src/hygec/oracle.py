@@ -11,7 +11,6 @@ a reduced draw count; the enumeration check of the engine (criterion 2) is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
@@ -32,30 +31,22 @@ class AllZeroTruth(HygecError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadGrid:
-    half_width_sigmas: float = 10.0
-    points: int = 200_001
-
-    def __post_init__(self):
-        if self.points < 10_000:
-            raise InvalidParameter("need at least 1e4 grid points")
-        if self.half_width_sigmas < 8:
-            raise InvalidParameter("grid must span at least 8 standard deviations")
+# the quadrature grid spans the prior mean +- this many prior standard deviations
+_HALF_WIDTH_SIGMAS = 10.0
 
 
-def quad_z_posterior(likelihood, m: float, v: float, grid: QuadGrid | None = None) -> Moments:
+def quad_z_posterior(likelihood, m: float, v: float, points: int = 200_001) -> Moments:
     """Posterior moments of z ~ N(m, v) under a pointwise likelihood, by trapezoid rule.
 
     Integrates in centered coordinates and uses a two-pass variance so the
     result stays accurate when the posterior is much narrower than |m|.
     """
-    if grid is None:
-        grid = QuadGrid()
+    if points < 10_000:
+        raise InvalidParameter("need at least 1e4 grid points")
     if not v > 0:
         raise InvalidParameter("v must be positive")
     sigma = np.sqrt(v)
-    u = np.linspace(-grid.half_width_sigmas * sigma, grid.half_width_sigmas * sigma, grid.points)
+    u = np.linspace(-_HALF_WIDTH_SIGMAS * sigma, _HALF_WIDTH_SIGMAS * sigma, points)
     f = np.asarray(likelihood(m + u), dtype=float) * np.exp(-u * u / (2.0 * v))
     z_mass = np.trapezoid(f, u)
     if not z_mass > 1e-300:
@@ -75,7 +66,7 @@ def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
     quantized mean, quantized var, spike-slab).
     """
     rng = np.random.default_rng(20260814)
-    grid = QuadGrid(half_width_sigmas=10.0, points=50_001)
+    points = 50_001
 
     # noise variance is coupled to v so the likelihood stays wider than
     # ~100 quadrature steps; below that the trapezoid rule, not the
@@ -87,7 +78,7 @@ def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
         nv = v * 10.0 ** rng.uniform(-2.5, 2)
         y = m + rng.uniform(-4, 4) * np.sqrt(v + nv)
         closed = z_posterior_awgn(np.array([y]), np.array([m]), np.array([v]), nv)
-        ref = quad_z_posterior(lambda z: np.exp(-((z - y) ** 2) / (2 * nv)), m, v, grid)
+        ref = quad_z_posterior(lambda z: np.exp(-((z - y) ** 2) / (2 * nv)), m, v, points)
         lin_mean = max(lin_mean, abs(closed.mean[0] - ref.mean))
         lin_var = max(lin_var, abs(closed.var[0] - ref.var) / ref.var)
 
@@ -103,7 +94,7 @@ def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
         closed = z_posterior_cell(edges[0], edges[1], np.array([m]), np.array([v]), nv)
         root = np.sqrt(nv)
         ref = quad_z_posterior(
-            lambda z: ndtr((edges[1] - z) / root) - ndtr((edges[0] - z) / root), m, v, grid
+            lambda z: ndtr((edges[1] - z) / root) - ndtr((edges[0] - z) / root), m, v, points
         )
         q_mean = max(q_mean, abs(closed.mean[0] - ref.mean))
         q_var = max(q_var, abs(closed.var[0] - ref.var) / ref.var)

@@ -219,14 +219,19 @@ class GecState:
 class RecoveryReport:
     """Per-run bookkeeping: traces, iteration counts, and how the run ended.
 
-    `failure` names the error behind a numerical_failure termination, with its
-    message and the sweep it happened in; it is None otherwise.
+    `inner_counts` holds the sweeps of each inner run, one entry per run (one
+    for a known-rate run, one per outer iteration for EM). `failure` names the
+    error behind a numerical_failure termination, with its message and the
+    sweep it happened in; it is None otherwise.
     """
 
     nmse_trace: list[float] = field(default_factory=list)
     rho_trace: list[float] = field(default_factory=list)
-    inner_iterations: int = 0
-    outer_iterations: int = 0
     termination: str = CONVERGED
     inner_counts: list[int] = field(default_factory=list)
     failure: str | None = None
+
+    @property
+    def inner_iterations(self) -> int:
+        """Sweeps over all inner runs."""
+        return sum(self.inner_counts)

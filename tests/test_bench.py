@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from hygec.bench import (
     write_csv,
     write_json,
 )
-from hygec.em import em_hygec_run
+from hygec.em import EmConfig, em_hygec_run
+from hygec.engine import HygecConfig
 from hygec.types import (
     CONVERGED,
     NUMERICAL_FAILURE,
@@ -88,9 +92,32 @@ def test_scenario_validation():
         ("rho_init", dict(rho_init=float("nan"))),
         ("kappa", dict(matrix_kind="conditioned", kappa=float("inf"))),
         ("sweep_values", dict(sweep_param="mean", sweep_values=(0.0, float("nan")))),
+        # the engine and EM options are typed like the top-level fields
+        ("engine.max_iter", dict(engine=HygecConfig(max_iter=1.5))),
+        ("engine.max_iter", dict(engine=HygecConfig(max_iter=math.inf))),
+        ("engine.max_iter", dict(engine=HygecConfig(max_iter=True))),
+        ("engine.damping", dict(engine=HygecConfig(damping=True))),
+        ("engine.v_max", dict(engine=HygecConfig(v_max=math.inf))),
+        ("em.max_outer", dict(em=EmConfig(max_outer=2.5))),
+        ("em.max_outer", dict(em=EmConfig(max_outer=True))),
+        ("em.tol", dict(em=EmConfig(tol=math.inf))),
     ):
         with pytest.raises(InvalidParameter, match=name):
             _scenario(**bad)
+
+
+def test_full_scenarios_scale_their_desk_twins():
+    # every shipped scenario loads, and each _full file is its _desk twin with
+    # m, n and k five times larger
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    desk = sorted(scenarios.glob("*_desk.json"))
+    full = sorted(scenarios.glob("*_full.json"))
+    assert len(desk) == 5 and sorted(scenarios.glob("*.json")) == sorted(desk + full)
+    assert [p.name.replace("_desk", "_full") for p in desk] == [p.name for p in full]
+    for small_path, big_path in zip(desk, full):
+        small = Scenario.from_json(str(small_path))
+        big = Scenario.from_json(str(big_path))
+        assert big == dataclasses.replace(small, m=5 * small.m, n=5 * small.n, k=5 * small.k)
 
 
 def test_scenario_from_dict():

@@ -140,6 +140,17 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         bad.write_text(json.dumps({**base, **extra, key: value}))
         assert main(["run", str(bad), "--threads", "1"]) == 2, key
         assert f"error: {key} must be " in capsys.readouterr().err
+    # the nested engine and EM options are typed the same way; 1e400 reads as inf
+    for key, text in (("engine.max_iter", '"engine": {"max_iter": 1.5}'),
+                      ("engine.max_iter", '"engine": {"max_iter": 1e400}'),
+                      ("engine.max_iter", '"engine": {"max_iter": true}'),
+                      ("engine.damping", '"engine": {"damping": true}'),
+                      ("em.max_outer", '"em": {"max_outer": 2.5}'),
+                      ("em.max_outer", '"em": {"max_outer": true}'),
+                      ("em.tol", '"em": {"tol": Infinity}')):
+        bad.write_text(json.dumps({**base, "algorithms": ["em-hygec"]})[:-1] + ", " + text + "}")
+        assert main(["run", str(bad), "--threads", "1"]) == 2, text
+        assert f"error: {key} must be " in capsys.readouterr().err
 
 
 def test_run_rejects_removed_engine_knobs(tmp_path, capsys):

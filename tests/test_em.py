@@ -4,7 +4,10 @@ from scipy.special import expit, logit
 from scipy.stats import norm
 
 from hygec.bench import Scenario, build_instance
+from hygec.denoisers import indicator_beliefs, llr_messages
 from hygec.em import RHO_FLOOR, EmConfig, em_hygec_run, em_update_rho
+from hygec.engine import HygecConfig, hygec_run
+from hygec.oracle import exact_posterior_small
 from hygec.types import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -27,34 +30,54 @@ def test_em_config_validation():
         EmConfig(tol=0.0)
 
 
-def _group_activity(m, v, rho_hat, sigma_x_sq):
+def _group_activity(m, v, rho, sigma_x_sq):
     # the rate update over a single group is that group's activity
-    return em_update_rho(m, v, rho_hat, GroupStructure((len(m),)), sigma_x_sq)
+    return em_update_rho(m, v, rho, GroupStructure((len(m),)), sigma_x_sq)
 
 
 def test_group_activity_singleton_closed_form():
     # m = 0, v = sigma_x_sq = 1, even prior: odds reduce to sqrt(v / (v + 1)),
     # so the activity is 1 / (1 + sqrt(2))
-    act = _group_activity(np.array([0.0]), np.array([1.0]), np.array([0.5]), 1.0)
+    act = _group_activity(np.array([0.0]), np.array([1.0]), 0.5, 1.0)
     assert act == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), abs=1e-12)
 
 
 def test_group_activity_overwhelming_evidence():
     # the activity rounds to 1, which the update clips to 1 - RHO_FLOOR
-    act = _group_activity(np.array([50.0]), np.array([0.01]), np.array([0.5]), 1.0)
+    act = _group_activity(np.array([50.0]), np.array([0.01]), 0.5, 1.0)
     assert act == pytest.approx(1.0 - RHO_FLOOR, abs=1e-12)
 
 
-def test_group_activity_matches_direct_product():
+def test_em_update_averages_the_indicator_beliefs_of_multi_element_groups():
     rng = np.random.default_rng(0)
-    m = rng.uniform(-2, 2, 3)
-    v = rng.uniform(0.2, 1.5, 3)
-    rho_hat = rng.uniform(0.1, 0.9, 3)
-    sx = 1.3
+    groups = GroupStructure((3, 2, 4))
+    m = rng.uniform(-2, 2, groups.n)
+    v = rng.uniform(0.2, 1.5, groups.n)
+    rho, sx = 0.3, 1.3
+    beliefs = indicator_beliefs(m, v, rho, sx, groups)
+    assert np.all((beliefs > RHO_FLOOR) & (beliefs < 1.0 - RHO_FLOOR))
+    assert em_update_rho(m, v, rho, groups, sx) == np.mean(beliefs)
+    # a product over a group of each element's activity given its extrinsic
+    # message counts the group's belief once per element: b_k ** N_k
     llr = norm.logpdf(m, scale=np.sqrt(sx + v)) - norm.logpdf(m, scale=np.sqrt(v))
-    expect = float(np.prod(expit(logit(rho_hat) + llr)))
-    assert expect > RHO_FLOOR  # so the update's clip does not apply
-    assert _group_activity(m, v, rho_hat, sx) == pytest.approx(expect, abs=1e-12)
+    terms = expit(logit(llr_messages(m, v, rho, sx, groups)) + llr)
+    product = np.multiply.reduceat(terms, groups.offsets)
+    np.testing.assert_allclose(product, beliefs ** np.array(groups.group_sizes), rtol=1e-9)
+    assert abs(np.mean(product) - np.mean(beliefs)) > 0.05
+
+
+def test_em_update_tracks_the_exact_posterior_activity():
+    # 50 tiny 5 dB instances at the known rate: the M-step against the mean
+    # exact group activity from enumerating all 2^6 activity patterns
+    rho, cfg = 0.3, HygecConfig(v_max=1e4)
+    errors = []
+    for seed in range(50):
+        inst = _instance(seed, 10, 12, 6, rho, 5.0)
+        m_x_lik, v_x_lik, _, _, _ = hygec_run(inst, rho, cfg)
+        _, _, xi_post = exact_posterior_small(inst, rho, inst.sigma_x_sq)
+        exact = np.clip(np.mean(xi_post), RHO_FLOOR, 1.0 - RHO_FLOOR)
+        errors.append(abs(em_update_rho(m_x_lik, v_x_lik, rho, inst.groups, inst.sigma_x_sq) - exact))
+    assert np.mean(errors) < 0.02
 
 
 def test_em_update_is_mean_of_group_activities():
@@ -68,18 +91,18 @@ def test_em_update_is_mean_of_group_activities():
     m = np.sqrt((logit(targets) - base) / coef)
     groups = GroupStructure((1, 1, 1))
     for mm, t in zip(m, targets):
-        assert _group_activity(np.array([mm]), np.array([v]), np.array([0.5]), 1.0) == pytest.approx(
+        assert _group_activity(np.array([mm]), np.array([v]), 0.5, 1.0) == pytest.approx(
             t, abs=1e-10
         )
-    rho_new = em_update_rho(m, np.full(3, v), np.full(3, 0.5), groups, 1.0)
+    rho_new = em_update_rho(m, np.full(3, v), 0.5, groups, 1.0)
     assert rho_new == pytest.approx(0.4, abs=1e-10)
 
 
 def test_em_update_clips_to_open_interval():
     groups = GroupStructure((1, 1))
-    hi = em_update_rho(np.array([50.0, 50.0]), np.full(2, 0.01), np.full(2, 0.5), groups, 1.0)
+    hi = em_update_rho(np.array([50.0, 50.0]), np.full(2, 0.01), 0.5, groups, 1.0)
     assert hi == 1.0 - RHO_FLOOR
-    lo = em_update_rho(np.zeros(2), np.full(2, 1e-31), np.full(2, 0.5), groups, 1.0)
+    lo = em_update_rho(np.zeros(2), np.full(2, 1e-31), 0.5, groups, 1.0)
     assert lo == RHO_FLOOR
 
 
@@ -94,12 +117,11 @@ def test_em_run_validates_rho_init():
 def test_em_run_single_outer_contract():
     inst = _instance(0, 40, 60, 6, 0.2, 18.0)
     x_pos, rho_final, report = em_hygec_run(inst, 0.15, em_cfg=EmConfig(max_outer=1))
-    assert report.outer_iterations == 1
+    assert len(report.inner_counts) == 1
     assert report.termination == MAX_ITERATIONS  # one pass cannot certify a fixed point
     assert report.rho_trace[0] == 0.15
     assert len(report.rho_trace) == 2
     assert report.rho_trace[1] == rho_final
-    assert len(report.inner_counts) == 1
     assert x_pos.shape == (60,)
 
 
@@ -127,7 +149,7 @@ def test_em_run_stops_once_the_rate_stops_moving():
     inst = _instance(4, 200, 400, 20, 0.1, 10.0)
     _, _, report = em_hygec_run(inst, 0.01)
     assert report.termination == CONVERGED
-    assert report.outer_iterations == 2
+    assert len(report.inner_counts) == 2
     assert abs(report.rho_trace[-1] - report.rho_trace[-2]) <= EmConfig().tol
 
 
@@ -139,5 +161,5 @@ def test_em_run_propagates_numerical_failure():
     with np.errstate(all="ignore"):
         _, _, report = em_hygec_run(huge, 0.3)
     assert report.termination == NUMERICAL_FAILURE
-    assert report.outer_iterations == 1
+    assert len(report.inner_counts) == 1
     assert "in sweep 1: " in report.failure

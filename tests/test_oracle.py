@@ -5,7 +5,6 @@ from scipy.stats import norm, truncnorm
 from hygec.ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix
 from hygec.oracle import (
     AllZeroTruth,
-    QuadGrid,
     Unsupported,
     ZeroMass,
     exact_posterior_small,
@@ -17,9 +16,7 @@ from hygec.types import Channel, GroupStructure, InvalidParameter, ProblemInstan
 
 def test_quad_grid_validation():
     with pytest.raises(InvalidParameter):
-        QuadGrid(points=5000)
-    with pytest.raises(InvalidParameter):
-        QuadGrid(half_width_sigmas=4.0)
+        quad_z_posterior(lambda z: np.ones_like(z), 0.0, 1.0, points=5000)
 
 
 def test_quad_flat_likelihood_returns_prior():
@@ -54,7 +51,7 @@ def test_quad_grid_doubling_is_converged():
         return norm.cdf((1.2 - z) / s) - norm.cdf((-0.4 - z) / s)
 
     a = quad_z_posterior(lik, 0.5, 2.0)
-    b = quad_z_posterior(lik, 0.5, 2.0, QuadGrid(points=400_001))
+    b = quad_z_posterior(lik, 0.5, 2.0, points=400_001)
     assert abs(a.mean - b.mean) < 1e-12
     assert abs(a.var - b.var) / a.var < 1e-12
 
