@@ -103,10 +103,10 @@ class Scenario:
         _require("sweep_values", self.sweep_values, numbers.Real, "finite real numbers")
         for block, cfg in (("engine", self.engine), ("em", self.em)):
             for f in fields(cfg):
-                count = f.type == "int"  # the config modules keep annotations as strings
+                integral = f.type == "int"  # the config modules keep annotations as strings
                 _require(f"{block}.{f.name}", [getattr(cfg, f.name)],
-                         numbers.Integral if count else numbers.Real,
-                         "an integer" if count else "a finite real number")
+                         numbers.Integral if integral else numbers.Real,
+                         "an integer" if integral else "a finite real number")
         if any(seed < 0 for seed in self.seeds):
             raise InvalidParameter(f"seeds must be nonnegative, not {self.seeds!r}")
         if self.name not in SCENARIO_NAMES:
