@@ -76,7 +76,8 @@ def test_em_update_tracks_the_exact_posterior_activity():
         m_x_lik, v_x_lik, _, _, _ = hygec_run(inst, rho, cfg)
         _, _, xi_post = exact_posterior_small(inst, rho, inst.sigma_x_sq)
         exact = np.clip(np.mean(xi_post), RHO_FLOOR, 1.0 - RHO_FLOOR)
-        errors.append(abs(em_update_rho(m_x_lik, v_x_lik, rho, inst.groups, inst.sigma_x_sq) - exact))
+        step = em_update_rho(m_x_lik, v_x_lik, rho, inst.groups, inst.sigma_x_sq)
+        errors.append(abs(step - exact))
     assert np.mean(errors) < 0.02
 
 
