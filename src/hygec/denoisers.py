@@ -46,12 +46,15 @@ def _std_trunc_moments(a, b):
     """Mean, variance, and log mass of a standard normal truncated to [a, b].
 
     Two regimes: edges straddling zero (plain erf arithmetic), and both edges
-    on one side (scaled-erfc ratios, reflected so a >= 0).
+    on one side (scaled-erfc ratios, reflected so a >= 0). Scalars come back
+    as 0-d arrays.
+
+    With the near edge a >> 1 out, the variance loses relative precision like
+    a^4 * eps (2e-9 at 60, 3e-8 at 120, 2.5e-4 at 1000), more on a narrow
+    cell; the mean and log mass keep to rounding until a^2 overflows near
+    1e154. z_posterior_cell keeps no moments past _CLAMP_SIGMAS.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    a, b = np.broadcast_arrays(a, b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(a >= b):
         raise InvalidParameter("need lower < upper for every cell")
 
@@ -90,71 +93,39 @@ def _std_trunc_moments(a, b):
         var[one_sided] = np.maximum(1.0 + r2 - mu * mu, 0.0)
         log_mass[one_sided] = -0.5 * an * an + np.log(0.5 * d)
 
-    mean = np.where(flip, -mean, mean)
-    if scalar:
-        return float(mean[0]), float(var[0]), float(log_mass[0])
-    return mean, var, log_mass
-
-
-def trunc_gauss_moments(lower, upper, m, v) -> tuple[Moments, np.ndarray]:
-    """Moments and log mass of N(m, v) truncated to [lower, upper].
-
-    With the near edge a >> 1 standard deviations out, the variance loses
-    relative precision like a^4 * eps (2e-9 at 60, 3e-8 at 120, 2.5e-4 at
-    1000), more on a narrow cell; the mean and log mass keep to rounding until
-    a^2 overflows near 1e154. z_posterior_cell keeps no moments past _CLAMP_SIGMAS.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0):
-        raise InvalidParameter("v must be positive")
-    sigma = np.sqrt(v)
-    alpha = (np.asarray(lower, dtype=float) - m) / sigma
-    beta = (np.asarray(upper, dtype=float) - m) / sigma
-    mu01, var01, log_mass = _std_trunc_moments(alpha, beta)
-    return Moments(m + sigma * mu01, v * var01), log_mass
-
-
-def _conditioned_on_sum_in(lower, upper, m, v, noise_var):
-    # z ~ N(m, v), s = z + w ~ N(m, v + noise_var); conditioning on s in
-    # [lower, upper] truncates s, and z given s is Gaussian with slope
-    # gamma = v / (v + noise_var):
-    #   E{z}   = m + gamma (E{s} - m)
-    #   Var{z} = gamma^2 Var{s} + v noise_var / (v + noise_var)
-    v = np.asarray(v, dtype=float)
-    m = np.asarray(m, dtype=float)
-    total = v + noise_var
-    (s_mean, s_var), log_mass = trunc_gauss_moments(lower, upper, m, total)
-    gamma = v / total
-    mean = m + gamma * (s_mean - m)
-    var = gamma * gamma * s_var + v * noise_var / total
-    return Moments(mean, var), log_mass
+    return np.where(flip, -mean, mean), var, log_mass
 
 
 def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
     """Moments of z ~ N(m, v) given that z + w fell in [lower, upper], w ~ N(0, noise_var).
+
+    The cell truncates s = z + w ~ N(m, v + noise_var), and z given s is
+    Gaussian with slope gamma = v / (v + noise_var):
+      E{z}   = m + gamma (E{s} - m)
+      Var{z} = gamma^2 Var{s} + v noise_var / (v + noise_var)
 
     Never raises on cells whose mass underflows: the standardized cell is
     shifted so its near edge sits at the saturation distance, capping the pull
     while keeping the run alive.
     """
     lower, upper, m, v = np.broadcast_arrays(lower, upper, m, v)
-    moments, log_mass = _conditioned_on_sum_in(lower, upper, m, v, noise_var)
-    bad = log_mass < _LOG_TINY_MASS
-    if not np.any(bad):
-        return moments
-    # degenerate cells lie entirely on one side of the prior; slide each one
-    # (preserving width) until its near edge sits at the saturation distance
-    sigma_s = np.sqrt(v[bad] + noise_var)
-    lo, up, mb = lower[bad], upper[bad], m[bad]
-    alpha = (lo - mb) / sigma_s
-    beta = (up - mb) / sigma_s
-    shift = np.where(alpha > 0, alpha - _CLAMP_SIGMAS, beta + _CLAMP_SIGMAS) * sigma_s
-    fixed, _ = _conditioned_on_sum_in(lo - shift, up - shift, mb, v[bad], noise_var)
-    mean = np.asarray(moments.mean).copy()
-    var = np.asarray(moments.var).copy()
-    mean[bad] = fixed.mean
-    var[bad] = fixed.var
-    return Moments(mean, var)
+    total = v + noise_var
+    if np.any(total <= 0):
+        raise InvalidParameter("v + noise_var must be positive")
+    sigma = np.sqrt(total)
+    alpha = (lower - m) / sigma
+    beta = (upper - m) / sigma
+    mu, var, log_mass = _std_trunc_moments(alpha, beta)
+    slid = log_mass < _LOG_TINY_MASS
+    if np.any(slid):
+        # such a cell lies wholly on one side of the prior; slide it, width
+        # kept, until its near edge sits at the saturation distance
+        a, b = alpha[slid], beta[slid]
+        shift = np.where(a > 0, a - _CLAMP_SIGMAS, b + _CLAMP_SIGMAS)
+        mu[slid], var[slid], _ = _std_trunc_moments(a - shift, b - shift)
+    s_mean = m + sigma * mu
+    gamma = v / total
+    return Moments(m + gamma * (s_mean - m), gamma * gamma * (total * var) + v * noise_var / total)
 
 
 def channel_posterior(channel, y, m, v) -> Moments:

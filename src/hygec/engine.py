@@ -62,17 +62,21 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     The z-prior variance is the signal power plus the noise variance, the
     x-side variances rho * sigma_x_sq.
 
-    Likelihood-side messages are placeholders (they are recomputed before first
-    use inside a sweep); their variances start at v_max, i.e. uninformative.
+    On the linear channel the z-likelihood message is N(y, noise_var), which
+    z_posterior_awgn followed by extrinsic returns for every z-prior message.
+    The other likelihood-side messages are placeholders (recomputed before
+    first use inside a sweep); their variances start at v_max, uninformative.
     """
     m, n = inst.m, inst.n
     p_z = signal_power(inst.H, rho, inst.sigma_x_sq) + inst.channel.noise_var
     v_x0 = rho * inst.sigma_x_sq
+    linear = inst.channel.kind == "linear"
+    v_z_lik = np.clip(inst.channel.noise_var, cfg.v_min, cfg.v_max) if linear else cfg.v_max
     return GecState(
         m_z_pri=np.zeros(m),
         v_z_pri=np.full(m, np.clip(p_z, cfg.v_min, cfg.v_max)),
-        m_z_lik=np.zeros(m),
-        v_z_lik=np.full(m, cfg.v_max),
+        m_z_lik=np.array(inst.y, dtype=float) if linear else np.zeros(m),
+        v_z_lik=np.full(m, v_z_lik),
         m_x_pri=np.zeros(n),
         v_x_pri=np.full(n, np.clip(v_x0, cfg.v_min, cfg.v_max)),
         m_x_lik=np.zeros(n),
@@ -131,19 +135,10 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
 
 
 def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.ndarray]:
-    if damp >= 1.0:
-        return np.asarray(new.mean, dtype=float), np.asarray(new.var, dtype=float)
     return (
         damp * np.asarray(new.mean) + (1.0 - damp) * old_mean,
         damp * np.asarray(new.var) + (1.0 - damp) * old_var,
     )
-
-
-def _linear_z_lik(inst: ProblemInstance, cfg: HygecConfig) -> tuple[np.ndarray, np.ndarray]:
-    # z_posterior_awgn followed by extrinsic returns N(y, noise_var) for every
-    # z-prior message, so on the linear channel that is the z-likelihood message
-    v = np.clip(inst.channel.noise_var, cfg.v_min, cfg.v_max)
-    return np.array(inst.y, dtype=float), np.full(inst.m, v)
 
 
 def hygec_sweep(
@@ -160,24 +155,21 @@ def hygec_sweep(
     runs undamped because the stale sides of the state are placeholders.
 
     On the linear channel the z-likelihood message is the channel itself,
-    N(y, noise_var), whatever the z-prior message is. The sweep sets it
-    directly and skips the z-channel denoise and the z-side solve, whose only
-    output would feed that denoiser. `gram` is then the fixed
-    `lmmse_gram(H, v_z_lik)`; `hygec_run` builds it once per run, and it is
-    built here when not given. The quantized channel ignores `gram` and builds
-    its Gram every sweep from the new z-likelihood message.
+    N(y, noise_var), whatever the z-prior message is; `init_state` sets it and
+    no sweep writes it. The sweep skips the z-channel denoise and the z-side
+    solve, whose only output would feed that denoiser. `gram` is then the
+    fixed `lmmse_gram(H, v_z_lik)`; `hygec_run` builds it once per run, and it
+    is built here when not given. The quantized channel ignores `gram` and
+    builds its Gram every sweep from the new z-likelihood message.
     """
     damp = cfg.damping if state.t > 0 else 1.0
     linear = inst.channel.kind == "linear"
 
-    if linear:
-        state.m_z_lik, state.v_z_lik = _linear_z_lik(inst, cfg)
-        if gram is None:
-            gram = lmmse_gram(inst.H, state.v_z_lik)
-    else:
+    if not linear:
         z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
         ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
         state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
+    if not linear or gram is None:
         # the z-side message is fixed for the rest of the sweep, so both solves share it
         gram = lmmse_gram(inst.H, state.v_z_lik)
 
@@ -242,7 +234,7 @@ def hygec_run(
 
     gram = None
     if inst.channel.kind == "linear":  # its Gram is the same in every sweep
-        gram = lmmse_gram(inst.H, _linear_z_lik(inst, cfg)[1])
+        gram = lmmse_gram(inst.H, state.v_z_lik)
     report = RecoveryReport()
     track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
     termination = MAX_ITERATIONS

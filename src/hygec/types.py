@@ -192,9 +192,9 @@ class GecState:
     likelihood-side Gaussian messages, plus the activity messages and the
     current posterior estimate of x.
 
-    On the linear channel the z-likelihood message is the channel's own
-    N(y, noise_var), and (m_z_pri, v_z_pri) keep their `init_state` values:
-    no sweep reads or updates them there.
+    On the linear channel `init_state` sets the z-likelihood message to the
+    channel's own N(y, noise_var) and no sweep writes it; (m_z_pri, v_z_pri)
+    keep their `init_state` values, as no sweep reads or updates them there.
     """
 
     m_z_pri: np.ndarray

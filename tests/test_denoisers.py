@@ -12,7 +12,6 @@ from hygec.denoisers import (
     extrinsic,
     indicator_beliefs,
     llr_messages,
-    trunc_gauss_moments,
     x_posterior_spike_slab,
     z_posterior_awgn,
     z_posterior_cell,
@@ -75,19 +74,20 @@ def test_awgn_posterior_hand_values():
 
 
 def test_trunc_moments_full_line_is_identity():
-    (mean, var), log_mass = trunc_gauss_moments(-np.inf, np.inf, -1.7, 2.3)
+    # with noise_var = 0 the cell posterior is the prior truncated to the cell
+    mean, var = z_posterior_cell(-np.inf, np.inf, -1.7, 2.3, 0.0)
     assert mean == -1.7
     assert var == 2.3
-    assert log_mass == 0.0
+    assert _std_trunc_moments(-np.inf, np.inf)[2] == 0.0
     with pytest.raises(InvalidParameter):
-        trunc_gauss_moments(0.0, 1.0, 0.0, 0.0)
+        z_posterior_cell(0.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidParameter):
-        trunc_gauss_moments(1.0, 1.0, 0.0, 1.0)
+        z_posterior_cell(1.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_trunc_moments_symmetric_cell_is_centered():
     # edges exactly symmetric about m in floating point, so the mean is exact
-    (mean, var), _ = trunc_gauss_moments(-3.25, -1.75, -2.5, 1.44)
+    mean, var = z_posterior_cell(-3.25, -1.75, -2.5, 1.44, 0.0)
     assert abs(mean + 2.5) < 1e-15
     assert var < 1.44
 
@@ -121,16 +121,12 @@ _WINDOWS = [
 
 @pytest.mark.parametrize("a,b", _WINDOWS)
 def test_trunc_moments_match_high_precision_reference(a, b):
-    m, v = -1.5, 2.5
-    sigma = np.sqrt(v)
-    (mean, var), log_mass = trunc_gauss_moments(m + a * sigma, m + b * sigma, m, v)
+    mean, var, log_mass = _std_trunc_moments(a, b)
     ref_mean, ref_var, ref_log = _ref_std_trunc(a, b)
-    got_std_mean = (mean - m) / sigma
-    got_std_var = var / v
-    assert abs(got_std_mean - ref_mean) <= 1e-8 * max(1.0, abs(ref_mean))
+    assert abs(mean - ref_mean) <= 1e-8 * max(1.0, abs(ref_mean))
     # ultra-narrow windows have variance ~width^2/12; the direct formula loses
     # relative (not absolute) precision there, hence the small atol
-    assert abs(got_std_var - ref_var) <= 1e-8 * ref_var + 1e-10
+    assert abs(var - ref_var) <= 1e-8 * ref_var + 1e-10
     assert abs(log_mass - ref_log) <= 1e-8
 
 
@@ -174,9 +170,10 @@ def test_noiseless_cell_truncates_the_prior():
     cases = ((-np.inf, 0.0, 0.0, 1.0), (-0.5, 0.7, 0.2, 1.3), (1.0, np.inf, -2.0, 0.4))
     for lower, upper, m, v in cases:
         got = z_posterior_cell(lower, upper, m, v, 0.0)
-        ref, _ = trunc_gauss_moments(lower, upper, m, v)
-        assert abs(got.mean - ref.mean) < 1e-12
-        assert abs(got.var - ref.var) < 1e-12
+        sigma = np.sqrt(v)
+        mu, var, _ = _std_trunc_moments((lower - m) / sigma, (upper - m) / sigma)
+        assert abs(got.mean - (m + sigma * mu)) < 1e-12
+        assert abs(got.var - v * var) < 1e-12
 
 
 def test_channel_posterior_linear_matches_awgn():
@@ -233,6 +230,31 @@ def test_channel_posterior_clamps_unreachable_cells():
                 assert np.all(mom.var > 0)
                 assert np.all(side * (mom.mean - m) < 0)
                 assert np.all(np.abs(mom.mean - m) <= 40.0 * sigma_s * gamma)
+
+
+def test_unreachable_cell_is_slid_to_the_clamp_distance():
+    # a cell whose mass underflows is slid, width kept, until its near edge
+    # sits _CLAMP_SIGMAS standard deviations from the prior; the moments are
+    # those of the slid standardized cell mapped back through gamma
+    v, noise_var = 0.5, 0.2
+    sigma = np.sqrt(v + noise_var)
+    gamma = v / (v + noise_var)
+    cells = ((-0.5, 0.5), (1.0, 3.0), (-np.inf, 0.0), (0.0, np.inf))
+    for m in (300.0, -300.0, 1e4, -1e4):
+        for lower, upper in cells:
+            if lower < m < upper:
+                continue
+            alpha, beta = (lower - m) / sigma, (upper - m) / sigma
+            assert _std_trunc_moments(alpha, beta)[2] < _LOG_TINY_MASS
+            width = beta - alpha
+            if alpha > 0:
+                slid = (_CLAMP_SIGMAS, _CLAMP_SIGMAS + width)
+            else:
+                slid = (-_CLAMP_SIGMAS - width, -_CLAMP_SIGMAS)
+            mu, var, _ = _ref_std_trunc(*slid)
+            got = z_posterior_cell(lower, upper, m, v, noise_var)
+            assert abs(got.mean - (m + gamma * sigma * mu)) <= 1e-9 * abs(m)
+            assert abs(got.var - (gamma**2 * sigma**2 * var + v * noise_var / sigma**2)) <= 1e-9
 
 
 def test_spike_slab_degenerate_rates_short_circuit():

@@ -80,9 +80,13 @@ def test_init_state_layout():
     assert st.t == 0
     assert st.m_z_pri.shape == (6,) and st.m_x_pri.shape == (10,)
     assert np.all(st.m_z_pri == 0) and np.all(st.m_x_lik == 0) and np.all(st.x_pos == 0)
-    assert np.all(st.v_z_lik == cfg.v_max) and np.all(st.v_x_lik == cfg.v_max)
+    # on the linear channel the z-likelihood message is the channel, N(y, noise_var)
+    assert np.array_equal(st.m_z_lik, inst.y) and st.m_z_lik is not inst.y
+    assert np.all(st.v_z_lik == inst.channel.noise_var) and np.all(st.v_x_lik == cfg.v_max)
     assert np.all(st.v_x_pri == 0.2 * 2.0)
     assert np.all(st.rho_hat == 0.2)
+    quant = init_state(_instance(0, 6, 10, 5, 0.2, 15.0, bits=2), 0.2, cfg)
+    assert np.all(quant.m_z_lik == 0) and np.all(quant.v_z_lik == cfg.v_max)
 
 
 def _lmmse_both_sides(H, mz, vz, mx, vx, gram=None):
