@@ -118,8 +118,7 @@ def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
     mu, var, log_mass = _std_trunc_moments(alpha, beta)
     slid = log_mass < _LOG_TINY_MASS
     if np.any(slid):
-        # such a cell lies wholly on one side of the prior; slide it, width
-        # kept, until its near edge sits at the saturation distance
+        # such a cell lies wholly on one side of the prior: its near edge is alpha or beta
         a, b = alpha[slid], beta[slid]
         shift = np.where(a > 0, a - _CLAMP_SIGMAS, b + _CLAMP_SIGMAS)
         mu[slid], var[slid], _ = _std_trunc_moments(a - shift, b - shift)
