@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, erfcx, expit, logit
 
 from .types import GroupStructure, InvalidParameter
 
@@ -27,6 +26,21 @@ _LOG_TINY_MASS = np.log(1e-300)
 _CLAMP_SIGMAS = 37.0
 
 PROB_FLOOR = 1e-15
+
+
+def _expit(x):
+    # scipy.special.expit's formula; exp(-x) overflows to inf for x < -709, giving 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _logit(p):
+    # scipy.special.logit's formula: near p = 1/2 the log1p pair keeps the digits
+    # that log(p / (1 - p)) would cancel; both branches are evaluated, and the
+    # unused one reaches log1p(-1) = -inf once p is within 1e-16 of 0 or 1
+    s = 2.0 * (p - 0.5)
+    with np.errstate(divide="ignore"):
+        return np.where((p >= 0.3) & (p <= 0.65), np.log1p(s) - np.log1p(-s), np.log(p / (1.0 - p)))
 
 
 class Moments(NamedTuple):
@@ -54,6 +68,8 @@ def _std_trunc_moments(a, b):
     cell; the mean and log mass keep to rounding until a^2 overflows near
     1e154. z_posterior_cell keeps no moments past _CLAMP_SIGMAS.
     """
+    from scipy.special import erf, erfcx  # only the quantized channel needs them
+
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(a >= b):
         raise InvalidParameter("need lower < upper for every cell")
@@ -154,7 +170,7 @@ def x_posterior_spike_slab(m, v, rho_hat, sigma_x_sq) -> tuple[Moments, np.ndarr
         raise InvalidParameter("v must be positive")
     llr_ev = _element_llr(m, v, sigma_x_sq)  # the slab-vs-spike evidence ratio
     safe_rho = np.clip(rho_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pi = expit(logit(safe_rho) + llr_ev)
+    pi = _expit(_logit(safe_rho) + llr_ev)
     pi = np.where(rho_hat == 0.0, 0.0, np.where(rho_hat == 1.0, 1.0, pi))
     total = sigma_x_sq + v
     mu_slab = m * sigma_x_sq / total
@@ -189,7 +205,7 @@ def _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure):
     if np.any(np.asarray(v_x_lik, dtype=float) <= 0):
         raise InvalidParameter("v_x_lik must be positive")
     llr_in = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
-    return llr_in, logit(rho) + np.add.reduceat(llr_in, groups.offsets)
+    return llr_in, _logit(rho) + np.add.reduceat(llr_in, groups.offsets)
 
 
 def llr_messages(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:
@@ -200,9 +216,9 @@ def llr_messages(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> n
     """
     llr_in, llr_k = _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
     llr_out = llr_k[groups.group_of] - llr_in
-    return np.clip(expit(llr_out), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return np.clip(_expit(llr_out), PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:
     """Length-K posterior activity beliefs combining the prior and all evidence."""
-    return expit(_group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)[1])
+    return _expit(_group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)[1])

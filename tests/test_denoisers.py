@@ -1,12 +1,17 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit, logit
 from scipy.stats import norm
 
 from hygec.denoisers import (
     _CLAMP_SIGMAS,
     _LOG_TINY_MASS,
     Moments,
+    _expit,
+    _logit,
     _std_trunc_moments,
     channel_posterior,
     extrinsic,
@@ -255,6 +260,25 @@ def test_unreachable_cell_is_slid_to_the_clamp_distance():
             got = z_posterior_cell(lower, upper, m, v, noise_var)
             assert abs(got.mean - (m + gamma * sigma * mu)) <= 1e-9 * abs(m)
             assert abs(got.var - (gamma**2 * sigma**2 * var + v * noise_var / sigma**2)) <= 1e-9
+
+
+def test_logistic_helpers_match_scipy():
+    mag = np.concatenate([[0.0, 36.0, 37.0, 709.0, 710.0, 745.0, 800.0],
+                          np.logspace(-300, 300, 20_001), np.linspace(0.0, 800.0, 20_001)])
+    x = np.concatenate([-mag, mag])
+    edges = np.array([0.3, 0.65])
+    p = np.concatenate([np.logspace(-300, np.log10(0.5), 20_001),
+                        1.0 - np.logspace(-15, np.log10(0.5), 20_001),
+                        np.linspace(0.25, 0.7, 20_001),
+                        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_expit, got_logit = _expit(x), _logit(p)
+    ref = expit(x)
+    assert np.all(got_expit[ref == 0.0] == 0.0) and np.all(got_expit[ref == 1.0] == 1.0)
+    assert np.any(ref == 0.0) and np.any(ref == 1.0)
+    np.testing.assert_allclose(got_expit, ref, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(got_logit, logit(p), rtol=2e-15, atol=0.0)
 
 
 def test_spike_slab_degenerate_rates_short_circuit():
