@@ -228,17 +228,15 @@ def run_trial(scenario: Scenario, seed: int, sweep_value: float | None, algorith
     start = time.perf_counter()
     if algorithm == "hygec-known-rho":
         _, _, _, x_pos, report = hygec_run(inst, scenario.rho, scenario.engine)
-        rho_trace = [scenario.rho]
     else:
         x_pos, _, report = em_hygec_run(inst, scenario.rho_init, scenario.engine, scenario.em)
-        rho_trace = report.rho_trace
     wall_ms = (time.perf_counter() - start) * 1e3
 
     # the rate of each outer stage, once per sweep of that stage; a trial
     # whose first sweep already failed still gets one row
     rho_per_iter = [
-        rho for rho, count in zip(rho_trace, report.inner_counts) for _ in range(count)
-    ] or [rho_trace[-1]]
+        rho for rho, count in zip(report.rho_trace, report.inner_counts) for _ in range(count)
+    ] or [report.rho_trace[-1]]
     trace = report.nmse_trace
     return [
         {

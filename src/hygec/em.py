@@ -49,8 +49,8 @@ def em_update_rho(
 def em_hygec_run(
     inst: ProblemInstance,
     rho_init: float,
-    cfg: HygecConfig | None = None,
-    em_cfg: EmConfig | None = None,
+    cfg: HygecConfig = HygecConfig(),
+    em_cfg: EmConfig = EmConfig(),
 ) -> tuple[np.ndarray, float, RecoveryReport]:
     """Alternate inner recovery at the current rate with the rate update.
 
@@ -63,15 +63,9 @@ def em_hygec_run(
     """
     if not 0 < rho_init < 1:
         raise InvalidParameter("rho_init must lie in (0, 1)")
-    if cfg is None:
-        cfg = HygecConfig()
-    if em_cfg is None:
-        em_cfg = EmConfig()
 
     rho = rho_init
-    report = RecoveryReport()
-    report.rho_trace.append(rho)
-    report.termination = MAX_ITERATIONS
+    report = RecoveryReport(rho_trace=[rho], termination=MAX_ITERATIONS)
     for _ in range(em_cfg.max_outer):
         m_x_lik, v_x_lik, _, x_pos, inner = hygec_run(inst, rho, cfg)
         report.inner_counts.extend(inner.inner_counts)

@@ -66,6 +66,8 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     z_posterior_awgn followed by extrinsic returns for every z-prior message.
     The other likelihood-side messages are placeholders (recomputed before
     first use inside a sweep); their variances start at v_max, uninformative.
+    The linear channel's Gram, fixed with its z-likelihood message, is built
+    here once; the quantized channel's, which changes every sweep, is not.
     """
     m, n = inst.m, inst.n
     p_z = signal_power(inst.H, rho, inst.sigma_x_sq) + inst.channel.noise_var
@@ -84,7 +86,7 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
         rho_hat=np.full(n, rho),
         x_pos=np.zeros(n),
         v_x_pos=np.full(n, np.clip(v_x0, cfg.v_min, cfg.v_max)),
-        t=0,
+        gram=lmmse_gram(inst.H, np.full(m, v_z_lik)) if linear else None,
     )
 
 
@@ -141,13 +143,7 @@ def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.
     )
 
 
-def hygec_sweep(
-    state: GecState,
-    inst: ProblemInstance,
-    rho: float,
-    cfg: HygecConfig,
-    gram: np.ndarray | None = None,
-) -> GecState:
+def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     """One full message-passing sweep, mutating `state` in place.
 
     Order: z-channel denoise, joint solve to the x side, spike-slab denoise,
@@ -156,11 +152,11 @@ def hygec_sweep(
 
     On the linear channel the z-likelihood message is the channel itself,
     N(y, noise_var), whatever the z-prior message is; `init_state` sets it and
-    no sweep writes it. The sweep skips the z-channel denoise and the z-side
-    solve, whose only output would feed that denoiser. `gram` is then the
-    fixed `lmmse_gram(H, v_z_lik)`; `hygec_run` builds it once per run, and it
-    is built here when not given. The quantized channel ignores `gram` and
-    builds its Gram every sweep from the new z-likelihood message.
+    its Gram `state.gram`, and no sweep writes either. The sweep skips the
+    z-channel denoise and the z-side solve, whose only output would feed that
+    denoiser. The quantized channel builds its Gram every sweep from the new
+    z-likelihood message. `state.t` counts the sweeps that completed with a
+    finite state; a sweep that raises leaves it as it was.
     """
     damp = cfg.damping if state.t > 0 else 1.0
     linear = inst.channel.kind == "linear"
@@ -169,9 +165,8 @@ def hygec_sweep(
         z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
         ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
         state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
-    if not linear or gram is None:
-        # the z-side message is fixed for the rest of the sweep, so both solves share it
-        gram = lmmse_gram(inst.H, state.v_z_lik)
+    # the z-side message is fixed for the rest of the sweep, so both solves share it
+    gram = state.gram if linear else lmmse_gram(inst.H, state.v_z_lik)
 
     x_pos2, v_x_pos2 = lmmse_block(
         inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "x"
@@ -207,55 +202,46 @@ def hygec_sweep(
         state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups
     )
 
-    state.t += 1
     if not state.all_finite():
-        raise NonFinite(f"non-finite message state after sweep {state.t}")
+        raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
+    state.t += 1
     return state
 
 
 def hygec_run(
     inst: ProblemInstance,
     rho: float,
-    cfg: HygecConfig | None = None,
+    cfg: HygecConfig = HygecConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RecoveryReport]:
     """Run sweeps from a fresh state until the posterior mean stops moving or
     the budget runs out.
 
-    Returns (m_x_lik, v_x_lik, rho_hat, x_pos, report). Numerical trouble is
-    recorded in report.termination, with its cause and sweep in report.failure,
-    rather than raised, so parameter sweeps can keep going past divergent
-    configurations.
+    Returns (m_x_lik, v_x_lik, rho_hat, x_pos, report). The report's rate
+    trace is [rho] and its one inner count is `state.t`, the completed sweeps.
+    Numerical trouble is recorded in report.termination, with its cause and
+    sweep in report.failure, rather than raised, so parameter sweeps can keep
+    going past divergent configurations.
     """
     if not 0 < rho < 1:
         raise InvalidParameter("rho must lie in (0, 1)")
-    if cfg is None:
-        cfg = HygecConfig()
     state = init_state(inst, rho, cfg)
-
-    gram = None
-    if inst.channel.kind == "linear":  # its Gram is the same in every sweep
-        gram = lmmse_gram(inst.H, state.v_z_lik)
-    report = RecoveryReport()
+    report = RecoveryReport(rho_trace=[rho], termination=MAX_ITERATIONS)
     track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
-    termination = MAX_ITERATIONS
-    sweeps = 0  # completed sweeps; state.t also counts one that failed
     for _ in range(cfg.max_iter):
         x_prev = state.x_pos
         try:
-            hygec_sweep(state, inst, rho, cfg, gram)
+            hygec_sweep(state, inst, rho, cfg)
         except (FactorizationFailure, NonFinite) as exc:
-            termination = NUMERICAL_FAILURE
-            report.failure = f"{type(exc).__name__} in sweep {sweeps + 1}: {exc}"
+            report.termination = NUMERICAL_FAILURE
+            report.failure = f"{type(exc).__name__} in sweep {state.t + 1}: {exc}"
             break
-        sweeps += 1
         if track_nmse:
             report.nmse_trace.append(nmse(state.x_pos, inst.x_true))
         if float(np.sum((state.x_pos - x_prev) ** 2)) < cfg.tol * inst.n:
-            termination = CONVERGED
+            report.termination = CONVERGED
             break
 
-    report.termination = termination
-    report.inner_counts = [sweeps]
+    report.inner_counts = [state.t]
     return state.m_x_lik, state.v_x_lik, state.rho_hat, state.x_pos, report
 
 

@@ -120,10 +120,9 @@ class Channel:
         return np.concatenate(([-np.inf], inner, [np.inf]))
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
-        """Map real values to cell indices in 0..2^B-1."""
-        width = 2.0 * self.clip_range / self.n_cells
-        idx = np.floor((np.asarray(values) + self.clip_range) / width).astype(np.int64)
-        return np.clip(idx, 0, self.n_cells - 1)
+        """Map real values to cell indices in 0..2^B-1, by the same `edges` that
+        `cell_bounds` reads, so edges[y] <= value < edges[y + 1]."""
+        return np.searchsorted(self.edges[1:-1], values, side="right")
 
     def cell_bounds(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper edges of the cells indexed by y."""
@@ -193,8 +192,10 @@ class GecState:
     current posterior estimate of x.
 
     On the linear channel `init_state` sets the z-likelihood message to the
-    channel's own N(y, noise_var) and no sweep writes it; (m_z_pri, v_z_pri)
-    keep their `init_state` values, as no sweep reads or updates them there.
+    channel's own N(y, noise_var) and its packed Gram `gram`, and no sweep
+    writes either; (m_z_pri, v_z_pri) keep their `init_state` values, as no
+    sweep reads or updates them there. On the quantized channel `gram` is None.
+    `t` counts the completed sweeps.
     """
 
     m_z_pri: np.ndarray
@@ -208,10 +209,11 @@ class GecState:
     rho_hat: np.ndarray
     x_pos: np.ndarray
     v_x_pos: np.ndarray
+    gram: np.ndarray | None = None
     t: int = 0
 
-    def all_finite(self) -> bool:
-        arrays = (getattr(self, f.name) for f in fields(self) if f.name != "t")
+    def all_finite(self) -> bool:  # the Gram is fixed before the first sweep: not scanned
+        arrays = (getattr(self, f.name) for f in fields(self) if f.name not in ("gram", "t"))
         return all(np.all(np.isfinite(a)) for a in arrays)
 
 

@@ -245,9 +245,8 @@ def test_run_trial_zero_truth_leaves_nmse_blank():
 
 
 def test_run_trial_records_immediate_failure(monkeypatch):
-    def exploding_run(inst, rho, cfg=None):
-        report = RecoveryReport()
-        report.termination = NUMERICAL_FAILURE
+    def exploding_run(inst, rho, cfg):
+        report = RecoveryReport(rho_trace=[rho], termination=NUMERICAL_FAILURE, inner_counts=[0])
         return np.zeros(inst.n), np.ones(inst.n), np.zeros(inst.n), np.zeros(inst.n), report
 
     monkeypatch.setattr("hygec.bench.hygec_run", exploding_run)
@@ -255,6 +254,7 @@ def test_run_trial_records_immediate_failure(monkeypatch):
     assert len(rows) == 1
     assert rows[0]["iteration"] == 1
     assert rows[0]["nmse_db"] is None
+    assert rows[0]["rho_est"] == _scenario().rho  # read from the report's rate trace
     assert rows[0]["terminated"] == NUMERICAL_FAILURE
 
 

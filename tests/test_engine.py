@@ -85,8 +85,10 @@ def test_init_state_layout():
     assert np.all(st.v_z_lik == inst.channel.noise_var) and np.all(st.v_x_lik == cfg.v_max)
     assert np.all(st.v_x_pri == 0.2 * 2.0)
     assert np.all(st.rho_hat == 0.2)
+    assert np.array_equal(st.gram, lmmse_gram(inst.H, st.v_z_lik))  # fixed with N(y, noise_var)
     quant = init_state(_instance(0, 6, 10, 5, 0.2, 15.0, bits=2), 0.2, cfg)
     assert np.all(quant.m_z_lik == 0) and np.all(quant.v_z_lik == cfg.v_max)
+    assert quant.gram is None  # the quantized sweep builds its Gram from each new message
 
 
 def _lmmse_both_sides(H, mz, vz, mx, vx, gram=None):
@@ -271,9 +273,10 @@ def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
         assert err < 1e-9, f"{name}: relative error {err:.1e}"
 
 
-def _two_solve_sweep(state, inst, rho, cfg, gram=None):
+def _two_solve_sweep(state, inst, rho, cfg):
     # the sweep as it runs on every channel kind: z-channel denoise, x-side
-    # solve, spike-slab denoise, z-side solve, activity refresh; `gram` ignored
+    # solve, spike-slab denoise, z-side solve, activity refresh; `state.gram`
+    # is not read
     damp = cfg.damping if state.t > 0 else 1.0
     z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
     ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
@@ -293,9 +296,9 @@ def _two_solve_sweep(state, inst, rho, cfg, gram=None):
     ext = extrinsic(Moments(*pos), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max)
     state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
     state.rho_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
-    state.t += 1
     if not state.all_finite():
-        raise NonFinite(f"non-finite message state after sweep {state.t}")
+        raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
+    state.t += 1
     return state
 
 
@@ -326,7 +329,7 @@ def test_linear_sweep_matches_two_solve_sweep(monkeypatch):
             ulp_move = rel_err(getattr(ref_nudged, name), getattr(ref, name))
             bound = max(1e-9, 10.0 * ulp_move)
             assert err < bound, f"sweep {t + 1}, {name}: relative error {err:.1e} > {bound:.1e}"
-    # hygec_run passes its once-per-run Gram to every sweep
+    # hygec_run sweeps the state that init_state built, Gram included
     _, _, _, x_pos, report = hygec_run(inst, 0.1, cfg)
     monkeypatch.setattr("hygec.engine.hygec_sweep", _two_solve_sweep)
     _, _, _, x_ref, ref_report = hygec_run(inst, 0.1, cfg)
@@ -430,6 +433,38 @@ def test_run_records_overflow_as_numerical_failure():
     assert report.inner_iterations == 0
     assert report.failure.startswith(("FactorizationFailure in sweep 1: ",
                                       "NonFinite in sweep 1: ")), report.failure
+
+
+def test_failed_sweep_is_not_counted():
+    inst = _instance(0, 10, 16, 4, 0.3, 15.0)
+    y = inst.y.copy()
+    y[3] = np.nan
+    bad = dataclasses.replace(inst, y=y)
+    cfg = HygecConfig()
+    st = init_state(bad, 0.3, cfg)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+        hygec_sweep(st, bad, 0.3, cfg)
+    assert st.t == 0
+    with np.errstate(all="ignore"):
+        _, _, _, _, report = hygec_run(bad, 0.3, cfg)
+    assert report.termination == NUMERICAL_FAILURE
+    assert report.inner_counts == [0]
+    assert report.failure.startswith("NonFinite in sweep 1: "), report.failure
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_direct_sweeps_and_run_take_one_path(bits):
+    # k sweeps from init_state are bitwise the run capped at k sweeps
+    inst = _instance(6, 30, 60, 10, 0.2, 15.0, bits=bits)
+    k = 7
+    cfg = HygecConfig(max_iter=k, tol=np.finfo(float).tiny)  # a tolerance no sweep meets
+    st = init_state(inst, 0.2, cfg)
+    for _ in range(k):
+        hygec_sweep(st, inst, 0.2, cfg)
+    _, _, _, x_pos, report = hygec_run(inst, 0.2, cfg)
+    assert report.termination == MAX_ITERATIONS
+    assert report.inner_counts == [k] == [st.t]
+    assert np.array_equal(x_pos, st.x_pos)
 
 
 def test_run_matches_exact_posterior_on_tiny_instances():

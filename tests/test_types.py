@@ -85,6 +85,21 @@ def test_quantizer_every_value_in_exactly_one_cell():
     assert np.all(cells[ts >= q.clip_range] == q.n_cells - 1)
 
 
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_quantizer_cells_hold_values_at_their_edges(bits):
+    # quantize and cell_bounds read one set of edges, so even a value one ulp
+    # from an edge lands in the cell whose bounds hold it
+    for clip in (0.37, 1.0, 2.5, 3.14159, 1e3):
+        q = Channel.quantized(0.1, bits, clip)
+        inner = q.edges[1:-1]
+        ts = np.concatenate([inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)])
+        cells = q.quantize(ts)
+        lo, up = q.cell_bounds(cells)
+        bad = ~((lo <= ts) & (ts < up))
+        assert not np.any(bad), f"clip {clip}: {ts[bad][:3]} outside cells {cells[bad][:3]}"
+        assert list(q.quantize(np.array([-np.inf, np.inf]))) == [0, q.n_cells - 1]
+
+
 def test_cell_bounds_rejects_bad_indices():
     q = Channel.quantized(0.1, 1, 1.0)
     with pytest.raises(InvalidParameter):
@@ -173,8 +188,13 @@ def test_gec_state_all_finite():
     assert state.all_finite()
     state.v_x_lik[1] = np.inf
     assert not state.all_finite()
-    # every array field is checked, not a hand-kept subset
-    for f in dataclasses.fields(GecState)[:-1]:
+    # every message field is checked, not a hand-kept subset
+    messages = [f.name for f in dataclasses.fields(GecState) if f.name not in ("gram", "t")]
+    assert len(messages) == 11
+    for name in messages:
         clean = GecState(*(z.copy() for _ in range(11)))
-        getattr(clean, f.name)[0] = np.nan
-        assert not clean.all_finite(), f.name
+        getattr(clean, name)[0] = np.nan
+        assert not clean.all_finite(), name
+    # the Gram is fixed before the first sweep and is not scanned
+    state = GecState(*(z.copy() for _ in range(11)), gram=np.array([np.nan]))
+    assert state.all_finite()
