@@ -426,7 +426,8 @@ def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -
 
 def import_instance(path: str) -> ProblemInstance:
     try:
-        with np.load(path) as archive:
+        # opened here so the file is closed even when np.load fails on a truncated archive
+        with open(path, "rb") as fh, np.load(fh) as archive:
             data = {key: archive[key] for key in archive.files}
     except OSError as exc:
         raise IoError(str(exc)) from exc

@@ -141,8 +141,8 @@ def exact_posterior_small(
     """Exact posterior by enumerating all 2^K group-activity patterns.
 
     Conditioned on a pattern, the active coefficients are jointly Gaussian, so
-    the full posterior is a mixture of 2^K Gaussians weighted by evidence.
-    Returns (x_mean, x_var, xi_post).
+    the posterior is a mixture of 2^K Gaussians weighted by evidence. Row p of
+    `means` and `second` holds pattern p's moments. Returns (x_mean, x_var, xi_post).
     """
     from scipy.special import logsumexp
 
@@ -159,26 +159,16 @@ def exact_posterior_small(
     noise_var = inst.channel.noise_var
     if not noise_var > 0:
         raise InvalidParameter("exact posterior needs noise_var > 0")
-    slices = inst.groups.slices()
-
+    patterns = np.array(list(itertools.product((0, 1), repeat=k)))
+    on = patterns[:, inst.groups.group_of].astype(bool)
     log_w = np.empty(1 << k)
-    means: list[np.ndarray] = []
-    variances: list[np.ndarray] = []
-    actives: list[np.ndarray] = []
+    means = np.zeros((1 << k, n))
+    second = np.zeros((1 << k, n))
     base = -0.5 * m * np.log(2.0 * np.pi * noise_var) - 0.5 * np.dot(y, y) / noise_var
-    for p, pattern in enumerate(itertools.product((0, 1), repeat=k)):
-        active = np.concatenate(
-            [np.arange(sl.start, sl.stop) for xi, sl in zip(pattern, slices) if xi]
-        ) if any(pattern) else np.empty(0, dtype=np.intp)
-        n_a = active.size
+    for p, (pattern, active) in enumerate(zip(patterns, on)):
         log_prior = np.log(rho) * sum(pattern) + np.log1p(-rho) * (k - sum(pattern))
-        if n_a == 0:
-            log_w[p] = base + log_prior
-            means.append(np.empty(0))
-            variances.append(np.empty(0))
-            actives.append(active)
-            continue
         Ha = H[:, active]
+        n_a = Ha.shape[1]
         prec = Ha.T @ Ha / noise_var + np.eye(n_a) / sigma_x_sq
         b = Ha.T @ y / noise_var
         cov = np.linalg.inv(prec)
@@ -191,24 +181,16 @@ def exact_posterior_small(
             - 0.5 * logdet_prec
             + 0.5 * np.dot(b, mu)
         )
-        means.append(mu)
-        variances.append(np.diag(cov).copy())
-        actives.append(active)
+        means[p, active] = mu
+        second[p, active] = np.diag(cov) + mu**2
 
     log_z = logsumexp(log_w)
     w = np.exp(log_w - log_z)
 
-    x_mean = np.zeros(n)
-    x_second = np.zeros(n)
-    xi_post = np.zeros(k)
-    for p, pattern in enumerate(itertools.product((0, 1), repeat=k)):
-        if w[p] == 0.0 or actives[p].size == 0:
-            continue
-        x_mean[actives[p]] += w[p] * means[p]
-        x_second[actives[p]] += w[p] * (variances[p] + means[p] ** 2)
-        for kk, xi in enumerate(pattern):
-            if xi:
-                xi_post[kk] += w[p]
+    # a sum over axis 0 adds the weighted rows one at a time, in pattern order
+    x_mean = np.sum(w[:, None] * means, axis=0)
+    x_second = np.sum(w[:, None] * second, axis=0)
+    xi_post = np.sum(w[:, None] * patterns, axis=0)
     x_var = np.maximum(x_second - x_mean**2, 0.0)
     return x_mean, x_var, xi_post
 

@@ -63,10 +63,6 @@ class GroupStructure:
         """group_of[i] = index of the group containing flat index i."""
         return np.repeat(np.arange(self.k), self.group_sizes)
 
-    def slices(self) -> list[slice]:
-        off = self.offsets
-        return [slice(int(off[k]), int(off[k]) + self.group_sizes[k]) for k in range(self.k)]
-
     @staticmethod
     def even(n: int, k: int) -> "GroupStructure":
         """Split 0..n into k groups as evenly as possible (first n % k groups get one extra)."""
@@ -122,6 +118,8 @@ class Channel:
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Map real values to cell indices in 0..2^B-1, by the same `edges` that
         `cell_bounds` reads, so edges[y] <= value < edges[y + 1]."""
+        if np.any(np.isnan(values)):
+            raise InvalidParameter("cannot quantize NaN")
         return np.searchsorted(self.edges[1:-1], values, side="right")
 
     def cell_bounds(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +165,7 @@ class ProblemInstance:
                     raise SupportViolation(f"group {k} is inactive but x_true is nonzero there")
         if self.channel.kind == "quantized":
             y = np.asarray(self.y)
-            if np.any(y < 0) or np.any(y >= self.channel.n_cells):
+            if np.any(y % 1 != 0) or np.any(y < 0) or np.any(y >= self.channel.n_cells):
                 raise DimensionMismatch("quantized observations must be valid cell indices")
         if self.true_rho is not None and not 0 < self.true_rho < 1:
             raise InvalidParameter("true_rho must lie in (0, 1)")

@@ -474,3 +474,13 @@ def test_import_rejects_tampered_instance(tmp_path):
     np.savez(flipped, **{**full, "xi_true": xi})
     with pytest.raises(SupportViolation):
         import_instance(flipped)
+    quant = str(tmp_path / "quant.npz")
+    export_instance(build_instance(_scenario(bits=2), 7, None), quant)
+    with np.load(quant) as archive:
+        fields = dict(archive)
+    y = fields["y"].astype(float)
+    y[0] = 1.5  # inside the cell range, but not a cell index
+    fractional = str(tmp_path / "fractional_y.npz")
+    np.savez(fractional, **{**fields, "y": y})
+    with pytest.raises(DimensionMismatch):
+        import_instance(fractional)

@@ -417,7 +417,8 @@ def test_indicator_beliefs_match_direct_formula():
     assert got.shape == (3,)
     llr_in = _llr_in_reference(m, v, sx)
     logit_rho = np.log(rho / (1 - rho))
-    for k, sl in enumerate(groups.slices()):
+    for k in range(groups.k):
+        sl = groups.group_of == k
         expect = 1 / (1 + np.exp(-(logit_rho + np.sum(llr_in[sl]))))
         assert abs(got[k] - expect) < 1e-10
     with pytest.raises(InvalidParameter):

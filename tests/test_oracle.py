@@ -137,7 +137,8 @@ def test_exact_posterior_identity_sensing_factorizes_over_groups():
     inst = ProblemInstance(np.eye(n), y, groups, ch, sx, x, xi, rho)
     x_mean, x_var, xi_post = exact_posterior_small(inst, rho, sx)
 
-    for kk, sl in enumerate(groups.slices()):
+    for kk in range(k):
+        sl = groups.group_of == kk
         yg = y[sl]
         log_on = np.sum(norm.logpdf(yg, scale=np.sqrt(sx + nv))) + np.log(rho)
         log_off = np.sum(norm.logpdf(yg, scale=np.sqrt(nv))) + np.log1p(-rho)
@@ -147,6 +148,29 @@ def test_exact_posterior_identity_sensing_factorizes_over_groups():
         assert abs(xi_post[kk] - pi) < 1e-10
         assert np.max(np.abs(x_mean[sl] - pi * m_on)) < 1e-10
         assert np.max(np.abs(x_var[sl] - (pi * (v_on + m_on**2) - (pi * m_on) ** 2))) < 1e-10
+
+
+def test_exact_posterior_is_invariant_to_group_relabelling():
+    # reversing the groups, with H's column blocks, permutes every output
+    groups = GroupStructure((1, 3, 2, 2))
+    rng = np.random.default_rng(4)
+    H = rng.standard_normal((6, groups.n))
+    x, xi = gen_group_sparse_signal(groups, 0.5, 1.3, rng)
+    ch = Channel.linear_awgn(0.3)
+    y = apply_channel(H, x, ch, rng)
+    x_mean, x_var, xi_post = exact_posterior_small(
+        ProblemInstance(H, y, groups, ch, 1.3, x, xi, 0.5), 0.4, 1.3
+    )
+
+    perm = np.concatenate([np.flatnonzero(groups.group_of == kk) for kk in range(groups.k)][::-1])
+    rev = GroupStructure(groups.group_sizes[::-1])
+    r_mean, r_var, r_post = exact_posterior_small(
+        ProblemInstance(H[:, perm], y, rev, ch, 1.3, x[perm], xi[::-1], 0.5), 0.4, 1.3
+    )
+    assert np.max(np.abs(r_mean - x_mean[perm])) < 1e-12
+    assert np.max(np.abs(r_var - x_var[perm])) < 1e-12
+    assert np.max(np.abs(r_post - xi_post[::-1])) < 1e-12
+    assert 0.01 < np.min(xi_post) and np.max(xi_post) < 0.99  # the groups are not decided
 
 
 def test_nmse_values_and_floor():

@@ -21,7 +21,6 @@ def test_group_structure_basic_layout():
     assert g.n == 6
     assert g.offsets.tolist() == [0, 3, 4]
     assert g.group_of.tolist() == [0, 0, 0, 1, 2, 2]
-    assert [s for s in g.slices()] == [slice(0, 3), slice(3, 4), slice(4, 6)]
 
 
 def test_group_structure_index_round_trip():
@@ -106,6 +105,12 @@ def test_cell_bounds_rejects_bad_indices():
         q.cell_bounds(np.array([2]))
 
 
+def test_quantize_rejects_nan():
+    q = Channel.quantized(0.1, 2, 1.0)
+    with pytest.raises(InvalidParameter):
+        q.quantize(np.array([0.3, np.nan]))
+
+
 def _consistent_instance():
     rng = np.random.default_rng(0)
     groups = GroupStructure((3, 3))
@@ -166,6 +171,17 @@ def test_validate_quantized_cell_range():
             H=inst.H, y=np.array([0, 1, 2, 0]), groups=inst.groups, channel=q,
             sigma_x_sq=1.0,
         )
+    # inside the cell range but not a whole cell index
+    for bad in (1.5, np.nan):
+        with pytest.raises(DimensionMismatch):
+            ProblemInstance(
+                H=inst.H, y=np.array([0.0, 1.0, bad, 0.0]), groups=inst.groups, channel=q,
+                sigma_x_sq=1.0,
+            )
+    ProblemInstance(
+        H=inst.H, y=np.array([0.0, 1.0, 1.0, 0.0]), groups=inst.groups, channel=q,
+        sigma_x_sq=1.0,
+    )
 
 
 def test_validate_parameter_ranges():
