@@ -362,8 +362,6 @@ def _sort_key(value):
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

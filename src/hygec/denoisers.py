@@ -82,32 +82,30 @@ def _std_trunc_moments(a, b):
     a, b = np.where(flip, -b, a), np.where(flip, -a, b)
 
     mixed = a < 0.0
-    if np.any(mixed):
-        am, bm = a[mixed], b[mixed]
-        z = 0.5 * (erf(bm / _SQRT2) - erf(am / _SQRT2))
-        phi_a = np.exp(-0.5 * am * am) / np.sqrt(2 * np.pi)
-        phi_b = np.exp(-0.5 * bm * bm) / np.sqrt(2 * np.pi)
-        a_phi_a = np.where(np.isinf(am), 0.0, am) * phi_a
-        b_phi_b = np.where(np.isinf(bm), 0.0, bm) * phi_b
-        mu = (phi_a - phi_b) / z
-        mean[mixed] = mu
-        var[mixed] = 1.0 + (a_phi_a - b_phi_b) / z - mu * mu
-        log_mass[mixed] = np.log(z)
+    am, bm = a[mixed], b[mixed]
+    z = 0.5 * (erf(bm / _SQRT2) - erf(am / _SQRT2))
+    phi_a = np.exp(-0.5 * am * am) / np.sqrt(2 * np.pi)
+    phi_b = np.exp(-0.5 * bm * bm) / np.sqrt(2 * np.pi)
+    a_phi_a = np.where(np.isinf(am), 0.0, am) * phi_a
+    b_phi_b = np.where(np.isinf(bm), 0.0, bm) * phi_b
+    mu = (phi_a - phi_b) / z
+    mean[mixed] = mu
+    var[mixed] = 1.0 + (a_phi_a - b_phi_b) / z - mu * mu
+    log_mass[mixed] = np.log(z)
 
     one_sided = ~mixed
-    if np.any(one_sided):
-        an, bn = a[one_sided], b[one_sided]
-        fin = np.isfinite(bn)
-        bs = np.where(fin, bn, an)  # placeholder where infinite
-        expo = 0.5 * (an - bs) * (an + bs)
-        e = np.where(fin, np.exp(expo), 0.0)
-        one_minus_e = np.where(fin, -np.expm1(expo), 1.0)
-        d = erfcx(an / _SQRT2) - e * erfcx(bs / _SQRT2)
-        mu = _SQRT_2_PI * one_minus_e / d
-        r2 = _SQRT_2_PI * (an - np.where(fin, bs * e, 0.0)) / d
-        mean[one_sided] = mu
-        var[one_sided] = np.maximum(1.0 + r2 - mu * mu, 0.0)
-        log_mass[one_sided] = -0.5 * an * an + np.log(0.5 * d)
+    an, bn = a[one_sided], b[one_sided]
+    fin = np.isfinite(bn)
+    bs = np.where(fin, bn, an)  # placeholder where infinite
+    expo = 0.5 * (an - bs) * (an + bs)
+    e = np.where(fin, np.exp(expo), 0.0)
+    one_minus_e = np.where(fin, -np.expm1(expo), 1.0)
+    d = erfcx(an / _SQRT2) - e * erfcx(bs / _SQRT2)
+    mu = _SQRT_2_PI * one_minus_e / d
+    r2 = _SQRT_2_PI * (an - np.where(fin, bs * e, 0.0)) / d
+    mean[one_sided] = mu
+    var[one_sided] = np.maximum(1.0 + r2 - mu * mu, 0.0)
+    log_mass[one_sided] = -0.5 * an * an + np.log(0.5 * d)
 
     return np.where(flip, -mean, mean), var, log_mass
 
@@ -133,11 +131,10 @@ def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
     beta = (upper - m) / sigma
     mu, var, log_mass = _std_trunc_moments(alpha, beta)
     slid = log_mass < _LOG_TINY_MASS
-    if np.any(slid):
-        # such a cell lies wholly on one side of the prior: its near edge is alpha or beta
-        a, b = alpha[slid], beta[slid]
-        shift = np.where(a > 0, a - _CLAMP_SIGMAS, b + _CLAMP_SIGMAS)
-        mu[slid], var[slid], _ = _std_trunc_moments(a - shift, b - shift)
+    # a slid cell lies wholly on one side of the prior: its near edge is alpha or beta
+    a, b = alpha[slid], beta[slid]
+    shift = np.where(a > 0, a - _CLAMP_SIGMAS, b + _CLAMP_SIGMAS)
+    mu[slid], var[slid], _ = _std_trunc_moments(a - shift, b - shift)
     s_mean = m + sigma * mu
     gamma = v / total
     return Moments(m + gamma * (s_mean - m), gamma * gamma * (total * var) + v * noise_var / total)

@@ -47,12 +47,9 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def geometric_spectrum(m: int, kappa: float) -> np.ndarray:
     """M singular values in geometric progression, max/min = kappa, sum of squares = M."""
-    if m == 1:
-        if kappa != 1:
-            raise InvalidParameter("a single singular value cannot realize kappa > 1")
-        return np.ones(1)
-    ratio = kappa ** (1.0 / (m - 1))
-    s = ratio ** np.arange(m - 1, -1, -1, dtype=float)
+    if m == 1 and kappa != 1:
+        raise InvalidParameter("a single singular value cannot realize kappa > 1")
+    s = np.geomspace(kappa, 1.0, m)
     return s * np.sqrt(m / np.sum(s**2))
 
 
@@ -102,29 +99,12 @@ def apply_channel(
     return out
 
 
-_SQUARES_LEAF = 1 << 16  # elements squared at a time: 512 KB, cache-sized
-
-
-def _sum_squares(flat: np.ndarray) -> float:
-    """``np.sum(flat**2)`` bit for bit, without an array the size of ``flat``.
-
-    Splits the way numpy's pairwise summation does (half, rounded down to a
-    multiple of 8), so each leaf's ``np.sum`` is one subtree of numpy's own.
-    """
-    if flat.size <= _SQUARES_LEAF:
-        return np.sum(np.square(flat))
-    half = flat.size // 2
-    half -= half % 8
-    return _sum_squares(flat[:half]) + _sum_squares(flat[half:])
-
-
 def signal_power(H: np.ndarray, rho: float, sigma_x_sq: float) -> float:
     """Per-measurement power of Hx for the group-sparse source: rho * sigma_x_sq * ||H||_F^2 / M.
 
-    ||H||_F^2 equals ``np.sum(H**2)`` bit for bit. It is summed over H in memory
-    order, a view for a contiguous H (a strided H is copied once, as H**2 was).
+    ||H||_F^2 is einsum's sum of squares: no copy of H in any layout, and no BLAS call.
     """
-    return rho * sigma_x_sq * float(_sum_squares(H.ravel(order="K"))) / H.shape[0]
+    return rho * sigma_x_sq * float(np.einsum("ij,ij->", H, H)) / H.shape[0]
 
 
 def snr_to_noise_var(H: np.ndarray, rho: float, sigma_x_sq: float, snr_db: float) -> float:

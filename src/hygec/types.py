@@ -39,6 +39,8 @@ class GroupStructure:
     group_sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if any(s % 1 != 0 for s in self.group_sizes):  # int() would truncate 2.5 to 2
+            raise GroupCoverage(f"group sizes must be whole numbers, not {self.group_sizes!r}")
         object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
         if len(self.group_sizes) < 1:
             raise GroupCoverage("need at least one group")
@@ -90,11 +92,15 @@ class Channel:
             raise InvalidParameter(f"unknown channel kind {self.kind!r}")
         if not self.noise_var >= 0:
             raise InvalidParameter("noise_var must be nonnegative")
+        if self.kind == "linear" and (self.bits is not None or self.clip_range is not None):
+            raise InvalidParameter("a linear channel takes no bits or clip_range")
         if self.kind == "quantized":
-            if self.bits is None or not 1 <= self.bits <= 16:  # 2^B cells are held in memory
-                raise InvalidParameter("quantized channel needs 1 <= bits <= 16")
+            # at most 16 bits: the 2^B cell edges are held in memory
+            if self.bits is None or self.bits % 1 != 0 or not 1 <= self.bits <= 16:
+                raise InvalidParameter("quantized channel needs whole bits, 1 <= bits <= 16")
             if self.clip_range is None or not self.clip_range > 0:
                 raise InvalidParameter("quantized channel needs clip_range > 0")
+            object.__setattr__(self, "bits", int(self.bits))
 
     @staticmethod
     def linear_awgn(noise_var: float) -> "Channel":
@@ -102,7 +108,7 @@ class Channel:
 
     @staticmethod
     def quantized(noise_var: float, bits: int, clip_range: float) -> "Channel":
-        return Channel("quantized", float(noise_var), int(bits), float(clip_range))
+        return Channel("quantized", float(noise_var), bits, float(clip_range))
 
     @property
     def n_cells(self) -> int:
@@ -144,10 +150,9 @@ class ProblemInstance:
     true_rho: float | None = None
 
     def __post_init__(self):  # the first violated invariant raises its named error
-        H = np.asarray(self.H)
-        if H.ndim != 2:
-            raise DimensionMismatch("H must be a 2-d matrix")
-        m, n = H.shape
+        if not isinstance(self.H, np.ndarray) or self.H.ndim != 2:
+            raise DimensionMismatch("H must be a 2-d numpy array")
+        m, n = self.H.shape
         if np.asarray(self.y).shape != (m,):
             raise DimensionMismatch(f"y must have length {m}")
         if self.groups.n != n:
@@ -158,6 +163,8 @@ class ProblemInstance:
             xi = np.asarray(self.xi_true)
             if xi.shape != (self.groups.k,):
                 raise DimensionMismatch(f"xi_true must have length {self.groups.k}")
+            if np.any((xi != 0) & (xi != 1)):
+                raise DimensionMismatch("xi_true must hold 0/1 group indicators")
             if self.x_true is not None:
                 bad = (np.asarray(self.x_true) != 0) & (xi[self.groups.group_of] == 0)
                 if np.any(bad):  # name the first such group

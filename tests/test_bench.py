@@ -362,6 +362,16 @@ def test_write_csv_exact_bytes(tmp_path):
     assert text[2] == "custom,1,,hygec-known-rho,1,,0.1,numerical_failure,1.0"
 
 
+def test_write_csv_writes_numpy_sweep_values_as_numbers(tmp_path):
+    sc = _scenario(sweep_param="mean", sweep_values=tuple(np.array([0.1])))
+    rows = run_trial(sc, 0, sc.sweep_values[0], "hygec-known-rho")
+    path = tmp_path / "out.csv"
+    write_csv(rows, str(path))
+    column = CSV_COLUMNS.index("sweep_value")
+    cells = {line.split(",")[column] for line in path.read_text().splitlines()[1:]}
+    assert cells == {"0.1"}
+
+
 def test_write_json_round_trips(tmp_path):
     rows = [_row(0, -10.0)]
     path = tmp_path / "out.json"
@@ -484,3 +494,11 @@ def test_import_rejects_tampered_instance(tmp_path):
     np.savez(fractional, **{**fields, "y": y})
     with pytest.raises(DimensionMismatch):
         import_instance(fractional)
+    half_bit = str(tmp_path / "half_bit.npz")
+    np.savez(half_bit, **{**fields, "bits": np.float64(2.5)})
+    with pytest.raises(InvalidParameter):  # not read as a 2-bit channel
+        import_instance(half_bit)
+    planted = str(tmp_path / "planted_two.npz")
+    np.savez(planted, **{**full, "xi_true": np.where(full["xi_true"] == 1, 2, 0)})
+    with pytest.raises(DimensionMismatch):  # a planted rate read from it would double
+        import_instance(planted)

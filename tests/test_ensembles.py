@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -173,7 +174,25 @@ def test_signal_power_is_the_sum_of_squares_bit_for_bit(m, n):
     H = gen_matrix(MatrixSpec("iid", m, n), np.random.default_rng(m))
     H += 0.1  # as build_instance shifts H on a mean sweep
     for A in (H, np.asfortranarray(H), H[:, ::2]):
-        assert signal_power(A, 0.1, 2.0) == 0.1 * 2.0 * float(np.sum(A**2)) / A.shape[0]
+        sq = float(np.einsum("ij,ij->", A, A))
+        assert signal_power(A, 0.1, 2.0) == 0.1 * 2.0 * sq / A.shape[0]
+        exact = math.fsum((A * A).ravel())  # the squares, summed with one rounding
+        assert abs(sq - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+def test_signal_power_copies_no_matrix(layout):
+    H = gen_matrix(MatrixSpec("iid", 1000, 2000), np.random.default_rng(7))
+    A = np.asfortranarray(H) if layout == "F" else H[:, ::2]
+    signal_power(A, 0.1, 2.0)  # warm-up, so first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        signal_power(A, 0.1, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of A, or its squares, would take the peak to A.nbytes
+    assert peak < 0.1 * A.nbytes, f"peak {peak / A.nbytes:.2f} times the bytes of A"
 
 
 def test_iid_matrix_is_the_scaled_draw_bit_for_bit():
@@ -194,7 +213,7 @@ def test_mean_sweep_instance_is_the_two_matrix_recipe_bit_for_bit(bits):
             base = np.random.default_rng([seed, _ROLE_MATRIX]).standard_normal((sc.m, sc.n))
             base = 0.0 + base / np.sqrt(sc.m)
             H = base + mean if mean != 0.0 else base
-            power = sc.rho * sc.sigma_x_sq * float(np.sum(base**2)) / sc.m
+            power = sc.rho * sc.sigma_x_sq * float(np.einsum("ij,ij->", base, base)) / sc.m
             noise_var = power / 10.0 ** (sc.snr_db / 10.0)
             x, _ = gen_group_sparse_signal(GroupStructure.even(sc.n, sc.k), sc.rho, sc.sigma_x_sq,
                                            np.random.default_rng([seed, _ROLE_SIGNAL]))
@@ -203,7 +222,7 @@ def test_mean_sweep_instance_is_the_two_matrix_recipe_bit_for_bit(bits):
             if bits is None:
                 channel = Channel.linear_awgn(noise_var)
             else:
-                shifted = sc.rho * sc.sigma_x_sq * float(np.sum(H**2)) / sc.m
+                shifted = sc.rho * sc.sigma_x_sq * float(np.einsum("ij,ij->", H, H)) / sc.m
                 channel = Channel.quantized(noise_var, bits, 3.0 * np.sqrt(shifted + noise_var))
                 y = channel.quantize(y)
             assert np.array_equal(inst.H, H)
@@ -212,8 +231,8 @@ def test_mean_sweep_instance_is_the_two_matrix_recipe_bit_for_bit(bits):
 
 
 def test_build_instance_peak_memory_is_one_matrix():
-    # the draw is scaled and shifted in place and its power summed in
-    # cache-sized blocks; an m x n temporary (H**2, or a shifted copy of the
+    # the draw is scaled and shifted in place and its power summed by
+    # einsum; an m x n temporary (H**2, or a shifted copy of the
     # base) takes the peak to about twice the bytes of H
     sc = Scenario(name="mean-sweep", m=1000, n=2000, k=100, rho=0.1, snr_db=12.0, seeds=(0,),
                   sweep_param="mean", sweep_values=(0.2,))

@@ -43,6 +43,10 @@ def test_group_structure_even_split():
         GroupStructure(())
     with pytest.raises(GroupCoverage):
         GroupStructure((2, 0, 1))
+    for fractional in ((2.5, 1.5), (2, np.nan)):  # int() would truncate, or fail unnamed
+        with pytest.raises(GroupCoverage):
+            GroupStructure(fractional)
+    assert GroupStructure((np.int64(2), 1.0)).group_sizes == (2, 1)
 
 
 def test_channel_construction_and_validation():
@@ -62,6 +66,13 @@ def test_channel_construction_and_validation():
     Channel.quantized(0.1, 16, 1.0)
     with pytest.raises(InvalidParameter):  # 2^17 cells: rejected before any edge is built
         Channel.quantized(0.1, 17, 1.0)
+    with pytest.raises(InvalidParameter):  # not truncated to a 2-bit channel
+        Channel.quantized(0.1, 2.5, 1.0)
+    assert Channel.quantized(0.1, np.float64(2.0), 3.0).n_cells == 4
+    with pytest.raises(InvalidParameter):  # a linear run would ignore both
+        Channel("linear", 0.1, 3, 2.0)
+    with pytest.raises(InvalidParameter):
+        Channel("linear", 0.1, clip_range=2.0)
 
 
 def test_quantizer_edges_layout():
@@ -141,6 +152,12 @@ def test_validate_dimension_mismatch():
         )
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(inst, y=inst.y[:-1])
+    with pytest.raises(DimensionMismatch):  # inst.m would fail on a list
+        dataclasses.replace(inst, H=inst.H.tolist())
+    for xi in ([2, 0], [1, -1], [0.5, 0]):  # a rate taken as their mean would be wrong
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(inst, xi_true=np.array(xi))
+    dataclasses.replace(inst, xi_true=np.array([True, False]))
 
 
 def test_validate_group_coverage():
