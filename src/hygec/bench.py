@@ -11,7 +11,7 @@ import numbers
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -62,13 +62,21 @@ class IoError(HygecError):
     pass
 
 
-def _require(name: str, values, kind, what: str) -> None:
-    # bool subclasses int, but true is no count, seed or rate; JSON also
-    # reads NaN and Infinity, which no field takes
-    bad = [v for v in values
-           if isinstance(v, bool) or not isinstance(v, kind) or not -math.inf < v < math.inf]
-    if bad:
-        raise InvalidParameter(f"{name} must be {what}, not {bad[0]!r}")
+def _check_numbers(obj, prefix: str = "") -> None:
+    """Refuse a wrong-typed value in each `int` or `float` field of a dataclass,
+    and of each dataclass it holds (as `field.sub`), by the field's annotation:
+    `X`, `X | None` or `tuple[X, ...]`. A JSON file may hold any type, NaN and
+    Infinity too; and true, though a bool, is no count, seed or rate."""
+    for f in fields(obj):
+        name, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_numbers(value, name + ".")
+        kind = f.type.removesuffix(" | None").removeprefix("tuple[").removesuffix(", ...]")
+        if kind in ("int", "float") and value is not None:
+            cls = numbers.Integral if kind == "int" else numbers.Real
+            for v in value if f.type.startswith("tuple[") else [value]:
+                if isinstance(v, bool) or not isinstance(v, cls) or not -math.inf < v < math.inf:
+                    raise InvalidParameter(f"{name} must be a finite {kind}, not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -93,20 +101,7 @@ class Scenario:
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
-        # a JSON file may hold any type; a wrong one would fail deep in a run or be truncated
-        for name in ("m", "n", "k"):
-            _require(name, [getattr(self, name)], numbers.Integral, "an integer")
-        for name in ("rho", "snr_db", "sigma_x_sq", "rho_init", "matrix_mean", "kappa"):
-            _require(name, [getattr(self, name)], numbers.Real, "a finite real number")
-        _require("bits", [] if self.bits is None else [self.bits], numbers.Integral, "an integer")
-        _require("seeds", self.seeds, numbers.Integral, "integers")
-        _require("sweep_values", self.sweep_values, numbers.Real, "finite real numbers")
-        for block, cfg in (("engine", self.engine), ("em", self.em)):
-            for f in fields(cfg):
-                integral = f.type == "int"  # the config modules keep annotations as strings
-                _require(f"{block}.{f.name}", [getattr(cfg, f.name)],
-                         numbers.Integral if integral else numbers.Real,
-                         "an integer" if integral else "a finite real number")
+        _check_numbers(self)
         if any(seed < 0 for seed in self.seeds):
             raise InvalidParameter(f"seeds must be nonnegative, not {self.seeds!r}")
         if self.name not in SCENARIO_NAMES:
@@ -151,12 +146,12 @@ class Scenario:
         if unknown:
             raise InvalidParameter(f"unknown scenario fields: {sorted(unknown)}")
         try:
-            engine = HygecConfig(**d.pop("engine", {}))
-            em = EmConfig(**d.pop("em", {}))
-            for key in ("seeds", "algorithms", "sweep_values"):
-                if key in d:
-                    d[key] = tuple(d[key])
-            return Scenario(engine=engine, em=em, **d)
+            for f in fields(Scenario):
+                if f.name in d and f.type.startswith("tuple["):
+                    d[f.name] = tuple(d[f.name])
+                elif f.name in d and is_dataclass(f.default_factory):  # the engine and em blocks
+                    d[f.name] = f.default_factory(**d[f.name])
+            return Scenario(**d)
         except TypeError as exc:  # a missing field, or a value of the wrong type
             raise InvalidParameter(f"malformed scenario: {exc}") from exc
 
@@ -391,35 +386,44 @@ def write_json(rows: list[dict], summary: list[dict], path: str | None) -> None:
         fh.write("\n")
 
 
+def _entries(obj) -> dict:
+    """The fields of a dataclass that are not None, by name, with each dataclass
+    it holds spread into its own fields: the members of an instance archive.
+    `Channel.kind` keeps its schema-1 name `channel_kind`, and a `float` field
+    is written as float64 even when it holds a whole number."""
+    entries = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            entries.update(_entries(value))
+        elif value is not None:
+            name = "channel_kind" if f.name == "kind" else f.name
+            entries[name] = np.float64(value) if f.type.startswith("float") else value
+    return entries
+
+
 def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -> None:
-    """Lossless npz dump of an instance, tagged with a schema version.
+    """Lossless npz dump of an instance (see `_entries`), tagged with a schema
+    version and, if given, the seed it was drawn from.
 
     Writes to `path` as given: np.savez would add ".npz" to a bare name."""
-    payload = {
-        "schema_version": np.int64(SCHEMA_VERSION),
-        "H": inst.H,
-        "y": inst.y,
-        "group_sizes": np.asarray(inst.groups.group_sizes, dtype=np.int64),
-        "channel_kind": np.array(inst.channel.kind),
-        "noise_var": np.float64(inst.channel.noise_var),
-        "sigma_x_sq": np.float64(inst.sigma_x_sq),
-    }
-    if inst.channel.kind == "quantized":
-        payload["bits"] = np.int64(inst.channel.bits)
-        payload["clip_range"] = np.float64(inst.channel.clip_range)
-    if inst.x_true is not None:
-        payload["x_true"] = inst.x_true
-    if inst.xi_true is not None:
-        payload["xi_true"] = np.asarray(inst.xi_true, dtype=np.int64)
-    if inst.true_rho is not None:
-        payload["true_rho"] = np.float64(inst.true_rho)
+    payload = {"schema_version": SCHEMA_VERSION, **_entries(inst)}
     if seed is not None:
-        payload["seed"] = np.int64(seed)
+        payload["seed"] = seed
     try:
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def _from_entries(cls, data: dict, **given):
+    """A dataclass from the archive entries named after its fields, and `given`.
+    An entry for a field not annotated as an array is read as a scalar."""
+    for f in fields(cls):
+        if f.name in data and f.name not in given:
+            given[f.name] = data[f.name] if "ndarray" in f.type else data[f.name].item()
+    return cls(**given)
 
 
 def import_instance(path: str) -> ProblemInstance:
@@ -432,22 +436,10 @@ def import_instance(path: str) -> ProblemInstance:
     except Exception as exc:  # zipfile, zlib and numpy each have their own errors for bad bytes
         raise SchemaMismatch(f"{path}: not an instance file ({exc})") from exc
     try:
-        if "schema_version" not in data or int(data["schema_version"]) != SCHEMA_VERSION:
+        if "schema_version" not in data or data["schema_version"].item() != SCHEMA_VERSION:
             raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
-        kind = data["channel_kind"].item()
-        if kind == "quantized":
-            channel = Channel.quantized(data["noise_var"], data["bits"], data["clip_range"])
-        else:
-            channel = Channel(kind, float(data["noise_var"]))
-        return ProblemInstance(
-            H=data["H"],
-            y=data["y"],
-            groups=GroupStructure(data["group_sizes"].astype(np.int64, casting="safe")),
-            channel=channel,
-            sigma_x_sq=float(data["sigma_x_sq"]),
-            x_true=data.get("x_true"),
-            xi_true=data.get("xi_true"),
-            true_rho=float(data["true_rho"]) if "true_rho" in data else None,
-        )
+        groups = GroupStructure(data["group_sizes"].astype(np.int64, casting="safe"))
+        channel = _from_entries(Channel, data, kind=data["channel_kind"].item())
+        return _from_entries(ProblemInstance, data, groups=groups, channel=channel)
     except (KeyError, TypeError, ValueError) as exc:  # a field missing or malformed
         raise SchemaMismatch(f"{path}: missing or malformed field: {exc!r}") from exc

@@ -46,9 +46,8 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def geometric_spectrum(m: int, kappa: float) -> np.ndarray:
-    """M singular values in geometric progression, max/min = kappa, sum of squares = M."""
-    if m == 1 and kappa != 1:
-        raise InvalidParameter("a single singular value cannot realize kappa > 1")
+    """M singular values in geometric progression, max/min = kappa, sum of squares = M;
+    a checked `MatrixSpec` never asks for one value with kappa > 1."""
     s = np.geomspace(kappa, 1.0, m)
     return s * np.sqrt(m / np.sum(s**2))
 

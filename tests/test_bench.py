@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,34 @@ def test_scenario_validation():
     ):
         with pytest.raises(InvalidParameter, match=name):
             _scenario(**bad)
+
+
+# each field annotated int, float, X | None or tuple[X, ...] of those, with the
+# block it sits in: a new field is covered without editing this list
+_NUMBER_FIELDS = [
+    (block, cls, f)
+    for block, cls in (("", Scenario), ("engine", HygecConfig), ("em", EmConfig))
+    for f in dataclasses.fields(cls)
+    if re.fullmatch(r"(tuple\[)?(int|float)(, \.\.\.\])?( \| None)?", f.type)
+]
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, "1"], ids=["true", "nan", "text"])
+@pytest.mark.parametrize("block, cls, f", _NUMBER_FIELDS,
+                         ids=[f"{b}.{f.name}".lstrip(".") for b, _, f in _NUMBER_FIELDS])
+def test_scenario_refuses_a_wrong_typed_number_by_name(block, cls, f, bad):
+    value = (bad,) if f.type.startswith("tuple[") else bad
+    if block:
+        # planted past the option block's own range checks, which a string or
+        # NaN can trip first: the scenario check must name every field
+        cfg = cls()
+        object.__setattr__(cfg, f.name, value)
+        overrides = {block: cfg}
+    else:
+        overrides = {f.name: value}
+    name = f"{block}.{f.name}".lstrip(".")
+    with pytest.raises(InvalidParameter, match=rf"^{re.escape(name)} must be "):
+        _scenario(**overrides)
 
 
 def test_full_scenarios_scale_their_desk_twins():
@@ -394,22 +423,38 @@ def test_repeated_runs_are_identical_apart_from_timing(tmp_path):
     assert _strip_wall(a.read_text()) == _strip_wall(b.read_text())
 
 
-def test_export_import_round_trip(tmp_path):
-    sc = _scenario(bits=2)
-    inst = build_instance(sc, 7, None)
+# the members of a schema-1 archive and their dtypes, as every earlier release
+# wrote them; "y" holds cell indices on a quantized channel, and a linear
+# archive has no "bits" or "clip_range"
+_SCHEMA_1 = {
+    "schema_version": "int64", "H": "float64", "y": "float64", "group_sizes": "int64",
+    "channel_kind": "<U6", "noise_var": "float64", "bits": "int64", "clip_range": "float64",
+    "sigma_x_sq": "float64", "x_true": "float64", "xi_true": "int64", "true_rho": "float64",
+    "seed": "int64",
+}
+
+
+@pytest.mark.parametrize("bits", [None, 2], ids=["linear", "2-bit"])
+def test_export_import_round_trip(tmp_path, bits):
+    inst = build_instance(_scenario(bits=bits), 7, None)
     path = str(tmp_path / "inst.npz")
     export_instance(inst, path, seed=7)
+    with np.load(path) as archive:
+        members = {key: archive[key].dtype for key in archive.files}
+    if bits is None:
+        schema = {k: v for k, v in _SCHEMA_1.items() if k not in ("bits", "clip_range")}
+    else:
+        schema = {**_SCHEMA_1, "y": "int64", "channel_kind": "<U9"}
+    assert members == {k: np.dtype(v) for k, v in schema.items()}
     back = import_instance(path)
-    assert np.array_equal(back.H, inst.H)
-    assert np.array_equal(back.y, inst.y)
-    assert back.groups.group_sizes == inst.groups.group_sizes
-    assert back.channel.kind == "quantized"
-    assert back.channel.bits == 2
-    assert back.channel.noise_var == inst.channel.noise_var
-    assert back.channel.clip_range == inst.channel.clip_range
-    assert np.array_equal(back.x_true, inst.x_true)
-    assert np.array_equal(back.xi_true, inst.xi_true)
-    assert back.true_rho == inst.true_rho
+    for obj, got in ((inst, back), (inst.channel, back.channel)):
+        for f in dataclasses.fields(obj):
+            want, have = getattr(obj, f.name), getattr(got, f.name)
+            assert type(have) is type(want), f.name
+            if isinstance(want, np.ndarray):
+                assert have.dtype == want.dtype and np.array_equal(have, want), f.name
+            else:
+                assert have == want, f.name
 
 
 def test_import_rejects_wrong_schema(tmp_path):
@@ -498,6 +543,10 @@ def test_import_rejects_tampered_instance(tmp_path):
     np.savez(half_bit, **{**fields, "bits": np.float64(2.5)})
     with pytest.raises(InvalidParameter):  # not read as a 2-bit channel
         import_instance(half_bit)
+    linear_bits = str(tmp_path / "linear_bits.npz")
+    np.savez(linear_bits, **{**full, "bits": np.int64(3), "clip_range": np.float64(2.0)})
+    with pytest.raises(InvalidParameter, match="linear channel takes no bits"):  # not dropped
+        import_instance(linear_bits)
     planted = str(tmp_path / "planted_two.npz")
     np.savez(planted, **{**full, "xi_true": np.where(full["xi_true"] == 1, 2, 0)})
     with pytest.raises(DimensionMismatch):  # a planted rate read from it would double

@@ -467,6 +467,25 @@ def test_direct_sweeps_and_run_take_one_path(bits):
     assert np.array_equal(x_pos, st.x_pos)
 
 
+@pytest.mark.parametrize("bits", [None, 2])
+def test_run_is_invariant_to_group_relabelling(bits):
+    # shuffling whole equal-size groups, with H's column blocks, permutes x_hat
+    # and leaves the sweep count alone
+    for seed in range(6):
+        inst = _instance(seed, 100, 200, 20, 0.2, 15.0, bits=bits)
+        groups = inst.groups
+        order = np.random.default_rng(seed).permutation(groups.k)
+        perm = np.concatenate([np.flatnonzero(groups.group_of == kk) for kk in order])
+        moved = ProblemInstance(inst.H[:, perm], inst.y, groups, inst.channel, inst.sigma_x_sq,
+                                inst.x_true[perm], inst.xi_true[order], inst.true_rho)
+        *_, x_pos, report = hygec_run(inst, 0.2)
+        *_, x_moved, report_moved = hygec_run(moved, 0.2)
+        assert report.termination == report_moved.termination == CONVERGED, seed
+        assert report_moved.inner_counts == report.inner_counts, seed
+        rel = np.linalg.norm(x_moved - x_pos[perm]) / np.linalg.norm(x_pos)
+        assert rel < 1e-12, f"seed {seed}: {rel:.2e}"
+
+
 def test_run_matches_exact_posterior_on_tiny_instances():
     # 50 undamped-start sweeps on 6x8 problems land within 1e-3 RMS of the
     # full 2^4-pattern enumeration at this SNR

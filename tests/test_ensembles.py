@@ -62,8 +62,8 @@ def test_conditioned_spectrum_constraints():
 
 def test_geometric_spectrum_edge_cases():
     assert geometric_spectrum(1, 1.0).tolist() == [1.0]
-    with pytest.raises(InvalidParameter):
-        geometric_spectrum(1, 2.0)
+    with pytest.raises(InvalidParameter):  # one singular value cannot realize kappa > 1
+        MatrixSpec("conditioned", 1, 4, kappa=2.0)
 
 
 def test_signal_support_is_groupwise():
