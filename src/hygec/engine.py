@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from ._lapack import blas, lapack
 from .denoisers import (
     Moments,
     channel_posterior,
@@ -113,7 +113,9 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     zero-fills it, so its upper triangle needs no clean. Every call is a direct
     scipy BLAS or LAPACK routine: a numpy matvec would wake numpy's own OpenBLAS
     thread pool, which then spins through scipy's factorizations on the same
-    cores. dgemv reads H.T in place, as it is Fortran-ordered for a C-ordered H.
+    cores. `_lapack` loads them without the scipy.linalg package, so a linear
+    run never imports it. dgemv reads H.T in place, as it is Fortran-ordered
+    for a C-ordered H.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
@@ -244,26 +246,3 @@ def hygec_run(
     report.inner_counts = [state.t]
     return state.m_x_lik, state.v_x_lik, state.rho_hat, state.x_pos, report
 
-
-def gaussian_reproduction_residuals(
-    state: GecState, cfg: HygecConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals of the product identity at the current state.
-
-    Combining the prior-side and likelihood-side x messages should reproduce
-    the stored posterior moments once the run has settled. Returns
-    (mean_residual, var_residual, clamped) where `clamped` flags elements whose
-    variances sit at `cfg`'s clamp bounds (the identity is not expected there).
-    """
-    prec = 1.0 / state.v_x_pri + 1.0 / state.v_x_lik
-    v_comb = 1.0 / prec
-    m_comb = v_comb * (state.m_x_pri / state.v_x_pri + state.m_x_lik / state.v_x_lik)
-    slack = 1.0 + 1e-6
-    clamped = (
-        (state.v_x_pri <= cfg.v_min * slack)
-        | (state.v_x_pri >= cfg.v_max / slack)
-        | (state.v_x_lik <= cfg.v_min * slack)
-        | (state.v_x_lik >= cfg.v_max / slack)
-        | (state.v_x_pos <= cfg.v_min * slack)
-    )
-    return np.abs(m_comb - state.x_pos), np.abs(v_comb - state.v_x_pos), clamped

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
+from ._lapack import blas
 from .types import Channel, GroupStructure, InvalidParameter
 
 
@@ -87,8 +87,9 @@ def apply_channel(
     """Push x through the channel: y = Hx + w, optionally quantized to cell indices.
 
     Noise is drawn even when noise_var == 0 so streams match across noise levels.
-    Hx comes from scipy's BLAS, as in the engine's LMMSE step, so building an
-    instance does not wake numpy's BLAS thread pool right before a solve.
+    Hx comes from scipy's BLAS, loaded through `_lapack` as in the engine's
+    LMMSE step, so building an instance does not wake numpy's BLAS thread pool
+    right before a solve, nor import the scipy.linalg package.
     """
     z = blas.dgemv(1.0, H.T, x, trans=1)
     w = rng.standard_normal(z.shape[0]) * np.sqrt(channel.noise_var)

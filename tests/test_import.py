@@ -1,9 +1,14 @@
-"""A linear solve loads neither scipy.special nor a process pool."""
+"""A linear solve loads neither scipy.linalg nor scipy.special nor a process pool."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from hygec._lapack import _load
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -16,13 +21,55 @@ from hygec.bench import Scenario, build_instance
 inst = build_instance(Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=20.0, seeds=(0,)), 0, None)
 hygec.engine.hygec_run(inst, 0.25)
 hygec.em.em_hygec_run(inst, 0.1)
+assert "scipy.linalg" not in sys.modules, "a linear solve loaded scipy.linalg"
 assert "scipy.special" not in sys.modules, "a linear solve loaded scipy.special"
 assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
 """
 
+# argv[1] says whether scipy.linalg is imported before or after the package;
+# prints the bits of one desk-size x̂
+_ORDER_PROBE = """
+import sys
+if sys.argv[1] == "before":
+    import scipy.linalg
+import hygec.engine, hygec.ensembles
+import scipy.linalg
+from hygec.bench import Scenario, build_instance
 
-def test_linear_solve_loads_no_scipy_special_and_no_process_pool():
+assert hygec.engine.lapack.dpotrf is scipy.linalg.lapack.dpotrf
+assert hygec.ensembles.blas.dgemv is scipy.linalg.blas.dgemv
+inst = build_instance(Scenario(name="custom", m=200, n=400, k=20, rho=0.1, snr_db=10.0, seeds=(0,)), 0, None)
+print(hygec.engine.hygec_run(inst, 0.1)[3].tobytes().hex())
+"""
+
+
+def _fresh(*args):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env={**os.environ, "PYTHONPATH": path},
+    out = subprocess.run([sys.executable, "-c", *args], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_linear_solve_loads_no_scipy_linalg_scipy_special_or_process_pool():
+    _fresh(_PROBE)
+
+
+def test_one_copy_of_the_wrappers_in_either_import_order():
+    # the engine's routines are scipy.linalg's own objects, whichever loads
+    # first, so the results cannot depend on the order
+    assert _fresh(_ORDER_PROBE, "before") == _fresh(_ORDER_PROBE, "after")
+
+
+def test_no_module_imports_scipy_linalg():
+    for path in sorted((SRC / "hygec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert not [n for n in names if n.startswith("scipy.linalg")], path.name
+
+
+def test_missing_wrapper_is_named():
+    with pytest.raises(ImportError, match=r"_no_such_wrapper\.\*"):
+        _load("_no_such_wrapper")
