@@ -1,7 +1,7 @@
 """scipy's compiled BLAS and LAPACK wrappers, loaded without the scipy.linalg package.
 
 scipy/linalg/__init__.py loads scipy's array-API layer (numpy.testing,
-unittest and some 300 more modules, about 27 MB) that the engine never calls;
+unittest and some 300 more modules, about 23 MB) that the engine never calls;
 its routines live in the extension modules _fblas and _flapack, which need
 only numpy. Both are registered under their scipy names, so the process holds
 one copy whether this module or `import scipy.linalg` runs first.
