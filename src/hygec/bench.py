@@ -6,8 +6,6 @@ the oracle."""
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import sys
 import time
 from contextlib import contextmanager
@@ -35,6 +33,7 @@ from .types import (
     InvalidParameter,
     NUMERICAL_FAILURE,
     ProblemInstance,
+    _check_numbers,
 )
 
 SCENARIO_NAMES = ("iteration-trace", "condition-sweep", "mean-sweep", "rho-learning", "custom")
@@ -60,23 +59,6 @@ class SchemaMismatch(HygecError):
 
 class IoError(HygecError):
     pass
-
-
-def _check_numbers(obj, prefix: str = "") -> None:
-    """Refuse a wrong-typed value in each `int` or `float` field of a dataclass,
-    and of each dataclass it holds (as `field.sub`), by the field's annotation:
-    `X`, `X | None` or `tuple[X, ...]`. A JSON file may hold any type, NaN and
-    Infinity too; and true, though a bool, is no count, seed or rate."""
-    for f in fields(obj):
-        name, value = prefix + f.name, getattr(obj, f.name)
-        if is_dataclass(value):
-            _check_numbers(value, name + ".")
-        kind = f.type.removesuffix(" | None").removeprefix("tuple[").removesuffix(", ...]")
-        if kind in ("int", "float") and value is not None:
-            cls = numbers.Integral if kind == "int" else numbers.Real
-            for v in value if f.type.startswith("tuple[") else [value]:
-                if isinstance(v, bool) or not isinstance(v, cls) or not -math.inf < v < math.inf:
-                    raise InvalidParameter(f"{name} must be a finite {kind}, not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +132,10 @@ class Scenario:
                 if f.name in d and f.type.startswith("tuple["):
                     d[f.name] = tuple(d[f.name])
                 elif f.name in d and is_dataclass(f.default_factory):  # the engine and em blocks
-                    d[f.name] = f.default_factory(**d[f.name])
+                    try:
+                        d[f.name] = f.default_factory(**d[f.name])
+                    except InvalidParameter as exc:
+                        raise InvalidParameter(f"{f.name}.{exc}") from exc
             return Scenario(**d)
         except TypeError as exc:  # a missing field, or a value of the wrong type
             raise InvalidParameter(f"malformed scenario: {exc}") from exc

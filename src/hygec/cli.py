@@ -28,7 +28,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 def _cmd_run(args) -> int:
     scenario = bench.Scenario.from_json(args.scenario)
-    if args.seeds:
+    if args.seeds is not None:
         scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
     rows = bench.run_scenario(scenario, threads=args.threads)
     summary = bench.summarize(rows)

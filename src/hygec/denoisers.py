@@ -25,22 +25,14 @@ _LOG_TINY_MASS = np.log(1e-300)
 # recomputes its moments with the near edge slid back to this distance.
 _CLAMP_SIGMAS = 37.0
 
-PROB_FLOOR = 1e-15
+# activity log-odds are capped at the odds of 1 - 1e-15 against 1e-15
+LLR_CAP = np.log((1.0 - 1e-15) / 1e-15)
 
 
 def _expit(x):
     # scipy.special.expit's formula; exp(-x) overflows to inf for x < -709, giving 0
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def _logit(p):
-    # scipy.special.logit's formula: near p = 1/2 the log1p pair keeps the digits
-    # that log(p / (1 - p)) would cancel; both branches are evaluated, and the
-    # unused one reaches log1p(-1) = -inf once p is within 1e-16 of 0 or 1
-    s = 2.0 * (p - 0.5)
-    with np.errstate(divide="ignore"):
-        return np.where((p >= 0.3) & (p <= 0.65), np.log1p(s) - np.log1p(-s), np.log(p / (1.0 - p)))
 
 
 class Moments(NamedTuple):
@@ -155,20 +147,18 @@ def _element_llr(m_x_lik, v_x_lik, sigma_x_sq):
     return 0.5 * (np.log(v) - np.log(total)) + 0.5 * m * m * (1.0 / v - 1.0 / total)
 
 
-def x_posterior_spike_slab(m, v, rho_hat, sigma_x_sq) -> tuple[Moments, np.ndarray]:
-    """Posterior under the prior rho*N(0, sigma_x_sq) + (1-rho)*delta(0).
+def x_posterior_spike_slab(m, v, prior_llr, sigma_x_sq) -> tuple[Moments, np.ndarray]:
+    """Posterior under the prior rho*N(0, sigma_x_sq) + (1-rho)*delta(0), given
+    as the prior log-odds log(rho / (1 - rho)).
 
-    Returns the moments and the posterior activity probability pi.
+    Returns the moments and the posterior activity probability pi. Prior
+    log-odds of -inf or +inf give pi exactly 0 or 1.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
-    rho_hat = np.asarray(rho_hat, dtype=float)
     if np.any(v <= 0):
         raise InvalidParameter("v must be positive")
-    llr_ev = _element_llr(m, v, sigma_x_sq)  # the slab-vs-spike evidence ratio
-    safe_rho = np.clip(rho_hat, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pi = _expit(_logit(safe_rho) + llr_ev)
-    pi = np.where(rho_hat == 0.0, 0.0, np.where(rho_hat == 1.0, 1.0, pi))
+    pi = _expit(prior_llr + _element_llr(m, v, sigma_x_sq))  # plus the slab-vs-spike evidence
     total = sigma_x_sq + v
     mu_slab = m * sigma_x_sq / total
     v_slab = sigma_x_sq * v / total
@@ -202,18 +192,18 @@ def _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure):
     if np.any(np.asarray(v_x_lik, dtype=float) <= 0):
         raise InvalidParameter("v_x_lik must be positive")
     llr_in = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
-    return llr_in, _logit(rho) + np.add.reduceat(llr_in, groups.offsets)
+    return llr_in, np.log(rho) - np.log1p(-rho) + np.add.reduceat(llr_in, groups.offsets)
 
 
 def llr_messages(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:
-    """Per-element activity probabilities from the indicator subgraph.
+    """Per-element prior activity log-odds from the indicator subgraph, capped
+    at +-LLR_CAP; `x_posterior_spike_slab` takes them as they are.
 
     Each element receives the group belief minus its own contribution (the
     extrinsic rule), so its own evidence never feeds back to itself.
     """
     llr_in, llr_k = _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
-    llr_out = llr_k[groups.group_of] - llr_in
-    return np.clip(_expit(llr_out), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return np.clip(llr_k[groups.group_of] - llr_in, -LLR_CAP, LLR_CAP)
 
 
 def indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure) -> np.ndarray:

@@ -17,6 +17,7 @@ from .types import (
     InvalidParameter,
     ProblemInstance,
     RecoveryReport,
+    _check_numbers,
 )
 
 RHO_FLOOR = 1e-6
@@ -28,6 +29,7 @@ class EmConfig:
     tol: float = 1e-6  # on the rate's last move
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.max_outer < 1:
             raise InvalidParameter("max_outer must be positive")
         if not self.tol > 0:

@@ -26,6 +26,7 @@ from .types import (
     InvalidParameter,
     ProblemInstance,
     RecoveryReport,
+    _check_numbers,
 )
 
 
@@ -46,6 +47,7 @@ class HygecConfig:
     v_max: float = 1e11
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be positive")
         if not self.tol > 0:
@@ -57,7 +59,7 @@ class HygecConfig:
 
 
 def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
-    """Fresh message state: zero means, prior-level variances, activity at rho.
+    """Fresh message state: zero means, prior-level variances, activity log-odds of rho.
 
     The z-prior variance is the signal power plus the noise variance, the
     x-side variances rho * sigma_x_sq.
@@ -83,7 +85,7 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
         v_x_pri=np.full(n, np.clip(v_x0, cfg.v_min, cfg.v_max)),
         m_x_lik=np.zeros(n),
         v_x_lik=np.full(n, cfg.v_max),
-        rho_hat=np.full(n, rho),
+        llr_hat=np.full(n, np.log(rho) - np.log1p(-rho)),
         x_pos=np.zeros(n),
         v_x_pos=np.full(n, np.clip(v_x0, cfg.v_min, cfg.v_max)),
         gram=lmmse_gram(inst.H, np.full(m, v_z_lik)) if linear else None,
@@ -179,7 +181,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     state.m_x_lik, state.v_x_lik = _damp(ext, state.m_x_lik, state.v_x_lik, damp)
 
     (x_mean, x_var), _pi = x_posterior_spike_slab(
-        state.m_x_lik, state.v_x_lik, state.rho_hat, inst.sigma_x_sq
+        state.m_x_lik, state.v_x_lik, state.llr_hat, inst.sigma_x_sq
     )
     state.x_pos = x_mean
     state.v_x_pos = np.maximum(x_var, cfg.v_min)  # spike-heavy elements hit zero variance
@@ -200,9 +202,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
         )
         state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
 
-    state.rho_hat = llr_messages(
-        state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups
-    )
+    state.llr_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
 
     if not state.all_finite():
         raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
@@ -218,7 +218,8 @@ def hygec_run(
     """Run sweeps from a fresh state until the posterior mean stops moving or
     the budget runs out.
 
-    Returns (m_x_lik, v_x_lik, rho_hat, x_pos, report). The report's rate
+    Returns (m_x_lik, v_x_lik, llr_hat, x_pos, report), where llr_hat holds
+    the per-element prior activity log-odds of the last sweep. The report's rate
     trace is [rho] and its one inner count is `state.t`, the completed sweeps.
     Numerical trouble is recorded in report.termination, with its cause and
     sweep in report.failure, rather than raised, so parameter sweeps can keep
@@ -244,5 +245,5 @@ def hygec_run(
             break
 
     report.inner_counts = [state.t]
-    return state.m_x_lik, state.v_x_lik, state.rho_hat, state.x_pos, report
+    return state.m_x_lik, state.v_x_lik, state.llr_hat, state.x_pos, report
 

@@ -118,7 +118,8 @@ def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
         m = rng.uniform(-50, 50)
         rho = rng.uniform(0.01, 0.99)
         sx = 10.0 ** rng.uniform(-2, 2)
-        pos, pi = x_posterior_spike_slab(np.array([m]), np.array([v]), rho, sx)
+        prior_llr = np.log(rho) - np.log1p(-rho)
+        pos, pi = x_posterior_spike_slab(np.array([m]), np.array([v]), prior_llr, sx)
         log_on = np.log(rho) - 0.5 * np.log(2 * np.pi * (v + sx)) - m**2 / (2 * (v + sx))
         log_off = np.log1p(-rho) - 0.5 * np.log(2 * np.pi * v) - m**2 / (2 * v)
         p_on = np.exp(log_on - logsumexp([log_on, log_off]))

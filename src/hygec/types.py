@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+import numbers
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +32,23 @@ class SupportViolation(HygecError):
 
 class InvalidParameter(HygecError):
     pass
+
+
+def _check_numbers(obj, prefix: str = "") -> None:
+    """Refuse a wrong-typed value in each `int` or `float` field of a dataclass,
+    and of each dataclass it holds (as `field.sub`), by the field's annotation:
+    `X`, `X | None` or `tuple[X, ...]`. A JSON file may hold any type, NaN and
+    Infinity too; and true, though a bool, is no count, seed or rate."""
+    for f in fields(obj):
+        name, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_numbers(value, name + ".")
+        kind = f.type.removesuffix(" | None").removeprefix("tuple[").removesuffix(", ...]")
+        if kind in ("int", "float") and value is not None:
+            cls = numbers.Integral if kind == "int" else numbers.Real
+            for v in value if f.type.startswith("tuple[") else [value]:
+                if isinstance(v, bool) or not isinstance(v, cls) or not -math.inf < v < math.inf:
+                    raise InvalidParameter(f"{name} must be a finite {kind}, not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +212,8 @@ class GecState:
     """Message state owned by a single recovery run.
 
     Mean/variance pairs for z and x, each split into the prior-side and
-    likelihood-side Gaussian messages, plus the activity messages and the
-    current posterior estimate of x.
+    likelihood-side Gaussian messages, plus the per-element activity messages
+    as prior log-odds (`llr_hat`) and the current posterior estimate of x.
 
     On the linear channel `init_state` sets the z-likelihood message to the
     channel's own N(y, noise_var) and its packed Gram `gram`, and no sweep
@@ -211,7 +230,7 @@ class GecState:
     v_x_pri: np.ndarray
     m_x_lik: np.ndarray
     v_x_lik: np.ndarray
-    rho_hat: np.ndarray
+    llr_hat: np.ndarray
     x_pos: np.ndarray
     v_x_pos: np.ndarray
     gram: np.ndarray | None = None

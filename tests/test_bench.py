@@ -93,18 +93,30 @@ def test_scenario_validation():
         ("rho_init", dict(rho_init=float("nan"))),
         ("kappa", dict(matrix_kind="conditioned", kappa=float("inf"))),
         ("sweep_values", dict(sweep_param="mean", sweep_values=(0.0, float("nan")))),
-        # the engine and EM options are typed like the top-level fields
-        ("engine.max_iter", dict(engine=HygecConfig(max_iter=1.5))),
-        ("engine.max_iter", dict(engine=HygecConfig(max_iter=math.inf))),
-        ("engine.max_iter", dict(engine=HygecConfig(max_iter=True))),
-        ("engine.damping", dict(engine=HygecConfig(damping=True))),
-        ("engine.v_max", dict(engine=HygecConfig(v_max=math.inf))),
-        ("em.max_outer", dict(em=EmConfig(max_outer=2.5))),
-        ("em.max_outer", dict(em=EmConfig(max_outer=True))),
-        ("em.tol", dict(em=EmConfig(tol=math.inf))),
     ):
         with pytest.raises(InvalidParameter, match=name):
             _scenario(**bad)
+    # the engine and EM options are typed like the top-level fields: each block
+    # refuses a wrong-typed value itself, and a scenario file's error names the block
+    base = dict(name="iteration-trace", m=20, n=30, k=6, rho=0.2, snr_db=15.0, seeds=[0])
+    for name, bad in (
+        ("engine.max_iter", dict(max_iter=1.5)),
+        ("engine.max_iter", dict(max_iter=math.inf)),
+        ("engine.max_iter", dict(max_iter=True)),
+        ("engine.max_iter", dict(max_iter="200")),
+        ("engine.tol", dict(tol=math.nan)),
+        ("engine.damping", dict(damping=True)),
+        ("engine.v_max", dict(v_max=math.inf)),
+        ("em.max_outer", dict(max_outer=2.5)),
+        ("em.max_outer", dict(max_outer=True)),
+        ("em.tol", dict(tol=math.inf)),
+        ("em.tol", dict(tol=math.nan)),
+    ):
+        block, field_name = name.split(".")
+        with pytest.raises(InvalidParameter, match=f"^{field_name} must be a finite "):
+            (HygecConfig if block == "engine" else EmConfig)(**bad)
+        with pytest.raises(InvalidParameter, match=f"^{name} must be a finite "):
+            Scenario.from_dict({**base, block: bad})
 
 
 # each field annotated int, float, X | None or tuple[X, ...] of those, with the

@@ -112,6 +112,17 @@ def test_run_bad_seed_list_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_run_empty_seed_list_exits_two(tmp_path, capsys):
+    # an empty override is refused, never read as "no override": the file's
+    # own seeds must not run in its place
+    sc = _scenario_file(tmp_path)
+    for text in ("", " ", ","):
+        assert main(["run", sc, f"--seeds={text}"]) == 2, repr(text)
+        captured = capsys.readouterr()
+        assert "error: scenario needs at least one seed" in captured.err
+        assert captured.out == ""
+
+
 def test_run_threads_below_one_exits_two(tmp_path, capsys):
     # the serial check fires before any process pool could start
     assert main(["run", _scenario_file(tmp_path), "--threads", "0"]) == 2
@@ -147,7 +158,11 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
                       ("engine.damping", '"engine": {"damping": true}'),
                       ("em.max_outer", '"em": {"max_outer": 2.5}'),
                       ("em.max_outer", '"em": {"max_outer": true}'),
-                      ("em.tol", '"em": {"tol": Infinity}')):
+                      ("em.tol", '"em": {"tol": Infinity}'),
+                      # a block's own range checks must not fire first
+                      ("engine.max_iter", '"engine": {"max_iter": "200"}'),
+                      ("engine.tol", '"engine": {"tol": NaN}'),
+                      ("em.tol", '"em": {"tol": NaN}')):
         bad.write_text(json.dumps({**base, "algorithms": ["em-hygec"]})[:-1] + ", " + text + "}")
         assert main(["run", str(bad), "--threads", "1"]) == 2, text
         assert f"error: {key} must be " in capsys.readouterr().err

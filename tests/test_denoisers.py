@@ -9,9 +9,9 @@ from scipy.stats import norm
 from hygec.denoisers import (
     _CLAMP_SIGMAS,
     _LOG_TINY_MASS,
+    LLR_CAP,
     Moments,
     _expit,
-    _logit,
     _std_trunc_moments,
     channel_posterior,
     extrinsic,
@@ -266,25 +266,20 @@ def test_logistic_helpers_match_scipy():
     mag = np.concatenate([[0.0, 36.0, 37.0, 709.0, 710.0, 745.0, 800.0],
                           np.logspace(-300, 300, 20_001), np.linspace(0.0, 800.0, 20_001)])
     x = np.concatenate([-mag, mag])
-    edges = np.array([0.3, 0.65])
-    p = np.concatenate([np.logspace(-300, np.log10(0.5), 20_001),
-                        1.0 - np.logspace(-15, np.log10(0.5), 20_001),
-                        np.linspace(0.25, 0.7, 20_001),
-                        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_expit, got_logit = _expit(x), _logit(p)
+        got_expit = _expit(x)
     ref = expit(x)
     assert np.all(got_expit[ref == 0.0] == 0.0) and np.all(got_expit[ref == 1.0] == 1.0)
     assert np.any(ref == 0.0) and np.any(ref == 1.0)
     np.testing.assert_allclose(got_expit, ref, rtol=2e-15, atol=0.0)
-    np.testing.assert_allclose(got_logit, logit(p), rtol=2e-15, atol=0.0)
 
 
 def test_spike_slab_degenerate_rates_short_circuit():
-    mom0, pi0 = x_posterior_spike_slab(2.0, 0.5, 0.0, 1.0)
+    # rates 0 and 1 are prior log-odds of -inf and +inf
+    mom0, pi0 = x_posterior_spike_slab(2.0, 0.5, -np.inf, 1.0)
     assert mom0.mean == 0.0 and mom0.var == 0.0 and pi0 == 0.0
-    mom1, pi1 = x_posterior_spike_slab(2.0, 0.5, 1.0, 1.0)
+    mom1, pi1 = x_posterior_spike_slab(2.0, 0.5, np.inf, 1.0)
     assert pi1 == 1.0
     assert mom1.mean == pytest.approx(2.0 / 1.5, rel=1e-15)
     assert mom1.var == pytest.approx(0.5 / 1.5, rel=1e-15)
@@ -308,15 +303,33 @@ def test_spike_slab_matches_two_branch_enumeration():
         v = rng.uniform(0.1, 2.0)
         rho = rng.choice([0.1, 0.5, 0.9])
         sx = rng.uniform(0.5, 2.0)
-        mom, pi = x_posterior_spike_slab(m, v, rho, sx)
+        mom, pi = x_posterior_spike_slab(m, v, logit(rho), sx)
         ref_m, ref_v, ref_pi = _two_branch_reference(m, v, rho, sx)
         assert abs(mom.mean - ref_m) < 1e-12
         assert abs(mom.var - ref_v) < 1e-12
         assert abs(pi - ref_pi) < 1e-12
 
 
+@pytest.mark.parametrize("llr", [1e-3, 5.0, LLR_CAP, 40.0, 700.0])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_spike_slab_takes_any_prior_log_odds(sign, llr):
+    # from a coin flip to past the message cap and to where the rate rounds
+    # to 0 or 1 in double precision: the posterior at prior log-odds L is the
+    # two-branch one at rate expit(L), with no overflow or divide warning
+    rng = np.random.default_rng(3)
+    m, v, sx = rng.uniform(-3.0, 3.0, 50), rng.uniform(0.1, 2.0, 50), rng.uniform(0.5, 2.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mom, pi = x_posterior_spike_slab(m, v, sign * llr, sx)
+    with np.errstate(divide="ignore"):  # the reference takes log1p(-1) at rate 1
+        ref_m, ref_v, ref_pi = _two_branch_reference(m, v, expit(sign * llr), sx)
+    assert np.max(np.abs(mom.mean - ref_m)) < 1e-12
+    assert np.max(np.abs(mom.var - ref_v)) < 1e-12
+    assert np.max(np.abs(pi - ref_pi)) < 1e-12
+
+
 def test_spike_slab_hand_value():
-    mom, pi = x_posterior_spike_slab(0.5, 0.2, 0.1, 1.0)
+    mom, pi = x_posterior_spike_slab(0.5, 0.2, logit(0.1), 1.0)
     ref_m, ref_v, ref_pi = _two_branch_reference(0.5, 0.2, 0.1, 1.0)
     assert mom.mean == pytest.approx(ref_m, abs=1e-14)
     assert mom.var == pytest.approx(ref_v, abs=1e-14)
@@ -324,13 +337,13 @@ def test_spike_slab_hand_value():
 
 
 def test_spike_slab_extreme_inputs_stay_finite():
-    mom, pi = x_posterior_spike_slab(np.array([1e6, -1e6]), 1e-12, 0.3, 1.0)
+    mom, pi = x_posterior_spike_slab(np.array([1e6, -1e6]), 1e-12, logit(0.3), 1.0)
     assert np.all(np.isfinite(mom.mean))
     assert np.all(np.isfinite(mom.var))
     assert np.all(pi == 1.0)
     assert np.allclose(mom.mean, np.array([1e6, -1e6]), rtol=1e-10)
     with pytest.raises(InvalidParameter):
-        x_posterior_spike_slab(0.0, 0.0, 0.5, 1.0)
+        x_posterior_spike_slab(0.0, 0.0, 0.0, 1.0)
 
 
 def test_extrinsic_hand_values():
@@ -366,8 +379,8 @@ def _llr_in_reference(m, v, sigma_x_sq):
 
 def test_llr_singleton_groups_return_prior_rate():
     groups = GroupStructure((1, 1, 1))
-    p = llr_messages(np.array([2.0, -1.0, 0.3]), np.array([0.5, 1.0, 2.0]), 0.23, 1.0, groups)
-    assert np.max(np.abs(p - 0.23)) < 1e-12
+    llr = llr_messages(np.array([2.0, -1.0, 0.3]), np.array([0.5, 1.0, 2.0]), 0.23, 1.0, groups)
+    assert np.max(np.abs(expit(llr) - 0.23)) < 1e-12
 
 
 def test_llr_messages_match_enumeration_on_pairs():
@@ -376,7 +389,7 @@ def test_llr_messages_match_enumeration_on_pairs():
     m = rng.uniform(-2, 2, size=4)
     v = rng.uniform(0.2, 1.5, size=4)
     rho, sx = 0.3, 1.2
-    got = llr_messages(m, v, rho, sx, groups)
+    got = expit(llr_messages(m, v, rho, sx, groups))
     llr_in = _llr_in_reference(m, v, sx)
     logit_rho = np.log(rho / (1 - rho))
     expect = [
@@ -390,17 +403,17 @@ def test_llr_messages_match_enumeration_on_pairs():
 
 def test_llr_uninformative_evidence_returns_prior_rate():
     groups = GroupStructure((3, 2))
-    p = llr_messages(np.zeros(5), np.full(5, 1e12), 0.4, 1.0, groups)
-    assert np.max(np.abs(p - 0.4)) < 1e-6
+    llr = llr_messages(np.zeros(5), np.full(5, 1e12), 0.4, 1.0, groups)
+    assert np.max(np.abs(expit(llr) - 0.4)) < 1e-6
 
 
 def test_llr_clipping_and_validation():
     groups = GroupStructure((2,))
     strong = llr_messages(np.array([50.0, 50.0]), np.array([0.01, 0.01]), 0.5, 1.0, groups)
-    assert np.all(strong == 1.0 - 1e-15)
+    assert np.all(strong == LLR_CAP)  # the log-odds of 1 - 1e-15 against 1e-15
     # m = 0 with tiny v makes the spike branch overwhelming: llr ~ 0.5 log v
     weak = llr_messages(np.array([0.0, 0.0]), np.array([1e-31, 1e-31]), 0.5, 1.0, groups)
-    assert np.all(weak == 1e-15)
+    assert np.all(weak == -LLR_CAP)
     with pytest.raises(InvalidParameter):
         llr_messages(np.zeros(2), np.ones(2), 0.0, 1.0, groups)
     with pytest.raises(InvalidParameter):

@@ -60,7 +60,7 @@ def test_em_update_averages_the_indicator_beliefs_of_multi_element_groups():
     # a product over a group of each element's activity given its extrinsic
     # message counts the group's belief once per element: b_k ** N_k
     llr = norm.logpdf(m, scale=np.sqrt(sx + v)) - norm.logpdf(m, scale=np.sqrt(v))
-    terms = expit(logit(llr_messages(m, v, rho, sx, groups)) + llr)
+    terms = expit(llr_messages(m, v, rho, sx, groups) + llr)
     product = np.multiply.reduceat(terms, groups.offsets)
     np.testing.assert_allclose(product, beliefs ** np.array(groups.group_sizes), rtol=1e-9)
     assert abs(np.mean(product) - np.mean(beliefs)) > 0.05

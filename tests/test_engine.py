@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.special import expit, logit
 
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
-    PROB_FLOOR,
+    LLR_CAP,
     Moments,
     channel_posterior,
     extrinsic,
@@ -83,7 +84,7 @@ def test_init_state_layout():
     assert np.array_equal(st.m_z_lik, inst.y) and st.m_z_lik is not inst.y
     assert np.all(st.v_z_lik == inst.channel.noise_var) and np.all(st.v_x_lik == cfg.v_max)
     assert np.all(st.v_x_pri == 0.2 * 2.0)
-    assert np.all(st.rho_hat == 0.2)
+    np.testing.assert_allclose(st.llr_hat, logit(0.2), rtol=1e-15, atol=0.0)
     assert np.array_equal(st.gram, lmmse_gram(inst.H, st.v_z_lik))  # fixed with N(y, noise_var)
     quant = init_state(_instance(0, 6, 10, 5, 0.2, 15.0, bits=2), 0.2, cfg)
     assert np.all(quant.m_z_lik == 0) and np.all(quant.v_z_lik == cfg.v_max)
@@ -259,7 +260,7 @@ def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
     for _ in range(5):
         hygec_sweep(ref, inst, 0.2, cfg)
     names = ["m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "m_x_lik", "v_x_lik", "x_pos",
-             "v_x_pos", "rho_hat"]
+             "v_x_pos", "llr_hat"]
     if bits is not None:  # the linear sweep leaves the z-prior message at its initial zeros
         names += ["m_z_pri", "v_z_pri"]
     for name in names:
@@ -281,7 +282,7 @@ def _two_solve_sweep(state, inst, rho, cfg):
     ext = extrinsic(Moments(*pos), Moments(state.m_x_pri, state.v_x_pri), cfg.v_min, cfg.v_max)
     state.m_x_lik, state.v_x_lik = _damp(ext, state.m_x_lik, state.v_x_lik, damp)
     (x_mean, x_var), _ = x_posterior_spike_slab(
-        state.m_x_lik, state.v_x_lik, state.rho_hat, inst.sigma_x_sq
+        state.m_x_lik, state.v_x_lik, state.llr_hat, inst.sigma_x_sq
     )
     state.x_pos, state.v_x_pos = x_mean, np.maximum(x_var, cfg.v_min)
     ext = extrinsic(Moments(state.x_pos, state.v_x_pos), Moments(state.m_x_lik, state.v_x_lik),
@@ -290,7 +291,7 @@ def _two_solve_sweep(state, inst, rho, cfg):
     pos = lmmse_block(inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z")
     ext = extrinsic(Moments(*pos), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max)
     state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
-    state.rho_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
+    state.llr_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
     if not state.all_finite():
         raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
     state.t += 1
@@ -312,9 +313,15 @@ def test_linear_sweep_matches_two_solve_sweep(monkeypatch):
         hygec_sweep(fast, inst, 0.1, cfg)
         _two_solve_sweep(ref, inst, 0.1, cfg)
         _two_solve_sweep(ref_nudged, nudged, 0.1, cfg)
-        for name in ("m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "x_pos", "v_x_pos", "rho_hat"):
+        for name in ("m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "x_pos", "v_x_pos"):
             err = rel_err(getattr(fast, name), getattr(ref, name))
             assert err < 1e-9, f"sweep {t + 1}, {name}: relative error {err:.1e}"
+        # the activity messages as probabilities: their log-odds come from the
+        # x-likelihood message, whose rounding is amplified as explained below,
+        # and the error sits where |log-odds| is large, which expit squashes
+        # (raw log-odds differ by 4.7e-9 relative at sweep 16, 1e-7 at sweep 20)
+        err = rel_err(expit(fast.llr_hat), expit(ref.llr_hat))
+        assert err < 1e-9, f"sweep {t + 1}, activity: relative error {err:.1e}"
         # the x-likelihood message divides the x posterior by a prior that
         # pins inactive elements near v_min, which amplifies rounding by up to
         # v_x_lik / v_x_pri ~ 1e9: there a one-ulp change of y moves the
@@ -360,7 +367,7 @@ def test_one_sweep_identity_sensing_matches_scalar_denoiser():
     cfg = HygecConfig()
     st = init_state(inst, rho, cfg)
     hygec_sweep(st, inst, rho, cfg)
-    (ref_mean, ref_var), _ = x_posterior_spike_slab(y, nv, rho, 1.0)
+    (ref_mean, ref_var), _ = x_posterior_spike_slab(y, nv, logit(rho), 1.0)
     assert np.max(np.abs(st.x_pos - ref_mean)) < 1e-8
     assert np.max(np.abs(st.v_x_pos - np.maximum(ref_var, cfg.v_min))) < 1e-8
 
@@ -375,7 +382,7 @@ def test_sweep_keeps_state_sane():
         assert st.all_finite()
         for v in (st.v_z_pri, st.v_z_lik, st.v_x_pri, st.v_x_lik, st.v_x_pos):
             assert np.all(v >= cfg.v_min) and np.all(v <= cfg.v_max)
-        assert np.all(st.rho_hat >= PROB_FLOOR) and np.all(st.rho_hat <= 1 - PROB_FLOOR)
+        assert np.all(np.abs(st.llr_hat) <= LLR_CAP)
 
 
 def test_run_validates_inputs():
@@ -392,14 +399,14 @@ def test_run_validates_inputs():
 
 def test_run_converges_on_benign_instance():
     inst = _instance(0, 40, 60, 6, 0.2, 18.0)
-    m_x_lik, v_x_lik, rho_hat, x_pos, report = hygec_run(inst, 0.2)
+    m_x_lik, v_x_lik, llr_hat, x_pos, report = hygec_run(inst, 0.2)
     assert report.termination == CONVERGED
     assert report.failure is None
     assert 0 < report.inner_iterations < 200
     assert report.inner_counts == [report.inner_iterations]
     assert report.nmse_trace[-1] < -12.0
     assert m_x_lik.shape == v_x_lik.shape == x_pos.shape == (60,)
-    assert rho_hat.shape == (60,)
+    assert llr_hat.shape == (60,)
 
 
 def test_run_skips_nmse_trace_for_all_zero_truth():
