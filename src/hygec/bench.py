@@ -86,6 +86,8 @@ class Scenario:
         _check_numbers(self)
         if any(seed < 0 for seed in self.seeds):
             raise InvalidParameter(f"seeds must be nonnegative, not {self.seeds!r}")
+        if len(set(self.seeds)) < len(self.seeds):  # a trial run twice, counted once
+            raise InvalidParameter(f"seeds must not repeat, not {self.seeds!r}")
         if self.name not in SCENARIO_NAMES:
             raise InvalidParameter(f"unknown scenario name {self.name!r}")
         if not self.seeds:

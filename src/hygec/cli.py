@@ -17,8 +17,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         part = part.strip()
         try:
             if "-" in part[1:]:  # allow a leading minus sign
-                lo, hi = part.rsplit("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.rsplit("-", 1))
+                if hi < lo:  # an empty range, which would drop its seeds without a word
+                    raise InvalidParameter(f"bad seed list {text!r}: {part!r} runs downward")
+                seeds.extend(range(lo, hi + 1))
             elif part:
                 seeds.append(int(part))
         except ValueError as exc:

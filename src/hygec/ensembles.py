@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import blas
-from .types import Channel, GroupStructure, InvalidParameter
+from .types import Channel, GroupStructure, InvalidParameter, _check_numbers
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class MatrixSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.kind not in ("iid", "conditioned"):
             raise InvalidParameter(f"unknown matrix kind {self.kind!r}")
         if self.m < 1 or self.n < 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,21 +34,22 @@ class InvalidParameter(HygecError):
     pass
 
 
-def _check_numbers(obj, prefix: str = "") -> None:
-    """Refuse a wrong-typed value in each `int` or `float` field of a dataclass,
-    and of each dataclass it holds (as `field.sub`), by the field's annotation:
-    `X`, `X | None` or `tuple[X, ...]`. A JSON file may hold any type, NaN and
-    Infinity too; and true, though a bool, is no count, seed or rate."""
+def _check_numbers(obj) -> None:
+    """Refuse a wrong-typed value in each `int` or `float` field of a dataclass, by
+    the field's annotation: `X`, `X | None` or `tuple[X, ...]`. An int field takes a
+    finite whole number and stores it as an `int` (a tuple of them); a float field takes
+    a finite real as given. NaN, Infinity and true (a bool) are neither, nor is text."""
     for f in fields(obj):
-        name, value = prefix + f.name, getattr(obj, f.name)
-        if is_dataclass(value):
-            _check_numbers(value, name + ".")
+        value = getattr(obj, f.name)
         kind = f.type.removesuffix(" | None").removeprefix("tuple[").removesuffix(", ...]")
         if kind in ("int", "float") and value is not None:
-            cls = numbers.Integral if kind == "int" else numbers.Real
-            for v in value if f.type.startswith("tuple[") else [value]:
-                if isinstance(v, bool) or not isinstance(v, cls) or not -math.inf < v < math.inf:
-                    raise InvalidParameter(f"{name} must be a finite {kind}, not {v!r}")
+            many = f.type.startswith("tuple[")
+            for v in value if many else [value]:
+                real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+                if not (real and -math.inf < v < math.inf) or kind == "int" and v != int(v):
+                    raise InvalidParameter(f"{f.name} must be a finite {kind}, not {v!r}")
+            if kind == "int":
+                object.__setattr__(obj, f.name, tuple(map(int, value)) if many else int(value))
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,10 @@ class GroupStructure:
     group_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if any(s % 1 != 0 for s in self.group_sizes):  # int() would truncate 2.5 to 2
-            raise GroupCoverage(f"group sizes must be whole numbers, not {self.group_sizes!r}")
-        object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
+        try:
+            _check_numbers(self)
+        except InvalidParameter as exc:  # a size that is no whole number covers nothing
+            raise GroupCoverage(str(exc)) from exc
         if len(self.group_sizes) < 1:
             raise GroupCoverage("need at least one group")
         if any(s < 1 for s in self.group_sizes):
@@ -107,6 +109,7 @@ class Channel:
     clip_range: float | None = None
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.kind not in ("linear", "quantized"):
             raise InvalidParameter(f"unknown channel kind {self.kind!r}")
         if not self.noise_var >= 0:
@@ -115,11 +118,10 @@ class Channel:
             raise InvalidParameter("a linear channel takes no bits or clip_range")
         if self.kind == "quantized":
             # at most 16 bits: the 2^B cell edges are held in memory
-            if self.bits is None or self.bits % 1 != 0 or not 1 <= self.bits <= 16:
-                raise InvalidParameter("quantized channel needs whole bits, 1 <= bits <= 16")
+            if self.bits is None or not 1 <= self.bits <= 16:
+                raise InvalidParameter("quantized channel needs 1 <= bits <= 16")
             if self.clip_range is None or not self.clip_range > 0:
                 raise InvalidParameter("quantized channel needs clip_range > 0")
-            object.__setattr__(self, "bits", int(self.bits))
 
     @staticmethod
     def linear_awgn(noise_var: float) -> "Channel":
@@ -169,6 +171,7 @@ class ProblemInstance:
     true_rho: float | None = None
 
     def __post_init__(self):  # the first violated invariant raises its named error
+        _check_numbers(self)
         if not isinstance(self.H, np.ndarray) or self.H.ndim != 2:
             raise DimensionMismatch("H must be a 2-d numpy array")
         m, n = self.H.shape

@@ -1,12 +1,15 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hygec
 from hygec.bench import (
     CSV_COLUMNS,
     IoError,
@@ -24,11 +27,17 @@ from hygec.bench import (
 )
 from hygec.em import EmConfig, em_hygec_run
 from hygec.engine import HygecConfig
+from hygec.ensembles import MatrixSpec
 from hygec.types import (
     CONVERGED,
     NUMERICAL_FAILURE,
+    Channel,
     DimensionMismatch,
+    GecState,
+    GroupCoverage,
+    GroupStructure,
     InvalidParameter,
+    ProblemInstance,
     RecoveryReport,
     SupportViolation,
 )
@@ -119,32 +128,90 @@ def test_scenario_validation():
             Scenario.from_dict({**base, block: bad})
 
 
-# each field annotated int, float, X | None or tuple[X, ...] of those, with the
-# block it sits in: a new field is covered without editing this list
+# a valid example of each input dataclass, which the tests below vary one field at a time
+_EXAMPLES = {
+    Scenario: lambda: _scenario(bits=2),
+    HygecConfig: HygecConfig,
+    EmConfig: EmConfig,
+    GroupStructure: lambda: GroupStructure((2, 1)),
+    Channel: lambda: Channel.quantized(0.1, 2, 1.0),
+    MatrixSpec: lambda: MatrixSpec("conditioned", 2, 4, 10.0),
+    ProblemInstance: lambda: build_instance(_scenario(), 7, None),
+}
+
+
+def _is_number_field(f) -> bool:
+    """Whether a field is annotated int, float, X | None or tuple[X, ...] of those."""
+    return re.fullmatch(r"(tuple\[)?(int|float)(, \.\.\.\])?( \| None)?", f.type) is not None
+
+
+# each number field, with the block of a scenario file it sits in ("" for the
+# scenario's own fields, the class name outside a scenario): a new field is
+# covered without editing this list
 _NUMBER_FIELDS = [
     (block, cls, f)
-    for block, cls in (("", Scenario), ("engine", HygecConfig), ("em", EmConfig))
+    for block, cls in (("", Scenario), ("engine", HygecConfig), ("em", EmConfig),
+                       ("GroupStructure", GroupStructure), ("Channel", Channel),
+                       ("MatrixSpec", MatrixSpec), ("ProblemInstance", ProblemInstance))
     for f in dataclasses.fields(cls)
-    if re.fullmatch(r"(tuple\[)?(int|float)(, \.\.\.\])?( \| None)?", f.type)
+    if _is_number_field(f)
 ]
+_IDS = [f"{b}.{f.name}".lstrip(".") for b, _, f in _NUMBER_FIELDS]
 
 
-@pytest.mark.parametrize("bad", [True, math.nan, "1"], ids=["true", "nan", "text"])
-@pytest.mark.parametrize("block, cls, f", _NUMBER_FIELDS,
-                         ids=[f"{b}.{f.name}".lstrip(".") for b, _, f in _NUMBER_FIELDS])
+_SCENARIO_DICT = dict(name="iteration-trace", m=20, n=30, k=6, rho=0.2, snr_db=15.0, seeds=[0])
+
+
+def _with_value(block, cls, name, value):
+    """`cls` with field `name` set to `value`: an engine or em block as a scenario
+    file's block, and any other dataclass as its valid example with that field replaced."""
+    if block in ("engine", "em"):
+        return getattr(Scenario.from_dict({**_SCENARIO_DICT, block: {name: value}}), block)
+    return dataclasses.replace(_EXAMPLES[cls](), **{name: value})
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, "1", math.inf, -math.inf],
+                         ids=["true", "nan", "text", "inf", "minus_inf"])
+@pytest.mark.parametrize("block, cls, f", _NUMBER_FIELDS, ids=_IDS)
 def test_scenario_refuses_a_wrong_typed_number_by_name(block, cls, f, bad):
+    # every number field of every input dataclass refuses the value by name before
+    # any range check of its own; a scenario file's block is named in front of it
     value = (bad,) if f.type.startswith("tuple[") else bad
-    if block:
-        # planted past the option block's own range checks, which a string or
-        # NaN can trip first: the scenario check must name every field
-        cfg = cls()
-        object.__setattr__(cfg, f.name, value)
-        overrides = {block: cfg}
-    else:
-        overrides = {f.name: value}
-    name = f"{block}.{f.name}".lstrip(".")
-    with pytest.raises(InvalidParameter, match=rf"^{re.escape(name)} must be "):
-        _scenario(**overrides)
+    name = f"{block}.{f.name}" if block in ("engine", "em") else f.name
+    error = GroupCoverage if cls is GroupStructure else InvalidParameter
+    with pytest.raises(error, match=rf"^{re.escape(name)} must be a finite "):
+        _with_value(block, cls, f.name, value)
+
+
+_INT_FIELDS = [(b, cls, f) for b, cls, f in _NUMBER_FIELDS if "int" in f.type]
+
+
+@pytest.mark.parametrize("block, cls, f", _INT_FIELDS,
+                         ids=[i for i, (_, _, f) in zip(_IDS, _NUMBER_FIELDS) if "int" in f.type])
+def test_a_whole_float_in_an_int_field_is_stored_as_an_int(block, cls, f):
+    want = getattr(_EXAMPLES[cls](), f.name)
+    many = f.type.startswith("tuple[")
+    value = tuple(map(float, want)) if many else float(want)
+    got = getattr(_with_value(block, cls, f.name, value), f.name)
+    assert got == want
+    assert all(type(v) is int for v in (got if many else [got]))
+
+
+def test_every_input_dataclass_refuses_true_in_each_number_field():
+    # a dataclass anywhere in the package that holds a number must check it; only
+    # the run state, which no file or caller hands in, is left out
+    package = Path(hygec.__file__).parent
+    modules = [importlib.import_module(f"hygec.{m.name}") for m in pkgutil.iter_modules([str(package)])]
+    found = {obj for mod in modules for obj in vars(mod).values()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+             and obj.__module__.startswith("hygec.")
+             and any(_is_number_field(f) for f in dataclasses.fields(obj))}
+    assert found - {GecState, RecoveryReport} == set(_EXAMPLES)  # a new one needs an example
+    for cls in _EXAMPLES:
+        for f in filter(_is_number_field, dataclasses.fields(cls)):
+            value = (True,) if f.type.startswith("tuple[") else True
+            with pytest.raises((InvalidParameter, GroupCoverage), match=f"^{f.name} must be"):
+                dataclasses.replace(_EXAMPLES[cls](), **{f.name: value})
 
 
 def test_full_scenarios_scale_their_desk_twins():
@@ -496,6 +563,17 @@ def test_import_rejects_instance_missing_a_field(tmp_path):
     text.write_text("not an archive")
     with pytest.raises(SchemaMismatch):
         import_instance(str(text))
+
+
+def test_import_refuses_a_bool_sigma_x_sq_by_name(tmp_path):
+    # a bool member reads back as True, which is no variance, not as 1.0
+    path = str(tmp_path / "inst.npz")
+    export_instance(build_instance(_scenario(), 7, None), path)
+    with np.load(path) as archive:
+        members = {**archive, "sigma_x_sq": np.True_}
+    np.savez(path, **members)
+    with pytest.raises(InvalidParameter, match="^sigma_x_sq must be a finite float, not True"):
+        import_instance(path)
 
 
 # fields of an exported instance replaced by a value of the wrong shape or type

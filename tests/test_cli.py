@@ -112,6 +112,24 @@ def test_run_bad_seed_list_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_run_descending_seed_range_exits_two(tmp_path, capsys):
+    # "5-3" is an empty range: refused by name, not dropped while seed 0 runs alone
+    sc = _scenario_file(tmp_path)
+    assert main(["run", sc, "--seeds", "0,5-3"]) == 2
+    captured = capsys.readouterr()
+    assert "error: bad seed list '0,5-3': '5-3' runs downward" in captured.err
+    assert captured.out == ""
+
+
+def test_run_repeated_seeds_exit_two(tmp_path, capsys):
+    # a repeated seed would run its trial twice and be counted once in the summary
+    for seeds, override in (([1, 1], []), ([0], ["--seeds", "0-2,1"])):
+        assert main(["run", _scenario_file(tmp_path, seeds=seeds), *override]) == 2, seeds
+        captured = capsys.readouterr()
+        assert "error: seeds must not repeat" in captured.err
+        assert captured.out == ""
+
+
 def test_run_empty_seed_list_exits_two(tmp_path, capsys):
     # an empty override is refused, never read as "no override": the file's
     # own seeds must not run in its place

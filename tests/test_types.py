@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hygec.ensembles import MatrixSpec
 from hygec.types import (
     Channel,
     DimensionMismatch,
@@ -73,6 +74,27 @@ def test_channel_construction_and_validation():
         Channel("linear", 0.1, 3, 2.0)
     with pytest.raises(InvalidParameter):
         Channel("linear", 0.1, clip_range=2.0)
+
+
+def test_input_types_refuse_a_wrong_typed_number_by_name():
+    # each value was accepted, or raised a bare TypeError, before every input type
+    # ran the one number check; the constructors' helpers are covered too
+    inst = _consistent_instance()
+    probes = [
+        ("group_sizes", GroupCoverage, lambda: GroupStructure((True, 2))),
+        ("group_sizes", GroupCoverage, lambda: GroupStructure(("2", 2))),
+        ("noise_var", InvalidParameter, lambda: Channel.linear_awgn(np.inf)),
+        ("noise_var", InvalidParameter, lambda: Channel("linear", "0.1")),
+        ("clip_range", InvalidParameter, lambda: Channel.quantized(0.1, 2, np.inf)),
+        ("bits", InvalidParameter, lambda: Channel.quantized(0.1, True, 1.0)),
+        ("m", InvalidParameter, lambda: MatrixSpec("iid", 2.5, 4)),
+        ("m", InvalidParameter, lambda: MatrixSpec("iid", True, 4)),
+        ("kappa", InvalidParameter, lambda: MatrixSpec("conditioned", 2, 4, np.inf)),
+    ] + [("sigma_x_sq", InvalidParameter, lambda bad=bad: dataclasses.replace(inst, sigma_x_sq=bad))
+         for bad in (np.inf, True, "1")]
+    for name, error, build in probes:
+        with pytest.raises(error, match=f"^{name} must be a finite "):
+            build()
 
 
 def test_quantizer_edges_layout():
