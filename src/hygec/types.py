@@ -37,8 +37,8 @@ class InvalidParameter(HygecError):
 def _check_numbers(obj) -> None:
     """Refuse a wrong-typed value in each `int` or `float` field of a dataclass, by
     the field's annotation: `X`, `X | None` or `tuple[X, ...]`. An int field takes a
-    finite whole number and stores it as an `int` (a tuple of them); a float field takes
-    a finite real as given. NaN, Infinity and true (a bool) are neither, nor is text."""
+    finite whole number, stored as an `int` (a tuple of them); a float field takes a
+    finite real, kept as given. A bool (JSON's true), NaN, Infinity or text is neither."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         kind = f.type.removesuffix(" | None").removeprefix("tuple[").removesuffix(", ...]")

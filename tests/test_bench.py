@@ -156,7 +156,11 @@ _NUMBER_FIELDS = [
     for f in dataclasses.fields(cls)
     if _is_number_field(f)
 ]
-_IDS = [f"{b}.{f.name}".lstrip(".") for b, _, f in _NUMBER_FIELDS]
+_INT_FIELDS = [(block, cls, f) for block, cls, f in _NUMBER_FIELDS if "int" in f.type]
+
+
+def _field_id(block, cls, f) -> str:
+    return f"{block}.{f.name}".lstrip(".")
 
 
 _SCENARIO_DICT = dict(name="iteration-trace", m=20, n=30, k=6, rho=0.2, snr_db=15.0, seeds=[0])
@@ -172,7 +176,8 @@ def _with_value(block, cls, name, value):
 
 @pytest.mark.parametrize("bad", [True, math.nan, "1", math.inf, -math.inf],
                          ids=["true", "nan", "text", "inf", "minus_inf"])
-@pytest.mark.parametrize("block, cls, f", _NUMBER_FIELDS, ids=_IDS)
+@pytest.mark.parametrize("block, cls, f", _NUMBER_FIELDS,
+                         ids=[_field_id(*p) for p in _NUMBER_FIELDS])
 def test_scenario_refuses_a_wrong_typed_number_by_name(block, cls, f, bad):
     # every number field of every input dataclass refuses the value by name before
     # any range check of its own; a scenario file's block is named in front of it
@@ -183,11 +188,7 @@ def test_scenario_refuses_a_wrong_typed_number_by_name(block, cls, f, bad):
         _with_value(block, cls, f.name, value)
 
 
-_INT_FIELDS = [(b, cls, f) for b, cls, f in _NUMBER_FIELDS if "int" in f.type]
-
-
-@pytest.mark.parametrize("block, cls, f", _INT_FIELDS,
-                         ids=[i for i, (_, _, f) in zip(_IDS, _NUMBER_FIELDS) if "int" in f.type])
+@pytest.mark.parametrize("block, cls, f", _INT_FIELDS, ids=[_field_id(*p) for p in _INT_FIELDS])
 def test_a_whole_float_in_an_int_field_is_stored_as_an_int(block, cls, f):
     want = getattr(_EXAMPLES[cls](), f.name)
     many = f.type.startswith("tuple[")
@@ -200,8 +201,8 @@ def test_a_whole_float_in_an_int_field_is_stored_as_an_int(block, cls, f):
 def test_every_input_dataclass_refuses_true_in_each_number_field():
     # a dataclass anywhere in the package that holds a number must check it; only
     # the run state, which no file or caller hands in, is left out
-    package = Path(hygec.__file__).parent
-    modules = [importlib.import_module(f"hygec.{m.name}") for m in pkgutil.iter_modules([str(package)])]
+    modules = [importlib.import_module(f"hygec.{m.name}")
+               for m in pkgutil.iter_modules(hygec.__path__)]
     found = {obj for mod in modules for obj in vars(mod).values()
              if isinstance(obj, type) and dataclasses.is_dataclass(obj)
              and obj.__module__.startswith("hygec.")
