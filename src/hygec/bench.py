@@ -99,10 +99,15 @@ class Scenario:
                 raise InvalidParameter(f"unknown algorithm {alg!r}")
         if self.sweep_param not in SWEEP_PARAMS:
             raise InvalidParameter(f"unknown sweep parameter {self.sweep_param!r}")
-        if self.m < 1 or self.n < self.m or self.k < 1 or self.k > self.n:
-            raise InvalidParameter("need 1 <= m <= n and 1 <= k <= n")
-        if not 0 < self.rho < 1:
-            raise InvalidParameter("rho must lie in (0, 1)")
+        if self.k < 1 or self.k > self.n:  # m and n are MatrixSpec's to check
+            raise InvalidParameter("need 1 <= k <= n")
+        for name in ("rho", "rho_init"):  # rho_init too, though only em-hygec reads it
+            if not 0 < getattr(self, name) < 1:
+                raise InvalidParameter(f"{name} must lie in (0, 1)")
+        if not self.sigma_x_sq > 0:
+            raise InvalidParameter("sigma_x_sq must be positive")
+        if self.bits is not None and not 1 <= self.bits <= 16:
+            raise InvalidParameter("quantized channel needs 1 <= bits <= 16")
         # options that build_instance would otherwise drop without a word
         if self.sweep_values and self.sweep_param is None:
             raise InvalidParameter("sweep_values needs a sweep_param")
@@ -117,6 +122,19 @@ class Scenario:
             raise InvalidParameter("a kappa sweep sets kappa at every point; drop kappa")
         if self.sweep_param == "mean" and self.matrix_mean != 0.0:
             raise InvalidParameter("a mean sweep sets matrix_mean at every point; drop matrix_mean")
+        for value in self.sweep_values or (None,):  # each point's matrix, before any trial
+            self.matrix_at(value)
+
+    def matrix_at(self, sweep_value: float | None) -> tuple[MatrixSpec, float]:
+        """The matrix a trial draws at one sweep point (None: no sweep): its `MatrixSpec`,
+        which checks the shape and kappa, and the constant added to an i.i.d. draw."""
+        kappa, mean = self.kappa, self.matrix_mean
+        if self.sweep_param == "kappa" and sweep_value is not None:
+            kappa = float(sweep_value)
+        if self.sweep_param == "mean" and sweep_value is not None:
+            mean = float(sweep_value)
+        kind = "conditioned" if self.conditioned else "iid"
+        return MatrixSpec(kind, self.m, self.n, kappa), mean  # an i.i.d. scenario has kappa 1
 
     @property
     def conditioned(self) -> bool:
@@ -162,28 +180,18 @@ def load_json(path: str) -> dict:
 
 
 def build_instance(scenario: Scenario, seed: int, sweep_value: float | None) -> ProblemInstance:
-    """Generate the trial instance for one (seed, sweep point).
+    """Draw the trial instance for one (seed, sweep point), with the matrix that
+    `Scenario.matrix_at` resolves for that point.
 
     Randomness is split into fixed substreams (matrix/signal/noise) keyed only
     by the seed, so every sweep point sees the same underlying draws. On the
     mean sweep the noise level is calibrated on the zero-mean base matrix, so
-    changing the mean changes only the matrix, not the noise.
-    """
-    kappa = scenario.kappa
-    mean = scenario.matrix_mean
-    if scenario.sweep_param == "kappa" and sweep_value is not None:
-        kappa = float(sweep_value)
-    if scenario.sweep_param == "mean" and sweep_value is not None:
-        mean = float(sweep_value)
-
+    changing the mean changes only the matrix, not the noise."""
+    spec, mean = scenario.matrix_at(sweep_value)
     rng_matrix = np.random.default_rng([seed, _ROLE_MATRIX])
     rng_signal = np.random.default_rng([seed, _ROLE_SIGNAL])
     rng_noise = np.random.default_rng([seed, _ROLE_NOISE])
 
-    if scenario.conditioned:
-        spec = MatrixSpec("conditioned", scenario.m, scenario.n, kappa=kappa)
-    else:
-        spec = MatrixSpec("iid", scenario.m, scenario.n)
     H = gen_matrix(spec, rng_matrix)
     noise_var = snr_to_noise_var(H, scenario.rho, scenario.sigma_x_sq, scenario.snr_db)
     if mean != 0.0:  # only an iid matrix takes a mean; shift the base in place

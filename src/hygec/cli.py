@@ -66,6 +66,8 @@ def _cmd_gen(args) -> int:
     d.setdefault("name", "custom")
     d.setdefault("seeds", [args.seed])
     scenario = bench.Scenario.from_dict(d)  # the spec's own seeds are checked as written
+    if scenario.sweep_param is not None:  # one instance cannot hold a sweep's points
+        raise InvalidParameter("gen draws one instance; a spec takes no sweep_param")
     scenario = dataclasses.replace(scenario, seeds=(args.seed,))
     inst = bench.build_instance(scenario, args.seed, None)
     bench.export_instance(inst, args.out, seed=args.seed)

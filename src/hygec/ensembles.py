@@ -114,5 +114,6 @@ def snr_to_noise_var(H: np.ndarray, rho: float, sigma_x_sq: float, snr_db: float
 
 
 def default_clip_range(H: np.ndarray, rho: float, sigma_x_sq: float, noise_var: float) -> float:
-    """Quantizer saturation level: three standard deviations of the pre-quantizer output."""
-    return 3.0 * np.sqrt(signal_power(H, rho, sigma_x_sq) + noise_var)
+    """Quantizer saturation level: three standard deviations of the pre-quantizer output,
+    as a Python float, the type an instance archive reads back."""
+    return float(3.0 * np.sqrt(signal_power(H, rho, sigma_x_sq) + noise_var))

@@ -125,11 +125,11 @@ class Channel:
 
     @staticmethod
     def linear_awgn(noise_var: float) -> "Channel":
-        return Channel("linear", float(noise_var))
+        return Channel("linear", noise_var)
 
     @staticmethod
     def quantized(noise_var: float, bits: int, clip_range: float) -> "Channel":
-        return Channel("quantized", float(noise_var), bits, float(clip_range))
+        return Channel("quantized", noise_var, bits, clip_range)
 
     @property
     def n_cells(self) -> int:

@@ -90,6 +90,14 @@ def test_scenario_validation():
         dict(snr_db="10"),
         dict(sweep_param="mean", sweep_values=("x",)),
         dict(bits=2.5),
+        # refused at load, though a later layer owns the rule
+        dict(matrix_kind="conditioned", kappa=0.5),
+        dict(sweep_param="kappa", sweep_values=(1.0, 10.0, 0.5)),  # the last point
+        dict(m=1, matrix_kind="conditioned", kappa=2.0),
+        dict(bits=0),
+        dict(bits=20),
+        dict(sigma_x_sq=-1.0),
+        dict(rho_init=5.0),  # with only hygec-known-rho, which never reads it
     ):
         with pytest.raises(InvalidParameter):
             _scenario(**bad)
@@ -270,6 +278,16 @@ def test_scenario_from_json(tmp_path):
     path.write_text(json.dumps({"name": "custom", "m": 6}))
     with pytest.raises(InvalidParameter):
         Scenario.from_json(str(path))
+
+
+def test_matrix_at_resolves_each_sweep_point():
+    assert _scenario().matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
+    assert _scenario(matrix_kind="conditioned", kappa=10.0).matrix_at(None) == (
+        MatrixSpec("conditioned", 20, 30, 10.0), 0.0)
+    kappa_sweep = _scenario(sweep_param="kappa", sweep_values=(1, 100))
+    assert kappa_sweep.matrix_at(100) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
+    mean_sweep = _scenario(sweep_param="mean", sweep_values=(0.0, 0.2))
+    assert mean_sweep.matrix_at(0.2) == (MatrixSpec("iid", 20, 30), 0.2)
 
 
 def test_build_instance_is_deterministic():

@@ -220,6 +220,37 @@ def test_gen_negative_seed_exits_two_when_spec_lists_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_a_sweep_spec(tmp_path, capsys):
+    # one instance cannot hold a sweep's points
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0,
+                                "sweep_param": "kappa", "sweep_values": [10, 100]}))
+    out = tmp_path / "x.npz"
+    assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 2
+    assert "sweep_param" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
+    # each is refused at load with the message of the layer that owns the rule,
+    # so no trial runs
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("hygec.bench.run_trial", no_trial)
+    for message, overrides in (
+        ("kappa must be >= 1", dict(sweep_param="kappa", sweep_values=[1, 10, 0.5])),
+        ("a 1-row matrix cannot have kappa > 1", dict(m=1, matrix_kind="conditioned", kappa=2)),
+        ("need m <= n", dict(m=40)),
+        ("matrix dimensions must be positive", dict(m=0)),
+        ("quantized channel needs 1 <= bits <= 16", dict(bits=20)),
+        ("sigma_x_sq must be positive", dict(sigma_x_sq=-1)),
+        ("rho_init must lie in (0, 1)", dict(rho_init=5)),
+    ):
+        assert main(["run", _scenario_file(tmp_path, **overrides)]) == 2, message
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):
     bad_row = {
         "scenario": "custom", "seed": 0, "sweep_value": None,

@@ -165,6 +165,7 @@ def test_snr_mapping_plug_ins():
 def test_default_clip_range_formula():
     H = np.eye(3)
     assert default_clip_range(H, 0.5, 2.0, 0.25) == pytest.approx(3.0 * np.sqrt(1.25))
+    assert type(default_clip_range(H, 0.5, 2.0, 0.25)) is float  # as an archive reads it back
 
 
 @pytest.mark.parametrize("m, n", [(10, 12), (200, 400), (1000, 2000)])

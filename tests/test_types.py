@@ -87,6 +87,11 @@ def test_input_types_refuse_a_wrong_typed_number_by_name():
         ("noise_var", InvalidParameter, lambda: Channel("linear", "0.1")),
         ("clip_range", InvalidParameter, lambda: Channel.quantized(0.1, 2, np.inf)),
         ("bits", InvalidParameter, lambda: Channel.quantized(0.1, True, 1.0)),
+        # the helpers pass the caller's value through, not a float() of it
+        ("noise_var", InvalidParameter, lambda: Channel.linear_awgn(True)),
+        ("noise_var", InvalidParameter, lambda: Channel.linear_awgn("0.1")),
+        ("noise_var", InvalidParameter, lambda: Channel.quantized(True, 2, 1.0)),
+        ("clip_range", InvalidParameter, lambda: Channel.quantized(0.1, 2, "1.0")),
         ("m", InvalidParameter, lambda: MatrixSpec("iid", 2.5, 4)),
         ("m", InvalidParameter, lambda: MatrixSpec("iid", True, 4)),
         ("kappa", InvalidParameter, lambda: MatrixSpec("conditioned", 2, 4, np.inf)),
