@@ -1,10 +1,12 @@
-"""scipy's compiled BLAS and LAPACK wrappers, loaded without the scipy.linalg package.
+"""scipy's compiled LAPACK wrapper, loaded without the scipy.linalg package.
 
 scipy/linalg/__init__.py loads scipy's array-API layer (numpy.testing,
 unittest and some 300 more modules, about 23 MB) that the engine never calls;
-its routines live in the extension modules _fblas and _flapack, which need
-only numpy. Both are registered under their scipy names, so the process holds
-one copy whether this module or `import scipy.linalg` runs first.
+the routines it does call live in the extension module _flapack, which needs
+only numpy. It is the package's one compiled dependency: the Gram is built by
+LAPACK's dsfrk and every matvec is a numpy einsum, so scipy's BLAS wrapper
+_fblas is never loaded. The module is registered under its scipy name, so the
+process holds one copy whether this module or `import scipy.linalg` runs first.
 """
 
 import sys
@@ -28,5 +30,4 @@ def _load(name: str):
     return module
 
 
-blas = _load("_fblas")
 lapack = _load("_flapack")

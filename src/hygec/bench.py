@@ -111,6 +111,8 @@ class Scenario:
         # options that build_instance would otherwise drop without a word
         if self.sweep_values and self.sweep_param is None:
             raise InvalidParameter("sweep_values needs a sweep_param")
+        if self.sweep_param is not None and not self.sweep_values:  # it would run no trial
+            raise InvalidParameter(f"sweep_param {self.sweep_param!r} needs sweep_values")
         if self.matrix_kind not in ("iid", "conditioned"):
             raise InvalidParameter(f"unknown matrix kind {self.matrix_kind!r}")
         if self.conditioned and (self.sweep_param == "mean" or self.matrix_mean != 0.0):
@@ -246,8 +248,7 @@ def run_trial(scenario: Scenario, seed: int, sweep_value: float | None, algorith
 
 
 def _trial_args(scenario: Scenario):
-    sweep = list(scenario.sweep_values) if scenario.sweep_param else [None]
-    for value in sweep:
+    for value in scenario.sweep_values or (None,):
         for algorithm in scenario.algorithms:
             for seed in scenario.seeds:
                 yield (scenario, seed, value, algorithm)

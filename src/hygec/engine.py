@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import blas, lapack
+from ._lapack import lapack
 from .denoisers import (
     Moments,
     channel_posterior,
@@ -93,12 +93,14 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
 
 
 def lmmse_gram(H, v_z_lik) -> np.ndarray:
-    """H^T diag(1/v_z_lik) H by one BLAS syrk, in LAPACK packed lower storage."""
+    """H^T diag(1/v_z_lik) H by LAPACK's dsfrk, in rectangular full packed (RFP) lower
+    storage (transr "N"): n(n+1)/2 doubles, with no n x n square on the way."""
     scaled = np.asarray(H, dtype=float) / np.sqrt(np.asarray(v_z_lik, dtype=float))[:, None]
-    # scaled.T is Fortran-contiguous, so syrk reads it in place: A A^T = scaled^T scaled
-    full = blas.dsyrk(1.0, scaled.T, lower=1)
-    del scaled  # before packing: the scaled H, square and packed Gram never coexist
-    return lapack.dtrttp(full, uplo="L")[0]
+    m, n = scaled.shape
+    # scaled.T is Fortran-contiguous, so dsfrk reads it in place: A A^T = scaled^T scaled;
+    # beta 0 with overwrite_c writes the result into the zeroed buffer, no copy
+    return lapack.dsfrk(n, m, 1.0, scaled.T, 0.0, np.zeros(n * (n + 1) // 2), uplo="L",
+                        overwrite_c=1)
 
 
 def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
@@ -111,24 +113,24 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     diag H P^-1 H^T). No inverse of P is formed: diag P^-1 is the column sums
     of squares of L^-1, and diag H P^-1 H^T those of L^-1 H^T.
 
-    The Gram is unpacked into the n x n buffer that is factored in place; f2py
-    zero-fills it, so its upper triangle needs no clean. Every call is a direct
-    scipy BLAS or LAPACK routine: a numpy matvec would wake numpy's own OpenBLAS
+    The RFP Gram is unpacked by dtfttr into the n x n buffer that is factored in
+    place; f2py zero-fills it, so its upper triangle needs no clean. The
+    factorizations are scipy's LAPACK routines, loaded by `_lapack` without the
+    scipy.linalg package. The matvecs H^T u and H x are numpy einsums, whose own
+    C loops call no BLAS routine: a numpy matmul would wake numpy's OpenBLAS
     thread pool, which then spins through scipy's factorizations on the same
-    cores. `_lapack` loads them without the scipy.linalg package, so a linear
-    run never imports it. dgemv reads H.T in place, as it is Fortran-ordered
-    for a C-ordered H.
+    cores.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
     H = np.asarray(H, dtype=float)
     v_x_pri = np.asarray(v_x_pri, dtype=float)
-    prec = lapack.dtpttr(H.shape[1], gram, uplo="L")[0]
+    prec = lapack.dtfttr(H.shape[1], gram, uplo="L")[0]
     prec[np.diag_indices(H.shape[1])] += 1.0 / v_x_pri
     chol, info = lapack.dpotrf(prec, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
-    rhs = blas.dgemv(1.0, H.T, np.asarray(m_z_lik, dtype=float) / v_z_lik)
+    rhs = np.einsum("ij,i->j", H, np.asarray(m_z_lik, dtype=float) / v_z_lik)
     rhs += np.asarray(m_x_pri) / v_x_pri
     x_pos = lapack.dpotrs(chol, rhs, lower=1)[0]
     if side == "x":
@@ -137,7 +139,7 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     factor, info = lapack.dtrtrs(chol, H.T, lower=1)
     if info != 0:
         raise FactorizationFailure(f"triangular solve with the LMMSE factor failed (info {info})")
-    return blas.dgemv(1.0, H.T, x_pos, trans=1), np.einsum("ij,ij->j", factor, factor)
+    return np.einsum("ij,j->i", H, x_pos), np.einsum("ij,ij->j", factor, factor)
 
 
 def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import blas
 from .types import Channel, GroupStructure, InvalidParameter, _check_numbers
 
 
@@ -88,11 +87,11 @@ def apply_channel(
     """Push x through the channel: y = Hx + w, optionally quantized to cell indices.
 
     Noise is drawn even when noise_var == 0 so streams match across noise levels.
-    Hx comes from scipy's BLAS, loaded through `_lapack` as in the engine's
-    LMMSE step, so building an instance does not wake numpy's BLAS thread pool
-    right before a solve, nor import the scipy.linalg package.
+    Hx is a numpy einsum, as in the engine's LMMSE step: its own C loops call
+    no BLAS routine, so building an instance does not wake numpy's BLAS thread
+    pool right before a solve.
     """
-    z = blas.dgemv(1.0, H.T, x, trans=1)
+    z = np.einsum("ij,j->i", H, x)
     w = rng.standard_normal(z.shape[0]) * np.sqrt(channel.noise_var)
     out = z + w
     if channel.kind == "quantized":

@@ -219,10 +219,10 @@ class GecState:
     as prior log-odds (`llr_hat`) and the current posterior estimate of x.
 
     On the linear channel `init_state` sets the z-likelihood message to the
-    channel's own N(y, noise_var) and its packed Gram `gram`, and no sweep
-    writes either; (m_z_pri, v_z_pri) keep their `init_state` values, as no
-    sweep reads or updates them there. On the quantized channel `gram` is None.
-    `t` counts the completed sweeps.
+    channel's own N(y, noise_var) and its Gram `gram`, in LAPACK's rectangular
+    full packed (RFP) storage, and no sweep writes either; (m_z_pri, v_z_pri)
+    keep their `init_state` values, as no sweep reads or updates them there. On
+    the quantized channel `gram` is None. `t` counts the completed sweeps.
     """
 
     m_z_pri: np.ndarray

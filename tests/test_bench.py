@@ -74,6 +74,8 @@ def test_scenario_validation():
         # options build_instance would drop without a word
         dict(matrix_kind="gaussian"),
         dict(sweep_values=(1.0, 10.0)),  # no sweep_param
+        dict(sweep_param="kappa"),  # no sweep_values: no trial would run
+        dict(sweep_param="mean"),
         dict(matrix_kind="conditioned", sweep_param="mean", sweep_values=(0.0, 0.1)),
         dict(matrix_kind="conditioned", matrix_mean=0.1),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0), matrix_mean=0.1),
@@ -441,9 +443,10 @@ def test_run_scenario_pool_has_no_more_workers_than_trials(monkeypatch):
     assert sizes == [2]
 
 
-def test_empty_sweep_produces_no_rows():
-    sc = _scenario(name="condition-sweep", sweep_param="kappa", sweep_values=())
-    assert run_scenario(sc) == []
+def test_empty_sweep_is_refused_at_load():
+    # a sweep with no points would run no trial and print only the CSV header
+    with pytest.raises(InvalidParameter, match=r"^sweep_param 'kappa' needs sweep_values$"):
+        _scenario(name="condition-sweep", sweep_param="kappa", sweep_values=())
     assert summarize([]) == []
 
 

@@ -1,7 +1,8 @@
 """The revision stamp tools/bench_pairs.py writes for each side of a record, and the
-traced metrics it prints."""
+gated and traced metrics it prints."""
 
 import importlib.util
+import math
 import subprocess
 from pathlib import Path
 
@@ -54,3 +55,26 @@ def test_trace_diffs_lists_each_traced_metric_that_moved():
         "full-linear oracle.nmse.s 0.25 -> -",
         "full-linear trace.overhead_s - -> 1.5",
     ]
+
+
+def test_log_ratio_spread_is_the_sd_of_the_per_pair_log_ratios():
+    values = {"parent": [2.0, 4.0, 5.0], "change": [2.0, 2.0, 10.0]}
+    logs = [0.0, math.log(0.5), math.log(2.0)]
+    mean = sum(logs) / 3
+    sd = math.sqrt(sum((x - mean) ** 2 for x in logs) / 2)
+    assert math.isclose(bench_pairs.log_ratio_spread(values), sd, rel_tol=1e-12)
+    # a constant ratio has no spread, whatever its size
+    assert bench_pairs.log_ratio_spread({"parent": [1.0, 3.0], "change": [2.0, 6.0]}) == 0.0
+    assert bench_pairs.log_ratio_spread({"parent": [1.0], "change": [2.0]}) is None
+    assert bench_pairs.log_ratio_spread({"parent": [1.0, 0.0], "change": [2.0, 1.0]}) is None
+
+
+def test_summary_line_shows_the_spread_next_to_the_wins():
+    spec = {"unit": "MB", "better": "lower", "bound": 0.1}
+    pairs = [{"parent": {"metrics": {"peak_rss_mb": p}}, "change": {"metrics": {"peak_rss_mb": c}}}
+             for p, c in [(75.0, 73.8), (74.9, 73.7), (75.1, 73.9), (74.8, 73.8)]]
+    m = bench_pairs.compare(pairs, "peak_rss_mb", spec)
+    spread = bench_pairs.log_ratio_spread(m["values"])
+    assert bench_pairs.summary_line("desk-linear", "peak_rss_mb", m) == (
+        f"desk-linear peak_rss_mb: 74.95 -> 73.8 MB, change won 4/4 (log-ratio sd {spread:.2g}), "
+        "gain shown True, worse beyond bound False")

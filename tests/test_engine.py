@@ -164,21 +164,38 @@ def test_lmmse_full_gram_and_lower_triangle_agree():
     H = rng.standard_normal((m, n))
     mz, vz = rng.uniform(-2, 2, m), rng.uniform(0.1, 2.0, m)
     mx, vx = rng.uniform(-2, 2, n), 10.0 ** rng.uniform(-3, 3, n)
-    packed = lmmse_gram(H, vz)
-    assert packed.shape == (n * (n + 1) // 2,)
+    rfp = lmmse_gram(H, vz)
+    assert rfp.shape == (n * (n + 1) // 2,)
     full = (H / vz[:, None]).T @ H
-    ref = lapack.dtrttp(np.asfortranarray(full), uplo="L")[0]
-    assert np.max(np.abs(packed - ref)) < 1e-12 * np.max(np.abs(full))
-    got_packed = _lmmse_both_sides(H, mz, vz, mx, vx, packed)
+    ref = lapack.dtrttf(np.asfortranarray(full), uplo="L")[0]
+    assert np.max(np.abs(rfp - ref)) < 1e-12 * np.max(np.abs(full))
+    got_rfp = _lmmse_both_sides(H, mz, vz, mx, vx, rfp)
     got_full = _lmmse_both_sides(H, mz, vz, mx, vx, ref)
-    for a, b in zip(got_packed, got_full):
+    for a, b in zip(got_rfp, got_full):
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def test_gram_build_holds_no_square():
+    # dsfrk writes H^T D H straight into RFP storage: the row-scaled H and the
+    # n(n+1)/2 result, where syrk into a square and then packing took ~1.5 n^2
+    m, n = 200, 400
+    H = np.random.default_rng(5).standard_normal((m, n)) / np.sqrt(m)
+    v = np.full(m, 0.1)
+    lmmse_gram(H, v)  # warm-up, so first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        lmmse_gram(H, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floor = m * n + n * (n + 1) // 2
+    assert peak < 1.1 * 8 * floor, f"peak {peak / (8 * floor):.2f} x (m n + n(n+1)/2) doubles"
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "column-slice"])
 def test_lmmse_matvecs_read_any_layout_of_h(layout):
-    # scipy's dgemv reads H.T in place for a C-ordered H; f2py copies other
-    # layouts, and the result must not depend on which
+    # einsum reads H in any layout and dsfrk reads the row-scaled copy in place;
+    # the result must not depend on H's layout
     rng = np.random.default_rng(4)
     m, n = 30, 50
     wide = rng.standard_normal((m, 2 * n)) / np.sqrt(m)
@@ -193,7 +210,7 @@ def test_lmmse_matvecs_read_any_layout_of_h(layout):
     mx, vx = rng.uniform(-2, 2, n), 10.0 ** rng.uniform(-1, 1, n)
     gram = lmmse_gram(H, vz)
     x_pos, _, z_pos, _ = _lmmse_both_sides(H, mz, vz, mx, vx, gram)
-    lower = lapack.dtpttr(n, gram, uplo="L")[0]
+    lower = lapack.dtfttr(n, gram, uplo="L")[0]
     prec = lower + np.tril(lower, -1).T + np.diag(1.0 / vx)
     x_ref = cho_solve(cho_factor(prec, lower=True), H.T @ (mz / vz) + mx / vx)
     assert np.max(np.abs(x_pos - x_ref)) < 1e-12 * np.max(np.abs(x_ref))
@@ -202,11 +219,11 @@ def test_lmmse_matvecs_read_any_layout_of_h(layout):
 
 
 def test_engine_has_no_numpy_matmul():
-    # a numpy matvec would wake numpy's own BLAS thread pool, which then spins
-    # through scipy's factorizations on the same cores, so the step calls the
-    # compiled blas and lapack routines directly (tests/test_import.py checks
-    # that no module imports scipy.linalg). apply_channel runs just before a
-    # solve when an instance is built.
+    # a numpy matmul would wake numpy's own BLAS thread pool, which then spins
+    # through scipy's factorizations on the same cores, so the step's matvecs
+    # are einsums and its factorizations scipy's compiled LAPACK routines
+    # (tests/test_import.py checks that no module imports scipy.linalg).
+    # apply_channel runs just before a solve when an instance is built.
     tree = ast.parse(inspect.getsource(inspect.getmodule(lmmse_block)))
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
     channel_tree = ast.parse(inspect.getsource(apply_channel))
@@ -214,9 +231,8 @@ def test_engine_has_no_numpy_matmul():
 
 
 def test_linear_run_peak_memory_is_the_packed_gram_and_one_square():
-    # the run holds the packed Gram (n^2 / 2 doubles) and each sweep one n x n
-    # buffer to factor; a full-square Gram, or packing it while the row-scaled
-    # copy of H is alive, takes the peak to about 2 n^2 doubles
+    # the run holds the RFP Gram (n^2 / 2 doubles) and each sweep one n x n
+    # buffer to factor; a full-square Gram takes the peak to about 2 n^2 doubles
     inst = _instance(0, 200, 400, 20, 0.1, 10.0)
     hygec_run(inst, 0.1)  # warm-up, so first-call allocations are not counted
     tracemalloc.start()

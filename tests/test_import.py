@@ -1,4 +1,4 @@
-"""A linear solve loads neither scipy.linalg nor scipy.special nor a process pool."""
+"""A linear solve loads neither scipy.linalg, its BLAS wrapper, scipy.special nor a process pool."""
 
 import ast
 import os
@@ -22,6 +22,7 @@ inst = build_instance(Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=
 hygec.engine.hygec_run(inst, 0.25)
 hygec.em.em_hygec_run(inst, 0.1)
 assert "scipy.linalg" not in sys.modules, "a linear solve loaded scipy.linalg"
+assert "scipy.linalg._fblas" not in sys.modules, "a linear solve loaded scipy's BLAS wrapper"
 assert "scipy.special" not in sys.modules, "a linear solve loaded scipy.special"
 assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
 """
@@ -32,12 +33,11 @@ _ORDER_PROBE = """
 import sys
 if sys.argv[1] == "before":
     import scipy.linalg
-import hygec.engine, hygec.ensembles
+import hygec.engine
 import scipy.linalg
 from hygec.bench import Scenario, build_instance
 
 assert hygec.engine.lapack.dpotrf is scipy.linalg.lapack.dpotrf
-assert hygec.ensembles.blas.dgemv is scipy.linalg.blas.dgemv
 inst = build_instance(Scenario(name="custom", m=200, n=400, k=20, rho=0.1, snr_db=10.0, seeds=(0,)), 0, None)
 print(hygec.engine.hygec_run(inst, 0.1)[3].tobytes().hex())
 """

@@ -21,15 +21,19 @@ package from source, and ``setup_s`` includes that.
 The file reports, for each gated metric, whether the change shows a gain by
 the benchmark's rule (it wins at least 9 in 10 pairs and the medians differ by
 more than the parent's q1-q3 distance) and whether its median is worse than
-the parent's by more than the metric's bound. The printout ends with every
-per-layer metric of the traced runs whose parent and change values differ, so
-a change that moves a count, such as ``em.inner_sweeps``, shows it on screen.
+the parent's by more than the metric's bound. The printout gives each gated
+metric's win count with the spread of its per-pair log-ratios, the sample
+standard deviation of log(change / parent) over the pairs: a gain far smaller
+than that spread needs many pairs to show. It ends with every per-layer metric
+of the traced runs whose parent and change values differ, so a change that
+moves a count, such as ``em.inner_sweeps``, shows it on screen.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -117,6 +121,24 @@ def compare(pairs: list[dict], name: str, spec: dict) -> dict:
     }
 
 
+def log_ratio_spread(values: dict) -> float | None:
+    """Sample standard deviation of log(change / parent) over the pairs; None for fewer
+    than two pairs or a value that is not positive."""
+    pairs = list(zip(values["parent"], values["change"]))
+    if len(pairs) < 2 or not all(a > 0 and b > 0 for a, b in pairs):
+        return None
+    return statistics.stdev(math.log(b / a) for a, b in pairs)
+
+
+def summary_line(workload: str, name: str, m: dict) -> str:
+    """One gated metric of a workload: medians, wins with the log-ratio spread, verdicts."""
+    spread = log_ratio_spread(m["values"])
+    return (f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+            f"{m['unit']}, change won {m['change_wins']}/{m['pairs']} "
+            f"(log-ratio sd {'-' if spread is None else f'{spread:.2g}'}), "
+            f"gain shown {m['gain_shown']}, worse beyond bound {m['worse_beyond_bound']}")
+
+
 def trace_diffs(trace: dict) -> list[str]:
     """One line per workload and traced metric whose parent and change values differ."""
     def show(value):
@@ -199,9 +221,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for w in workloads:
         for name, m in doc["workloads"][w]["metrics"].items():
-            print(f"{w} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
-                  f"{m['unit']}, change won {m['change_wins']}/{m['pairs']}, "
-                  f"gain shown {m['gain_shown']}, worse beyond bound {m['worse_beyond_bound']}")
+            print(summary_line(w, name, m))
     for line in trace_diffs(trace):
         print(line)
     return 0
