@@ -176,8 +176,8 @@ def test_lmmse_full_gram_and_lower_triangle_agree():
 
 
 def test_gram_build_holds_no_square():
-    # dsfrk writes H^T D H straight into RFP storage: the row-scaled H and the
-    # n(n+1)/2 result, where syrk into a square and then packing took ~1.5 n^2
+    # the build holds only the row-scaled H and the n(n+1)/2 RFP result; an
+    # n x n square on the way would take the peak to about 1.5 times that
     m, n = 200, 400
     H = np.random.default_rng(5).standard_normal((m, n)) / np.sqrt(m)
     v = np.full(m, 0.1)
