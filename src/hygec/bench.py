@@ -46,6 +46,10 @@ CSV_COLUMNS = (
 )
 
 SCHEMA_VERSION = 1
+# the members an archive of this schema may hold: the fields that `_entries` spreads
+# out, plus the names it renames or adds
+_ARCHIVE_MEMBERS = {f.name for cls in (ProblemInstance, Channel) for f in fields(cls)} | {
+    "schema_version", "seed", "channel_kind", "group_sizes"}
 
 # substream roles, so a sweep reuses the same randomness at every sweep point
 _ROLE_MATRIX = 0
@@ -434,6 +438,9 @@ def import_instance(path: str) -> ProblemInstance:
     try:
         if "schema_version" not in data or data["schema_version"].item() != SCHEMA_VERSION:
             raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
+        unknown = sorted(set(data) - _ARCHIVE_MEMBERS)
+        if unknown:  # a misspelt member would otherwise load as a missing optional field
+            raise SchemaMismatch(f"{path}: unknown member(s) {', '.join(unknown)}")
         groups = GroupStructure(data["group_sizes"].astype(np.int64, casting="safe"))
         channel = _from_entries(Channel, data, kind=data["channel_kind"].item())
         return _from_entries(ProblemInstance, data, groups=groups, channel=channel)

@@ -7,11 +7,9 @@ log domain throughout.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .types import GroupStructure, InvalidParameter
+from .types import GroupStructure, InvalidParameter, Moments
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_PI = np.sqrt(2.0 / np.pi)
@@ -33,11 +31,6 @@ def _expit(x):
     # scipy.special.expit's formula; exp(-x) overflows to inf for x < -709, giving 0
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-class Moments(NamedTuple):
-    mean: np.ndarray | float
-    var: np.ndarray | float
 
 
 def z_posterior_awgn(y, m, v, noise_var) -> Moments:

@@ -8,13 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import lapack
-from .denoisers import (
-    Moments,
-    channel_posterior,
-    extrinsic,
-    llr_messages,
-    x_posterior_spike_slab,
-)
+from .denoisers import channel_posterior, extrinsic, llr_messages, x_posterior_spike_slab
 from .ensembles import signal_power
 from .oracle import nmse
 from .types import (
@@ -24,6 +18,7 @@ from .types import (
     GecState,
     HygecError,
     InvalidParameter,
+    Moments,
     ProblemInstance,
     RecoveryReport,
     _check_numbers,
@@ -59,35 +54,32 @@ class HygecConfig:
 
 
 def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
-    """Fresh message state: zero means, prior-level variances, activity log-odds of rho.
+    """Fresh state of five `Moments` messages: zero means, prior-level variances,
+    activity log-odds of rho.
 
     The z-prior variance is the signal power plus the noise variance, the
-    x-side variances rho * sigma_x_sq.
+    variances of `x_pri` and `x_post` rho * sigma_x_sq, clipped once for both.
 
-    On the linear channel the z-likelihood message is N(y, noise_var), which
-    z_posterior_awgn followed by extrinsic returns for every z-prior message.
-    The other likelihood-side messages are placeholders (recomputed before
-    first use inside a sweep); their variances start at v_max, uninformative.
-    The linear channel's Gram, fixed with its z-likelihood message, is built
-    here once; the quantized channel's, which changes every sweep, is not.
+    On the linear channel `z_lik` is N(y, noise_var), which z_posterior_awgn
+    followed by extrinsic returns for every z-prior message. The other
+    likelihood-side messages are placeholders (recomputed before first use
+    inside a sweep); their variances start at v_max, uninformative. The linear
+    channel's Gram, fixed with its `z_lik`, is built here once; the quantized
+    channel's, which changes every sweep, is not.
     """
     m, n = inst.m, inst.n
     p_z = signal_power(inst.H, rho, inst.sigma_x_sq) + inst.channel.noise_var
-    v_x0 = rho * inst.sigma_x_sq
+    v_x0 = np.clip(rho * inst.sigma_x_sq, cfg.v_min, cfg.v_max)
     linear = inst.channel.kind == "linear"
     v_z_lik = np.clip(inst.channel.noise_var, cfg.v_min, cfg.v_max) if linear else cfg.v_max
     return GecState(
-        m_z_pri=np.zeros(m),
-        v_z_pri=np.full(m, np.clip(p_z, cfg.v_min, cfg.v_max)),
-        m_z_lik=np.array(inst.y, dtype=float) if linear else np.zeros(m),
-        v_z_lik=np.full(m, v_z_lik),
-        m_x_pri=np.zeros(n),
-        v_x_pri=np.full(n, np.clip(v_x0, cfg.v_min, cfg.v_max)),
-        m_x_lik=np.zeros(n),
-        v_x_lik=np.full(n, cfg.v_max),
+        z_pri=Moments(np.zeros(m), np.full(m, np.clip(p_z, cfg.v_min, cfg.v_max))),
+        z_lik=Moments(np.array(inst.y, dtype=float) if linear else np.zeros(m),
+                      np.full(m, v_z_lik)),
+        x_pri=Moments(np.zeros(n), np.full(n, v_x0)),
+        x_lik=Moments(np.zeros(n), np.full(n, cfg.v_max)),
+        x_post=Moments(np.zeros(n), np.full(n, v_x0)),
         llr_hat=np.full(n, np.log(rho) - np.log1p(-rho)),
-        x_pos=np.zeros(n),
-        v_x_pos=np.full(n, np.clip(v_x0, cfg.v_min, cfg.v_max)),
         gram=lmmse_gram(inst.H, np.full(m, v_z_lik)) if linear else None,
     )
 
@@ -103,12 +95,12 @@ def lmmse_gram(H, v_z_lik) -> np.ndarray:
                         overwrite_c=1)
 
 
-def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
+def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side) -> Moments:
     """Joint Gaussian combine of the z-side and x-side messages through H.
 
     With `gram` = `lmmse_gram(H, v_z_lik)`, factors P = H^T D H + diag(1/v_x_pri),
     D = diag(1/v_z_lik), as L L^T and returns the posterior mean and marginal
-    variances of one side: side "x" gives (P^-1 r, diag P^-1) with
+    variances of one side as `Moments`: side "x" gives (P^-1 r, diag P^-1) with
     r = H^T D m_z_lik + m_x_pri / v_x_pri; side "z" gives (H P^-1 r,
     diag H P^-1 H^T). No inverse of P is formed: diag P^-1 is the column sums
     of squares of L^-1, and diag H P^-1 H^T those of L^-1 H^T.
@@ -135,25 +127,30 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side):
     x_pos = lapack.dpotrs(chol, rhs, lower=1)[0]
     if side == "x":
         factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
-        return x_pos, np.einsum("ij,ij->j", factor, factor)
+        return Moments(x_pos, np.einsum("ij,ij->j", factor, factor))
     factor, info = lapack.dtrtrs(chol, H.T, lower=1)
     if info != 0:
         raise FactorizationFailure(f"triangular solve with the LMMSE factor failed (info {info})")
-    return np.einsum("ij,j->i", H, x_pos), np.einsum("ij,ij->j", factor, factor)
+    return Moments(np.einsum("ij,j->i", H, x_pos), np.einsum("ij,ij->j", factor, factor))
 
 
-def _damp(new: Moments, old_mean, old_var, damp: float) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        damp * np.asarray(new.mean) + (1.0 - damp) * old_mean,
-        damp * np.asarray(new.var) + (1.0 - damp) * old_var,
-    )
+def _refresh(post: Moments, cavity: Moments, old: Moments, damp: float,
+             cfg: HygecConfig) -> Moments:
+    """The one refresh rule of the sweep: the new outgoing message is `post`
+    divided by `cavity` (`extrinsic`, variances clamped to [v_min, v_max]),
+    blended linearly with the `old` one, weight `damp` on the new."""
+    new = extrinsic(post, cavity, cfg.v_min, cfg.v_max)
+    return Moments(damp * new.mean + (1.0 - damp) * old.mean,
+                   damp * new.var + (1.0 - damp) * old.var)
 
 
 def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     """One full message-passing sweep, mutating `state` in place.
 
     Order: z-channel denoise, joint solve to the x side, spike-slab denoise,
-    joint solve back to the z side, activity-message refresh. The first sweep
+    joint solve back to the z side, activity-message refresh. Each of the
+    four Gaussian messages it updates is replaced by `_refresh`, the one
+    refresh rule; `x_post` is the spike-slab posterior itself. The first sweep
     runs undamped because the stale sides of the state are placeholders.
 
     On the linear channel the z-likelihood message is the channel itself,
@@ -168,43 +165,24 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     linear = inst.channel.kind == "linear"
 
     if not linear:
-        z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
-        ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
-        state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
+        z_channel = channel_posterior(inst.channel, inst.y, *state.z_pri)
+        state.z_lik = _refresh(z_channel, state.z_pri, state.z_lik, damp, cfg)
     # the z-side message is fixed for the rest of the sweep, so both solves share it
-    gram = state.gram if linear else lmmse_gram(inst.H, state.v_z_lik)
+    gram = state.gram if linear else lmmse_gram(inst.H, state.z_lik.var)
 
-    x_pos2, v_x_pos2 = lmmse_block(
-        inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "x"
-    )
-    ext = extrinsic(
-        Moments(x_pos2, v_x_pos2), Moments(state.m_x_pri, state.v_x_pri), cfg.v_min, cfg.v_max
-    )
-    state.m_x_lik, state.v_x_lik = _damp(ext, state.m_x_lik, state.v_x_lik, damp)
+    x_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "x")
+    state.x_lik = _refresh(x_joint, state.x_pri, state.x_lik, damp, cfg)
 
-    (x_mean, x_var), _pi = x_posterior_spike_slab(
-        state.m_x_lik, state.v_x_lik, state.llr_hat, inst.sigma_x_sq
-    )
-    state.x_pos = x_mean
-    state.v_x_pos = np.maximum(x_var, cfg.v_min)  # spike-heavy elements hit zero variance
-    ext = extrinsic(
-        Moments(state.x_pos, state.v_x_pos),
-        Moments(state.m_x_lik, state.v_x_lik),
-        cfg.v_min,
-        cfg.v_max,
-    )
-    state.m_x_pri, state.v_x_pri = _damp(ext, state.m_x_pri, state.v_x_pri, damp)
+    (x_mean, x_var), _pi = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
+    # spike-heavy elements hit zero variance
+    state.x_post = Moments(x_mean, np.maximum(x_var, cfg.v_min))
+    state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
 
     if not linear:
-        z_pos1, v_z_pos1 = lmmse_block(
-            inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z"
-        )
-        ext = extrinsic(
-            Moments(z_pos1, v_z_pos1), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max
-        )
-        state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
+        z_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "z")
+        state.z_pri = _refresh(z_joint, state.z_lik, state.z_pri, damp, cfg)
 
-    state.llr_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
+    state.llr_hat = llr_messages(*state.x_lik, rho, inst.sigma_x_sq, inst.groups)
 
     if not state.all_finite():
         raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
@@ -217,11 +195,13 @@ def hygec_run(
     rho: float,
     cfg: HygecConfig = HygecConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RecoveryReport]:
-    """Run sweeps from a fresh state until the posterior mean stops moving or
+    """Run sweeps from a fresh state of five `Moments` messages, each updated by
+    the one refresh rule `_refresh`, until the posterior mean stops moving or
     the budget runs out.
 
-    Returns (m_x_lik, v_x_lik, llr_hat, x_pos, report), where llr_hat holds
-    the per-element prior activity log-odds of the last sweep. The report's rate
+    Returns (m_x_lik, v_x_lik, llr_hat, x_hat, report): the halves of the
+    x-likelihood message, the per-element prior activity log-odds of the last
+    sweep, and the posterior mean of x. The report's rate
     trace is [rho] and its one inner count is `state.t`, the completed sweeps.
     Numerical trouble is recorded in report.termination, with its cause and
     sweep in report.failure, rather than raised, so parameter sweeps can keep
@@ -233,7 +213,7 @@ def hygec_run(
     report = RecoveryReport(rho_trace=[rho], termination=MAX_ITERATIONS)
     track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
     for _ in range(cfg.max_iter):
-        x_prev = state.x_pos
+        x_prev = state.x_post.mean
         try:
             hygec_sweep(state, inst, rho, cfg)
         except (FactorizationFailure, NonFinite) as exc:
@@ -241,11 +221,11 @@ def hygec_run(
             report.failure = f"{type(exc).__name__} in sweep {state.t + 1}: {exc}"
             break
         if track_nmse:
-            report.nmse_trace.append(nmse(state.x_pos, inst.x_true))
-        if float(np.sum((state.x_pos - x_prev) ** 2)) < cfg.tol * inst.n:
+            report.nmse_trace.append(nmse(state.x_post.mean, inst.x_true))
+        if float(np.sum((state.x_post.mean - x_prev) ** 2)) < cfg.tol * inst.n:
             report.termination = CONVERGED
             break
 
     report.inner_counts = [state.t]
-    return state.m_x_lik, state.v_x_lik, state.llr_hat, state.x_pos, report
+    return (*state.x_lik, state.llr_hat, state.x_post.mean, report)
 

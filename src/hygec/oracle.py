@@ -15,8 +15,8 @@ import itertools
 
 import numpy as np
 
-from .denoisers import Moments, x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
-from .types import HygecError, InvalidParameter, ProblemInstance
+from .denoisers import x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
+from .types import HygecError, InvalidParameter, Moments, ProblemInstance
 
 
 class ZeroMass(HygecError):

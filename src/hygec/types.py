@@ -6,6 +6,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,37 +211,43 @@ class ProblemInstance:
         return self.H.shape[1]
 
 
+class Moments(NamedTuple):
+    """A Gaussian message or marginal: its mean and its variance."""
+
+    mean: np.ndarray | float
+    var: np.ndarray | float
+
+
 @dataclass
 class GecState:
-    """Message state owned by a single recovery run.
+    """Message state owned by a single recovery run: five `Moments` messages and
+    one refresh rule.
 
-    Mean/variance pairs for z and x, each split into the prior-side and
-    likelihood-side Gaussian messages, plus the per-element activity messages
-    as prior log-odds (`llr_hat`) and the current posterior estimate of x.
+    For z and for x, a prior-side and a likelihood-side Gaussian message
+    (`z_pri`, `z_lik`, `x_pri`, `x_lik`), each replaced in a sweep only by
+    `engine._refresh`; the current posterior of x (`x_post`), the spike-slab
+    denoiser's output; and the per-element activity messages as prior
+    log-odds (`llr_hat`).
 
-    On the linear channel `init_state` sets the z-likelihood message to the
-    channel's own N(y, noise_var) and its Gram `gram`, in LAPACK's rectangular
-    full packed (RFP) storage, and no sweep writes either; (m_z_pri, v_z_pri)
-    keep their `init_state` values, as no sweep reads or updates them there. On
-    the quantized channel `gram` is None. `t` counts the completed sweeps.
+    On the linear channel `init_state` sets `z_lik` to the channel's own
+    N(y, noise_var) and its Gram `gram`, in LAPACK's rectangular full packed
+    (RFP) storage, and no sweep writes either; `z_pri` keeps its `init_state`
+    value, as no sweep reads or updates it there. On the quantized channel
+    `gram` is None. `t` counts the completed sweeps.
     """
 
-    m_z_pri: np.ndarray
-    v_z_pri: np.ndarray
-    m_z_lik: np.ndarray
-    v_z_lik: np.ndarray
-    m_x_pri: np.ndarray
-    v_x_pri: np.ndarray
-    m_x_lik: np.ndarray
-    v_x_lik: np.ndarray
+    z_pri: Moments
+    z_lik: Moments
+    x_pri: Moments
+    x_lik: Moments
+    x_post: Moments
     llr_hat: np.ndarray
-    x_pos: np.ndarray
-    v_x_pos: np.ndarray
     gram: np.ndarray | None = None
     t: int = 0
 
     def all_finite(self) -> bool:  # the Gram is fixed before the first sweep: not scanned
-        arrays = (getattr(self, f.name) for f in fields(self) if f.name not in ("gram", "t"))
+        values = (getattr(self, f.name) for f in fields(self) if f.name not in ("gram", "t"))
+        arrays = (a for v in values for a in (v if isinstance(v, Moments) else (v,)))
         return all(np.all(np.isfinite(a)) for a in arrays)
 
 

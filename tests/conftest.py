@@ -17,18 +17,19 @@ def gaussian_reproduction_residuals(
     (mean_residual, var_residual, clamped) where `clamped` flags elements whose
     variances sit at `cfg`'s clamp bounds (the identity is not expected there).
     """
-    prec = 1.0 / state.v_x_pri + 1.0 / state.v_x_lik
+    (m_pri, v_pri), (m_lik, v_lik), (m_post, v_post) = state.x_pri, state.x_lik, state.x_post
+    prec = 1.0 / v_pri + 1.0 / v_lik
     v_comb = 1.0 / prec
-    m_comb = v_comb * (state.m_x_pri / state.v_x_pri + state.m_x_lik / state.v_x_lik)
+    m_comb = v_comb * (m_pri / v_pri + m_lik / v_lik)
     slack = 1.0 + 1e-6
     clamped = (
-        (state.v_x_pri <= cfg.v_min * slack)
-        | (state.v_x_pri >= cfg.v_max / slack)
-        | (state.v_x_lik <= cfg.v_min * slack)
-        | (state.v_x_lik >= cfg.v_max / slack)
-        | (state.v_x_pos <= cfg.v_min * slack)
+        (v_pri <= cfg.v_min * slack)
+        | (v_pri >= cfg.v_max / slack)
+        | (v_lik <= cfg.v_min * slack)
+        | (v_lik >= cfg.v_max / slack)
+        | (v_post <= cfg.v_min * slack)
     )
-    return np.abs(m_comb - state.x_pos), np.abs(v_comb - state.v_x_pos), clamped
+    return np.abs(m_comb - m_post), np.abs(v_comb - v_post), clamped
 
 
 @pytest.fixture

@@ -20,10 +20,11 @@ from hygec.bench import (
     summarize,
 )
 from hygec.cli import main
-from hygec.denoisers import Moments, extrinsic
+from hygec.denoisers import extrinsic
 from hygec.em import em_hygec_run
 from hygec.engine import HygecConfig, hygec_sweep, init_state
 from hygec.oracle import denoiser_parity
+from hygec.types import Moments
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

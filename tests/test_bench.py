@@ -587,6 +587,18 @@ def test_import_rejects_instance_missing_a_field(tmp_path):
         import_instance(str(text))
 
 
+def test_import_refuses_an_unknown_member_by_name(tmp_path):
+    # a renamed x_true would otherwise load as an instance without a truth
+    path = str(tmp_path / "inst.npz")
+    export_instance(build_instance(_scenario(), 7, None), path)
+    with np.load(path) as archive:
+        members = dict(archive)
+    members["x_ture"] = members.pop("x_true")
+    np.savez(path, **members)
+    with pytest.raises(SchemaMismatch, match="unknown member.*x_ture"):
+        import_instance(path)
+
+
 def test_import_refuses_a_bool_sigma_x_sq_by_name(tmp_path):
     # a bool member reads back as True, which is no variance, not as 1.0
     path = str(tmp_path / "inst.npz")

@@ -10,7 +10,6 @@ from hygec.denoisers import (
     _CLAMP_SIGMAS,
     _LOG_TINY_MASS,
     LLR_CAP,
-    Moments,
     _expit,
     _std_trunc_moments,
     channel_posterior,
@@ -22,7 +21,7 @@ from hygec.denoisers import (
     z_posterior_cell,
 )
 from hygec.oracle import quad_z_posterior
-from hygec.types import Channel, GroupStructure, InvalidParameter
+from hygec.types import Channel, GroupStructure, InvalidParameter, Moments
 
 
 def _ref_upper(a, b):

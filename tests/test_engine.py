@@ -11,9 +11,7 @@ from scipy.special import expit, logit
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
     LLR_CAP,
-    Moments,
     channel_posterior,
-    extrinsic,
     llr_messages,
     x_posterior_spike_slab,
 )
@@ -21,7 +19,7 @@ from hygec.engine import (
     FactorizationFailure,
     HygecConfig,
     NonFinite,
-    _damp,
+    _refresh,
     hygec_run,
     hygec_sweep,
     init_state,
@@ -38,6 +36,7 @@ from hygec.types import (
     DimensionMismatch,
     GroupStructure,
     InvalidParameter,
+    Moments,
     ProblemInstance,
 )
 
@@ -69,7 +68,7 @@ def test_init_state_z_prior_variance():
         2.0,
     )
     # ||H||_F^2 / M = 1 for the identity, so the z-prior variance is rho*sigma_x_sq + noise_var
-    v_z_pri = init_state(inst, 0.25, HygecConfig()).v_z_pri
+    v_z_pri = init_state(inst, 0.25, HygecConfig()).z_pri.var
     assert v_z_pri == pytest.approx(np.full(4, 0.25 * 2.0 + 0.3))
 
 
@@ -78,17 +77,36 @@ def test_init_state_layout():
     cfg = HygecConfig()
     st = init_state(inst, 0.2, cfg)
     assert st.t == 0
-    assert st.m_z_pri.shape == (6,) and st.m_x_pri.shape == (10,)
-    assert np.all(st.m_z_pri == 0) and np.all(st.m_x_lik == 0) and np.all(st.x_pos == 0)
+    assert st.z_pri.mean.shape == (6,) and st.x_pri.mean.shape == (10,)
+    assert np.all(st.z_pri.mean == 0) and np.all(st.x_lik.mean == 0) and np.all(st.x_post.mean == 0)
     # on the linear channel the z-likelihood message is the channel, N(y, noise_var)
-    assert np.array_equal(st.m_z_lik, inst.y) and st.m_z_lik is not inst.y
-    assert np.all(st.v_z_lik == inst.channel.noise_var) and np.all(st.v_x_lik == cfg.v_max)
-    assert np.all(st.v_x_pri == 0.2 * 2.0)
+    assert np.array_equal(st.z_lik.mean, inst.y) and st.z_lik.mean is not inst.y
+    assert np.all(st.z_lik.var == inst.channel.noise_var) and np.all(st.x_lik.var == cfg.v_max)
+    assert np.all(st.x_pri.var == 0.2 * 2.0)
     np.testing.assert_allclose(st.llr_hat, logit(0.2), rtol=1e-15, atol=0.0)
-    assert np.array_equal(st.gram, lmmse_gram(inst.H, st.v_z_lik))  # fixed with N(y, noise_var)
+    assert np.array_equal(st.gram, lmmse_gram(inst.H, st.z_lik.var))  # fixed with N(y, noise_var)
     quant = init_state(_instance(0, 6, 10, 5, 0.2, 15.0, bits=2), 0.2, cfg)
-    assert np.all(quant.m_z_lik == 0) and np.all(quant.v_z_lik == cfg.v_max)
+    assert np.all(quant.z_lik.mean == 0) and np.all(quant.z_lik.var == cfg.v_max)
     assert quant.gram is None  # the quantized sweep builds its Gram from each new message
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_state_messages_are_moments_of_float_arrays(bits):
+    # all_finite and _refresh take each message as a Moments pair of float arrays
+    inst = _instance(0, 6, 10, 5, 0.2, 15.0, bits=bits)
+    cfg = HygecConfig()
+    st = init_state(inst, 0.2, cfg)
+    messages = [f.name for f in dataclasses.fields(st) if f.type == "Moments"]
+    assert messages == ["z_pri", "z_lik", "x_pri", "x_lik", "x_post"]
+    for when in ("after init_state", "after one sweep"):
+        for name in messages:
+            value = getattr(st, name)
+            size = inst.m if name.startswith("z") else inst.n
+            assert type(value) is Moments, (when, name)
+            for half in value:
+                assert isinstance(half, np.ndarray) and half.dtype == np.float64, (when, name)
+                assert half.shape == (size,), (when, name)
+        hygec_sweep(st, inst, 0.2, cfg)
 
 
 def _lmmse_both_sides(H, mz, vz, mx, vx, gram=None):
@@ -270,17 +288,17 @@ def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
 
     def dense(H, gram, mz, vz, mx, vx, side):
         x_pos, v_x, z_pos, v_z = _lmmse_dense_inverse(H, mz, vz, mx, vx)
-        return (x_pos, v_x) if side == "x" else (z_pos, v_z)
+        return Moments(x_pos, v_x) if side == "x" else Moments(z_pos, v_z)
 
     monkeypatch.setattr("hygec.engine.lmmse_block", dense)
     for _ in range(5):
         hygec_sweep(ref, inst, 0.2, cfg)
-    names = ["m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "m_x_lik", "v_x_lik", "x_pos",
-             "v_x_pos", "llr_hat"]
+    messages = ["z_lik", "x_pri", "x_lik", "x_post"]
     if bits is not None:  # the linear sweep leaves the z-prior message at its initial zeros
-        names += ["m_z_pri", "v_z_pri"]
-    for name in names:
-        a, b = getattr(fast, name), getattr(ref, name)
+        messages.append("z_pri")
+    pairs = [(f"{name}.{half}", a, b) for name in messages
+             for half, a, b in zip(Moments._fields, getattr(fast, name), getattr(ref, name))]
+    for name, a, b in pairs + [("llr_hat", fast.llr_hat, ref.llr_hat)]:
         err = np.max(np.abs(a - b)) / np.max(np.abs(b))
         assert err < 1e-9, f"{name}: relative error {err:.1e}"
 
@@ -290,24 +308,17 @@ def _two_solve_sweep(state, inst, rho, cfg):
     # solve, spike-slab denoise, z-side solve, activity refresh; `state.gram`
     # is not read
     damp = cfg.damping if state.t > 0 else 1.0
-    z_pos = channel_posterior(inst.channel, inst.y, state.m_z_pri, state.v_z_pri)
-    ext = extrinsic(z_pos, Moments(state.m_z_pri, state.v_z_pri), cfg.v_min, cfg.v_max)
-    state.m_z_lik, state.v_z_lik = _damp(ext, state.m_z_lik, state.v_z_lik, damp)
-    gram = lmmse_gram(inst.H, state.v_z_lik)
-    pos = lmmse_block(inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "x")
-    ext = extrinsic(Moments(*pos), Moments(state.m_x_pri, state.v_x_pri), cfg.v_min, cfg.v_max)
-    state.m_x_lik, state.v_x_lik = _damp(ext, state.m_x_lik, state.v_x_lik, damp)
-    (x_mean, x_var), _ = x_posterior_spike_slab(
-        state.m_x_lik, state.v_x_lik, state.llr_hat, inst.sigma_x_sq
-    )
-    state.x_pos, state.v_x_pos = x_mean, np.maximum(x_var, cfg.v_min)
-    ext = extrinsic(Moments(state.x_pos, state.v_x_pos), Moments(state.m_x_lik, state.v_x_lik),
-                    cfg.v_min, cfg.v_max)
-    state.m_x_pri, state.v_x_pri = _damp(ext, state.m_x_pri, state.v_x_pri, damp)
-    pos = lmmse_block(inst.H, gram, state.m_z_lik, state.v_z_lik, state.m_x_pri, state.v_x_pri, "z")
-    ext = extrinsic(Moments(*pos), Moments(state.m_z_lik, state.v_z_lik), cfg.v_min, cfg.v_max)
-    state.m_z_pri, state.v_z_pri = _damp(ext, state.m_z_pri, state.v_z_pri, damp)
-    state.llr_hat = llr_messages(state.m_x_lik, state.v_x_lik, rho, inst.sigma_x_sq, inst.groups)
+    z_channel = channel_posterior(inst.channel, inst.y, *state.z_pri)
+    state.z_lik = _refresh(z_channel, state.z_pri, state.z_lik, damp, cfg)
+    gram = lmmse_gram(inst.H, state.z_lik.var)
+    x_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "x")
+    state.x_lik = _refresh(x_joint, state.x_pri, state.x_lik, damp, cfg)
+    (x_mean, x_var), _ = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
+    state.x_post = Moments(x_mean, np.maximum(x_var, cfg.v_min))
+    state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
+    z_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "z")
+    state.z_pri = _refresh(z_joint, state.z_lik, state.z_pri, damp, cfg)
+    state.llr_hat = llr_messages(*state.x_lik, rho, inst.sigma_x_sq, inst.groups)
     if not state.all_finite():
         raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
     state.t += 1
@@ -329,9 +340,10 @@ def test_linear_sweep_matches_two_solve_sweep(monkeypatch):
         hygec_sweep(fast, inst, 0.1, cfg)
         _two_solve_sweep(ref, inst, 0.1, cfg)
         _two_solve_sweep(ref_nudged, nudged, 0.1, cfg)
-        for name in ("m_z_lik", "v_z_lik", "m_x_pri", "v_x_pri", "x_pos", "v_x_pos"):
-            err = rel_err(getattr(fast, name), getattr(ref, name))
-            assert err < 1e-9, f"sweep {t + 1}, {name}: relative error {err:.1e}"
+        for name in ("z_lik", "x_pri", "x_post"):
+            for half, a, b in zip(Moments._fields, getattr(fast, name), getattr(ref, name)):
+                err = rel_err(a, b)
+                assert err < 1e-9, f"sweep {t + 1}, {name}.{half}: relative error {err:.1e}"
         # the activity messages as probabilities: their log-odds come from the
         # x-likelihood message, whose rounding is amplified as explained below,
         # and the error sits where |log-odds| is large, which expit squashes
@@ -340,13 +352,12 @@ def test_linear_sweep_matches_two_solve_sweep(monkeypatch):
         assert err < 1e-9, f"sweep {t + 1}, activity: relative error {err:.1e}"
         # the x-likelihood message divides the x posterior by a prior that
         # pins inactive elements near v_min, which amplifies rounding by up to
-        # v_x_lik / v_x_pri ~ 1e9: there a one-ulp change of y moves the
+        # x_lik.var / x_pri.var ~ 1e9: there a one-ulp change of y moves the
         # reference itself by ~1e-6, and the bound is ten times that move
-        for name in ("m_x_lik", "v_x_lik"):
-            err = rel_err(getattr(fast, name), getattr(ref, name))
-            ulp_move = rel_err(getattr(ref_nudged, name), getattr(ref, name))
-            bound = max(1e-9, 10.0 * ulp_move)
-            assert err < bound, f"sweep {t + 1}, {name}: relative error {err:.1e} > {bound:.1e}"
+        for half, a, b, b_nudged in zip(Moments._fields, fast.x_lik, ref.x_lik, ref_nudged.x_lik):
+            err = rel_err(a, b)
+            bound = max(1e-9, 10.0 * rel_err(b_nudged, b))
+            assert err < bound, f"sweep {t + 1}, x_lik.{half}: {err:.1e} > {bound:.1e}"
     # hygec_run sweeps the state that init_state built, Gram included
     _, _, _, x_pos, report = hygec_run(inst, 0.1, cfg)
     monkeypatch.setattr("hygec.engine.hygec_sweep", _two_solve_sweep)
@@ -384,8 +395,8 @@ def test_one_sweep_identity_sensing_matches_scalar_denoiser():
     st = init_state(inst, rho, cfg)
     hygec_sweep(st, inst, rho, cfg)
     (ref_mean, ref_var), _ = x_posterior_spike_slab(y, nv, logit(rho), 1.0)
-    assert np.max(np.abs(st.x_pos - ref_mean)) < 1e-8
-    assert np.max(np.abs(st.v_x_pos - np.maximum(ref_var, cfg.v_min))) < 1e-8
+    assert np.max(np.abs(st.x_post.mean - ref_mean)) < 1e-8
+    assert np.max(np.abs(st.x_post.var - np.maximum(ref_var, cfg.v_min))) < 1e-8
 
 
 def test_sweep_keeps_state_sane():
@@ -396,7 +407,7 @@ def test_sweep_keeps_state_sane():
         hygec_sweep(st, inst, 0.2, cfg)
         assert st.t == t + 1
         assert st.all_finite()
-        for v in (st.v_z_pri, st.v_z_lik, st.v_x_pri, st.v_x_lik, st.v_x_pos):
+        for v in (st.z_pri.var, st.z_lik.var, st.x_pri.var, st.x_lik.var, st.x_post.var):
             assert np.all(v >= cfg.v_min) and np.all(v <= cfg.v_max)
         assert np.all(np.abs(st.llr_hat) <= LLR_CAP)
 
@@ -482,7 +493,7 @@ def test_direct_sweeps_and_run_take_one_path(bits):
     _, _, _, x_pos, report = hygec_run(inst, 0.2, cfg)
     assert report.termination == MAX_ITERATIONS
     assert report.inner_counts == [k] == [st.t]
-    assert np.array_equal(x_pos, st.x_pos)
+    assert np.array_equal(x_pos, st.x_post.mean)
 
 
 @pytest.mark.parametrize("bits", [None, 2])
@@ -514,7 +525,7 @@ def test_run_matches_exact_posterior_on_tiny_instances():
         for _ in range(50):
             hygec_sweep(st, inst, 0.1, cfg)
         x_ref, _, _ = exact_posterior_small(inst, 0.1, 1.0)
-        rms = float(np.sqrt(np.mean((st.x_pos - x_ref) ** 2)))
+        rms = float(np.sqrt(np.mean((st.x_post.mean - x_ref) ** 2)))
         assert rms < 1e-3, f"seed {seed}: rms {rms}"
 
 
@@ -535,10 +546,10 @@ def test_reproduction_residuals_flag_clamped_elements(reproduction_residuals):
     inst = _instance(0, 6, 10, 5, 0.2, 15.0)
     cfg = HygecConfig()
     st = init_state(inst, 0.2, cfg)
-    assert np.all(reproduction_residuals(st, cfg)[2])  # fresh v_x_lik sits at v_max
-    st.v_x_lik = np.ones(10)
+    assert np.all(reproduction_residuals(st, cfg)[2])  # fresh x_lik.var sits at v_max
+    st.x_lik = Moments(st.x_lik.mean, np.ones(10))
     _, _, clamped = reproduction_residuals(st, cfg)
     assert not np.any(clamped)
-    st.v_x_lik[4] = cfg.v_max
+    st.x_lik.var[4] = cfg.v_max
     _, _, clamped = reproduction_residuals(st, cfg)
     assert clamped[4] and clamped.sum() == 1

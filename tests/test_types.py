@@ -11,6 +11,7 @@ from hygec.types import (
     GroupCoverage,
     GroupStructure,
     InvalidParameter,
+    Moments,
     ProblemInstance,
     SupportViolation,
 )
@@ -241,19 +242,31 @@ def test_validate_parameter_ranges():
         )
 
 
-def test_gec_state_all_finite():
+def _zero_state(**kw):
     z = np.zeros(2)
-    state = GecState(*(z.copy() for _ in range(11)))
+    return GecState(*(Moments(z.copy(), z.copy()) for _ in range(5)), z.copy(), **kw)
+
+
+def test_gec_state_all_finite():
+    state = _zero_state()
     assert state.all_finite()
-    state.v_x_lik[1] = np.inf
+    state.x_lik.var[1] = np.inf
     assert not state.all_finite()
-    # every message field is checked, not a hand-kept subset
+    # every message field is checked, each half of a Moments message on its own,
+    # not a hand-kept subset
     messages = [f.name for f in dataclasses.fields(GecState) if f.name not in ("gram", "t")]
-    assert len(messages) == 11
-    for name in messages:
-        clean = GecState(*(z.copy() for _ in range(11)))
-        getattr(clean, name)[0] = np.nan
-        assert not clean.all_finite(), name
+    assert len(messages) == 6
+
+    def arrays(state):
+        for name in messages:
+            value = getattr(state, name)
+            yield from value if isinstance(value, Moments) else [value]
+
+    assert len(list(arrays(state))) == 11
+    for i in range(11):
+        clean = _zero_state()
+        list(arrays(clean))[i][0] = np.nan
+        assert not clean.all_finite(), f"array {i} of {messages}"
     # the Gram is fixed before the first sweep and is not scanned
-    state = GecState(*(z.copy() for _ in range(11)), gram=np.array([np.nan]))
+    state = _zero_state(gram=np.array([np.nan]))
     assert state.all_finite()
