@@ -74,8 +74,7 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     v_z_lik = np.clip(inst.channel.noise_var, cfg.v_min, cfg.v_max) if linear else cfg.v_max
     return GecState(
         z_pri=Moments(np.zeros(m), np.full(m, np.clip(p_z, cfg.v_min, cfg.v_max))),
-        z_lik=Moments(np.array(inst.y, dtype=float) if linear else np.zeros(m),
-                      np.full(m, v_z_lik)),
+        z_lik=Moments(inst.y if linear else np.zeros(m), np.full(m, v_z_lik)),
         x_pri=Moments(np.zeros(n), np.full(n, v_x0)),
         x_lik=Moments(np.zeros(n), np.full(n, cfg.v_max)),
         x_post=Moments(np.zeros(n), np.full(n, v_x0)),
@@ -87,7 +86,7 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
 def lmmse_gram(H, v_z_lik) -> np.ndarray:
     """H^T diag(1/v_z_lik) H by LAPACK's dsfrk, in rectangular full packed (RFP) lower
     storage (transr "N"): n(n+1)/2 doubles, with no n x n square on the way."""
-    scaled = np.asarray(H, dtype=float) / np.sqrt(np.asarray(v_z_lik, dtype=float))[:, None]
+    scaled = H / np.sqrt(v_z_lik)[:, None]
     m, n = scaled.shape
     # scaled.T is Fortran-contiguous, so dsfrk reads it in place: A A^T = scaled^T scaled;
     # beta 0 with overwrite_c writes the result into the zeroed buffer, no copy
@@ -95,13 +94,13 @@ def lmmse_gram(H, v_z_lik) -> np.ndarray:
                         overwrite_c=1)
 
 
-def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side) -> Moments:
+def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
     """Joint Gaussian combine of the z-side and x-side messages through H.
 
-    With `gram` = `lmmse_gram(H, v_z_lik)`, factors P = H^T D H + diag(1/v_x_pri),
-    D = diag(1/v_z_lik), as L L^T and returns the posterior mean and marginal
+    With `gram` = `lmmse_gram(H, z_lik.var)`, factors P = H^T D H + diag(1/x_pri.var),
+    D = diag(1/z_lik.var), as L L^T and returns the posterior mean and marginal
     variances of one side as `Moments`: side "x" gives (P^-1 r, diag P^-1) with
-    r = H^T D m_z_lik + m_x_pri / v_x_pri; side "z" gives (H P^-1 r,
+    r = H^T D z_lik.mean + x_pri.mean / x_pri.var; side "z" gives (H P^-1 r,
     diag H P^-1 H^T). No inverse of P is formed: diag P^-1 is the column sums
     of squares of L^-1, and diag H P^-1 H^T those of L^-1 H^T.
 
@@ -115,15 +114,12 @@ def lmmse_block(H, gram, m_z_lik, v_z_lik, m_x_pri, v_x_pri, side) -> Moments:
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
-    H = np.asarray(H, dtype=float)
-    v_x_pri = np.asarray(v_x_pri, dtype=float)
     prec = lapack.dtfttr(H.shape[1], gram, uplo="L")[0]
-    prec[np.diag_indices(H.shape[1])] += 1.0 / v_x_pri
+    prec[np.diag_indices(H.shape[1])] += 1.0 / x_pri.var
     chol, info = lapack.dpotrf(prec, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
-    rhs = np.einsum("ij,i->j", H, np.asarray(m_z_lik, dtype=float) / v_z_lik)
-    rhs += np.asarray(m_x_pri) / v_x_pri
+    rhs = np.einsum("ij,i->j", H, z_lik.mean / z_lik.var) + x_pri.mean / x_pri.var
     x_pos = lapack.dpotrs(chol, rhs, lower=1)[0]
     if side == "x":
         factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
@@ -170,7 +166,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     # the z-side message is fixed for the rest of the sweep, so both solves share it
     gram = state.gram if linear else lmmse_gram(inst.H, state.z_lik.var)
 
-    x_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "x")
+    x_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "x")
     state.x_lik = _refresh(x_joint, state.x_pri, state.x_lik, damp, cfg)
 
     (x_mean, x_var), _pi = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
@@ -179,7 +175,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
 
     if not linear:
-        z_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "z")
+        z_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "z")
         state.z_pri = _refresh(z_joint, state.z_lik, state.z_pri, damp, cfg)
 
     state.llr_hat = llr_messages(*state.x_lik, rho, inst.sigma_x_sq, inst.groups)
@@ -211,7 +207,7 @@ def hygec_run(
         raise InvalidParameter("rho must lie in (0, 1)")
     state = init_state(inst, rho, cfg)
     report = RecoveryReport(rho_trace=[rho], termination=MAX_ITERATIONS)
-    track_nmse = inst.x_true is not None and np.any(np.asarray(inst.x_true) != 0)
+    track_nmse = inst.x_true is not None and np.any(inst.x_true != 0)
     for _ in range(cfg.max_iter):
         x_prev = state.x_post.mean
         try:

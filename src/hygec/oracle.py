@@ -154,8 +154,7 @@ def exact_posterior_small(
         raise Unsupported(f"2^{k} patterns is past the exactness budget (K <= 12)")
     if not 0 < rho < 1:
         raise InvalidParameter("rho must lie in (0, 1)")
-    H = np.asarray(inst.H, dtype=float)
-    y = np.asarray(inst.y, dtype=float)
+    H, y = inst.H, inst.y
     m, n = H.shape
     noise_var = inst.channel.noise_var
     if not noise_var > 0:

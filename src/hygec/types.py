@@ -151,16 +151,16 @@ class Channel:
         return np.searchsorted(self.edges[1:-1], values, side="right")
 
     def cell_bounds(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper edges of the cells indexed by y."""
-        y = np.asarray(y, dtype=np.int64)
+        """Lower and upper edges of the cells indexed by the integer array y."""
         if np.any(y < 0) or np.any(y >= self.n_cells):
             raise InvalidParameter("cell index out of range")
         return self.edges[y], self.edges[y + 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """One recovery problem: measurement matrix, observation, and the generative model."""
+    """One recovery problem: measurement matrix, observation, and the generative model.
+    Its arrays' dtypes are fixed at construction; it compares and hashes by identity."""
 
     H: np.ndarray
     y: np.ndarray
@@ -176,31 +176,36 @@ class ProblemInstance:
         if not isinstance(self.H, np.ndarray) or self.H.ndim != 2:
             raise DimensionMismatch("H must be a 2-d numpy array")
         m, n = self.H.shape
-        if np.asarray(self.y).shape != (m,):
+        y, x, xi = map(np.asarray, (self.y, self.x_true, self.xi_true))
+        if y.shape != (m,):
             raise DimensionMismatch(f"y must have length {m}")
         if self.groups.n != n:
             raise GroupCoverage(f"group sizes sum to {self.groups.n}, expected {n}")
-        if self.x_true is not None and np.asarray(self.x_true).shape != (n,):
+        if self.x_true is not None and x.shape != (n,):
             raise DimensionMismatch(f"x_true must have length {n}")
         if self.xi_true is not None:
-            xi = np.asarray(self.xi_true)
             if xi.shape != (self.groups.k,):
                 raise DimensionMismatch(f"xi_true must have length {self.groups.k}")
             if np.any((xi != 0) & (xi != 1)):
                 raise DimensionMismatch("xi_true must hold 0/1 group indicators")
             if self.x_true is not None:
-                bad = (np.asarray(self.x_true) != 0) & (xi[self.groups.group_of] == 0)
+                bad = (x != 0) & (xi[self.groups.group_of] == 0)
                 if np.any(bad):  # name the first such group
                     k = self.groups.group_of[np.argmax(bad)]
                     raise SupportViolation(f"group {k} is inactive but x_true is nonzero there")
-        if self.channel.kind == "quantized":
-            y = np.asarray(self.y)
-            if np.any(y % 1 != 0) or np.any(y < 0) or np.any(y >= self.channel.n_cells):
-                raise DimensionMismatch("quantized observations must be valid cell indices")
+        quantized = self.channel.kind == "quantized"
+        if quantized and np.any((y % 1 != 0) | (y < 0) | (y >= self.channel.n_cells)):
+            raise DimensionMismatch("quantized observations must be valid cell indices")
         if self.true_rho is not None and not 0 < self.true_rho < 1:
             raise InvalidParameter("true_rho must lie in (0, 1)")
         if not self.sigma_x_sq > 0:
             raise InvalidParameter("sigma_x_sq must be positive")
+        # float64 values, int64 cell indices and indicators; an array in that form is kept
+        forms = (("H", self.H, np.float64), ("y", y, np.int64 if quantized else np.float64),
+                 ("x_true", x, np.float64), ("xi_true", xi, np.int64))
+        for name, value, dtype in forms:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, value.astype(dtype, copy=False))
 
     @property
     def m(self) -> int:
@@ -218,7 +223,7 @@ class Moments(NamedTuple):
     var: np.ndarray | float
 
 
-@dataclass
+@dataclass(eq=False)
 class GecState:
     """Message state owned by a single recovery run: five `Moments` messages and
     one refresh rule.

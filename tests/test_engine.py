@@ -79,8 +79,9 @@ def test_init_state_layout():
     assert st.t == 0
     assert st.z_pri.mean.shape == (6,) and st.x_pri.mean.shape == (10,)
     assert np.all(st.z_pri.mean == 0) and np.all(st.x_lik.mean == 0) and np.all(st.x_post.mean == 0)
-    # on the linear channel the z-likelihood message is the channel, N(y, noise_var)
-    assert np.array_equal(st.z_lik.mean, inst.y) and st.z_lik.mean is not inst.y
+    # on the linear channel the z-likelihood message is the channel, N(y, noise_var);
+    # no sweep writes a message in place, so its mean is the instance's own y
+    assert st.z_lik.mean is inst.y
     assert np.all(st.z_lik.var == inst.channel.noise_var) and np.all(st.x_lik.var == cfg.v_max)
     assert np.all(st.x_pri.var == 0.2 * 2.0)
     np.testing.assert_allclose(st.llr_hat, logit(0.2), rtol=1e-15, atol=0.0)
@@ -113,8 +114,8 @@ def _lmmse_both_sides(H, mz, vz, mx, vx, gram=None):
     if gram is None:
         gram = lmmse_gram(H, vz)
     return (
-        *lmmse_block(H, gram, mz, vz, mx, vx, "x"),
-        *lmmse_block(H, gram, mz, vz, mx, vx, "z"),
+        *lmmse_block(H, gram, Moments(mz, vz), Moments(mx, vx), "x"),
+        *lmmse_block(H, gram, Moments(mz, vz), Moments(mx, vx), "z"),
     )
 
 
@@ -248,6 +249,33 @@ def test_engine_has_no_numpy_matmul():
     assert not [node for node in ast.walk(channel_tree) if isinstance(node, ast.MatMult)]
 
 
+def test_engine_converts_no_array():
+    # ProblemInstance fixes its arrays' dtypes once; the engine reads them as they are
+    tree = ast.parse(inspect.getsource(inspect.getmodule(lmmse_block)))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [name for name in calls if name in ("np.asarray", "np.array")]
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_run_is_bitwise_the_same_on_an_instance_given_in_other_dtypes(bits):
+    # an int H, a list y, a bool xi_true and whole-number float cells give the
+    # float64/int64 instance's run bit for bit
+    rng = np.random.default_rng(8)
+    groups = GroupStructure.even(40, 8)
+    H = rng.integers(-3, 4, size=(20, 40))
+    x, xi = gen_group_sparse_signal(groups, 0.25, 1.0, rng)
+    channel = Channel.linear_awgn(0.5) if bits is None else Channel.quantized(0.5, bits, 8.0)
+    y = apply_channel(H.astype(float), x, channel, rng)
+    given = ProblemInstance(H, (y if bits is None else y.astype(float)).tolist(), groups,
+                            channel, 1.0, x, xi.astype(bool), 0.25)
+    twin = ProblemInstance(H.astype(float), y, groups, channel, 1.0, x, xi, 0.25)
+    *arrays, report = hygec_run(given, 0.25)
+    *ref_arrays, ref_report = hygec_run(twin, 0.25)
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in ref_arrays]
+    assert dataclasses.asdict(report) == dataclasses.asdict(ref_report)
+    assert report.inner_iterations > 1
+
+
 def test_linear_run_peak_memory_is_the_packed_gram_and_one_square():
     # the run holds the RFP Gram (n^2 / 2 doubles) and each sweep one n x n
     # buffer to factor; a full-square Gram takes the peak to about 2 n^2 doubles
@@ -268,11 +296,11 @@ def test_lmmse_translates_factorization_errors():
     gram = lmmse_gram(H, np.array([1.0]))
     for side in ("x", "z"):
         with pytest.raises(FactorizationFailure):
-            lmmse_block(H, gram, np.array([1.0]), np.array([1.0]), np.array([0.0]),
-                        np.array([-1.0]), side)
+            lmmse_block(H, gram, Moments(np.array([1.0]), np.array([1.0])),
+                        Moments(np.array([0.0]), np.array([-1.0])), side)
     with pytest.raises(InvalidParameter):
-        lmmse_block(H, gram, np.array([1.0]), np.array([1.0]), np.array([0.0]),
-                    np.array([1.0]), "y")
+        lmmse_block(H, gram, Moments(np.array([1.0]), np.array([1.0])),
+                    Moments(np.array([0.0]), np.array([1.0])), "y")
 
 
 @pytest.mark.parametrize("bits", [None, 2])
@@ -286,8 +314,8 @@ def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
     for _ in range(5):
         hygec_sweep(fast, inst, 0.2, cfg)
 
-    def dense(H, gram, mz, vz, mx, vx, side):
-        x_pos, v_x, z_pos, v_z = _lmmse_dense_inverse(H, mz, vz, mx, vx)
+    def dense(H, gram, z_lik, x_pri, side):
+        x_pos, v_x, z_pos, v_z = _lmmse_dense_inverse(H, *z_lik, *x_pri)
         return Moments(x_pos, v_x) if side == "x" else Moments(z_pos, v_z)
 
     monkeypatch.setattr("hygec.engine.lmmse_block", dense)
@@ -311,12 +339,12 @@ def _two_solve_sweep(state, inst, rho, cfg):
     z_channel = channel_posterior(inst.channel, inst.y, *state.z_pri)
     state.z_lik = _refresh(z_channel, state.z_pri, state.z_lik, damp, cfg)
     gram = lmmse_gram(inst.H, state.z_lik.var)
-    x_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "x")
+    x_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "x")
     state.x_lik = _refresh(x_joint, state.x_pri, state.x_lik, damp, cfg)
     (x_mean, x_var), _ = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
     state.x_post = Moments(x_mean, np.maximum(x_var, cfg.v_min))
     state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
-    z_joint = lmmse_block(inst.H, gram, *state.z_lik, *state.x_pri, "z")
+    z_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "z")
     state.z_pri = _refresh(z_joint, state.z_lik, state.z_pri, damp, cfg)
     state.llr_hat = llr_messages(*state.x_lik, rho, inst.sigma_x_sq, inst.groups)
     if not state.all_finite():

@@ -228,6 +228,34 @@ def test_validate_quantized_cell_range():
     )
 
 
+def test_instance_fixes_its_array_dtypes():
+    # an int H, a list y, a bool xi_true and whole-number float cell indices are
+    # stored as float64 values and int64 indices, H in its own layout
+    inst = _consistent_instance()
+    H = np.asfortranarray(np.arange(24).reshape(4, 6) % 5 - 2)
+    lin = ProblemInstance(H, inst.y.tolist(), inst.groups, inst.channel, 1.0,
+                          inst.x_true.tolist(), np.array([True, False]))
+    assert (lin.H.dtype, lin.y.dtype, lin.x_true.dtype, lin.xi_true.dtype) == (
+        np.float64, np.float64, np.float64, np.int64)
+    assert lin.H.flags.f_contiguous and np.array_equal(lin.H, H)
+    assert lin.xi_true.tolist() == [1, 0]
+    quant = ProblemInstance(inst.H, np.array([0.0, 1.0, 1.0, 0.0]), inst.groups,
+                            Channel.quantized(0.1, 1, 1.0), 1.0, xi_true=[1.0, 0.0])
+    assert quant.y.dtype == quant.xi_true.dtype == np.int64
+    assert quant.y.tolist() == [0, 1, 1, 0]
+    # arrays already in their form are kept, not copied
+    same = dataclasses.replace(inst)
+    assert all(getattr(same, f) is getattr(inst, f) for f in ("H", "y", "x_true", "xi_true"))
+
+
+def test_instances_and_states_compare_and_hash_by_identity():
+    # array fields make a field-wise == ambiguous and a field-wise hash impossible
+    inst, twin = _consistent_instance(), _consistent_instance()
+    assert hash(inst) == hash(inst) and len({inst, twin}) == 2
+    assert inst == inst and inst != twin
+    assert not (_zero_state() == _zero_state())
+
+
 def test_validate_parameter_ranges():
     inst = _consistent_instance()
     with pytest.raises(InvalidParameter):
