@@ -128,10 +128,41 @@ def test_trunc_moments_match_high_precision_reference(a, b):
     mean, var, log_mass = _std_trunc_moments(a, b)
     ref_mean, ref_var, ref_log = _ref_std_trunc(a, b)
     assert abs(mean - ref_mean) <= 1e-8 * max(1.0, abs(ref_mean))
-    # ultra-narrow windows have variance ~width^2/12; the direct formula loses
-    # relative (not absolute) precision there, hence the small atol
+    # the one-sided variance loses relative precision like a^4 * eps, past 1e-8
+    # at 120 out, hence the small atol; z_posterior_cell keeps no moments past
+    # _CLAMP_SIGMAS
     assert abs(var - ref_var) <= 1e-8 * ref_var + 1e-10
     assert abs(log_mass - ref_log) <= 1e-8
+
+
+def _narrow_cells(width):
+    # one-sided cells [a, a + width] and their reflections, and cells of that
+    # width straddling zero
+    for a in (0.0, 0.5, 2.0, 5.0, 20.0, 37.0):
+        yield a, a + width
+        yield -a - width, -a
+    for f in (0.01, 0.3, 0.5, 0.9):
+        yield -f * width, (1 - f) * width
+
+
+@pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6, 1e-8, "border"])
+def test_narrow_cells_keep_their_variance(width):
+    # a narrow cell's variance, about width^2 / 12, is far below the terms of
+    # the closed forms, 1 + r2 - mu^2 and 1 + (a phi_a - b phi_b) / z - mu^2,
+    # which cancel to it; each cell must keep it to 1e-8 relative. "border"
+    # takes one-sided cells with width * (a + width) from 1 to 8 across the
+    # switch to the quadrature rule at 4
+    if width == "border":
+        cells = [(a, a + (np.sqrt(a * a + 4 * k) - a) / 2)
+                 for a in (0.0, 0.5, 2.0, 5.0, 20.0, 37.0) for k in (1.0, 3.9, 4.1, 8.0)]
+    else:
+        cells = list(_narrow_cells(width))
+    for a, b in cells:
+        mean, var, log_mass = _std_trunc_moments(a, b)
+        ref_mean, ref_var, ref_log = _ref_std_trunc(a, b)
+        assert abs(var - ref_var) <= 1e-8 * ref_var, (a, b)
+        assert abs(mean - ref_mean) <= 1e-8 * max(1.0, abs(ref_mean)), (a, b)
+        assert abs(log_mass - ref_log) <= 1e-8, (a, b)
 
 
 def test_cells_past_the_clamp_distance_fall_below_the_mass_threshold():

@@ -1,4 +1,5 @@
-"""A linear solve loads neither scipy.linalg, its BLAS wrapper, scipy.special nor a process pool."""
+"""A linear solve loads neither scipy.linalg, its BLAS wrapper, scipy.special, numpy.polynomial
+nor a process pool."""
 
 import ast
 import os
@@ -24,6 +25,7 @@ hygec.em.em_hygec_run(inst, 0.1)
 assert "scipy.linalg" not in sys.modules, "a linear solve loaded scipy.linalg"
 assert "scipy.linalg._fblas" not in sys.modules, "a linear solve loaded scipy's BLAS wrapper"
 assert "scipy.special" not in sys.modules, "a linear solve loaded scipy.special"
+assert "numpy.polynomial" not in sys.modules, "a linear solve loaded numpy.polynomial"
 assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
 """
 
@@ -52,6 +54,7 @@ def _fresh(*args):
 
 
 def test_linear_solve_loads_no_scipy_linalg_scipy_special_or_process_pool():
+    # numpy.polynomial holds the Gauss-Legendre nodes of the quantized cell moments
     _fresh(_PROBE)
 
 
