@@ -104,13 +104,14 @@ def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
     diag H P^-1 H^T). No inverse of P is formed: diag P^-1 is the column sums
     of squares of L^-1, and diag H P^-1 H^T those of L^-1 H^T.
 
-    The RFP Gram is unpacked by dtfttr into the n x n buffer that is factored in
-    place; f2py zero-fills it, so its upper triangle needs no clean. The
-    factorizations are scipy's LAPACK routines, loaded by `_lapack` without the
-    scipy.linalg package. The matvecs H^T u and H x are numpy einsums, whose own
-    C loops call no BLAS routine: a numpy matmul would wake numpy's OpenBLAS
-    thread pool, which then spins through scipy's factorizations on the same
-    cores.
+    The RFP Gram is unpacked by dtfttr into a zero-filled n x n buffer that is
+    factored in place, so its upper triangle needs no clean. The factorizations
+    are LAPACK routines of the OpenBLAS that scipy's wheels bundle, which
+    `_lapack` calls through ctypes, or through scipy's f2py wrapper _flapack
+    where scipy bundles no such library. The matvecs H^T u and H x are numpy
+    einsums, whose own C loops call no BLAS routine: a numpy matmul would wake
+    numpy's OpenBLAS thread pool, which then spins through scipy's
+    factorizations on the same cores.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")

@@ -1,10 +1,13 @@
 """The revision stamp tools/bench_pairs.py writes for each side of a record, and the
-gated and traced metrics it prints."""
+gated, ungated and traced metrics it prints."""
 
 import importlib.util
+import json
 import math
 import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -78,3 +81,26 @@ def test_summary_line_shows_the_spread_next_to_the_wins():
     assert bench_pairs.summary_line("desk-linear", "peak_rss_mb", m) == (
         f"desk-linear peak_rss_mb: 74.95 -> 73.8 MB, change won 4/4 (log-ratio sd {spread:.2g}), "
         "gain shown True, worse beyond bound False")
+
+
+def test_ungated_line_reads_each_run_report_and_gives_no_verdict():
+    spec = {"unit": "ms", "better": "lower", "bound": 0.25}
+    parent, change = [3.3, 3.4, 3.3, 3.6], [3.2, 3.5, 3.3, 3.4]
+    pairs = [{side: {"report": {"ms_per_sweep_wall": v}} for side, v in zip(bench_pairs.SIDES, pc)}
+             for pc in zip(parent, change)]
+    spread = bench_pairs.log_ratio_spread({"parent": parent, "change": change})
+    assert bench_pairs.ungated_line("desk-linear", "ms_per_sweep_wall", spec, pairs) == (
+        f"desk-linear ms_per_sweep_wall (ungated): 3.35 -> 3.35 ms, change won 2/4 "
+        f"(log-ratio sd {spread:.2g})")
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_every_record_gives_the_ungated_lines(path):
+    # each run of a record keeps its report, so the ungated figures can be read back
+    doc = json.loads(path.read_text())
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    gated = {m["name"]: m for m in benchmark["end_to_end"]}
+    for workload, body in doc["workloads"].items():
+        for name, twin in bench_pairs.UNGATED.items():
+            line = bench_pairs.ungated_line(workload, name, gated[twin], body["runs"])
+            assert line.startswith(f"{workload} {name} (ungated): "), line

@@ -2,12 +2,15 @@ import ast
 import dataclasses
 import inspect
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.special import expit, logit
 
+from hygec import engine
+from hygec._lapack import _load
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
     LLR_CAP,
@@ -15,6 +18,7 @@ from hygec.denoisers import (
     llr_messages,
     x_posterior_spike_slab,
 )
+from hygec.em import em_hygec_run
 from hygec.engine import (
     FactorizationFailure,
     HygecConfig,
@@ -274,6 +278,45 @@ def test_run_is_bitwise_the_same_on_an_instance_given_in_other_dtypes(bits):
     assert [a.tobytes() for a in arrays] == [a.tobytes() for a in ref_arrays]
     assert dataclasses.asdict(report) == dataclasses.asdict(ref_report)
     assert report.inner_iterations > 1
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_bundled_library_and_the_wrapper_give_the_same_bits(monkeypatch, bits):
+    # the binding calls the same symbols of the same library as scipy's f2py wrapper;
+    # an F-ordered H makes the binding copy the C-ordered H^T that dsfrk and dtrtrs read
+    if isinstance(engine.lapack, types.ModuleType):
+        pytest.skip("scipy bundles no libscipy_openblas, so the engine calls the wrapper")
+    inst = _instance(2, 60, 120, 12, 0.15, 15.0, bits=bits)
+    inst = dataclasses.replace(inst, H=np.asfortranarray(inst.H))
+    assert inst.H.flags.f_contiguous and not inst.H.flags.c_contiguous
+
+    def solves():
+        m_x, v_x, _, x_hat, report = hygec_run(inst, 0.15)
+        x_em, rho_em, em_report = em_hygec_run(inst, 0.05)
+        return ([a.tobytes() for a in (m_x, v_x, x_hat, x_em)], rho_em,
+                report.inner_counts, em_report.inner_counts)
+
+    bundled = solves()
+    monkeypatch.setattr(engine, "lapack", _load("_flapack"))
+    assert solves() == bundled
+    assert bundled[2][0] > 1
+
+
+def test_bundled_library_refuses_shapes_lapack_would_overrun():
+    # LAPACK reads and writes the sizes it is told, so the binding checks them first
+    if isinstance(engine.lapack, types.ModuleType):
+        pytest.skip("scipy bundles no libscipy_openblas, so the engine calls the wrapper")
+    H = np.random.default_rng(0).standard_normal((5, 8))
+    small_gram = lmmse_gram(H[:, :6], np.ones(5))
+    with pytest.raises(ValueError, match="shape"):
+        lmmse_block(H, small_gram, Moments(np.zeros(5), np.ones(5)),
+                    Moments(np.zeros(8), np.ones(8)), "x")
+    with pytest.raises(ValueError, match="shape"):
+        engine.lapack.dpotrf(np.ones((3, 2)), lower=1, clean=0, overwrite_a=0)
+    with pytest.raises(ValueError, match="shape"):
+        engine.lapack.dpotrs(np.eye(3), np.ones(4), lower=1)
+    with pytest.raises(ValueError, match="clean=0"):
+        engine.lapack.dpotrf(np.eye(3), lower=1, clean=1, overwrite_a=0)
 
 
 def test_linear_run_peak_memory_is_the_packed_gram_and_one_square():

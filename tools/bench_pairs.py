@@ -24,9 +24,13 @@ more than the parent's q1-q3 distance) and whether its median is worse than
 the parent's by more than the metric's bound. The printout gives each gated
 metric's win count with the spread of its per-pair log-ratios, the sample
 standard deviation of log(change / parent) over the pairs: a gain far smaller
-than that spread needs many pairs to show. It ends with every per-layer metric
-of the traced runs whose parent and change values differ, so a change that
-moves a count, such as ``em.inner_sweeps``, shows it on screen.
+than that spread needs many pairs to show. The same medians, win count and
+spread, with no verdict, follow for the ungated ``setup_s_wall`` and
+``ms_per_sweep_wall`` of every run's report: the gated ``setup_s`` and
+``ms_per_sweep`` are scaled by a gauge of the machine's speed, which can widen
+the spread of the pairs instead of narrowing it. The printout ends with every
+per-layer metric of the traced runs whose parent and change values differ, so
+a change that moves a count, such as ``em.inner_sweeps``, shows it on screen.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
+# each ungated report figure, with the gated metric that is its gauge-scaled twin
+UNGATED = {"setup_s_wall": "setup_s", "ms_per_sweep_wall": "ms_per_sweep"}
 
 
 def parse_args(argv):
@@ -91,17 +97,23 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(pairs: list[dict], name: str, spec: dict) -> dict:
-    """Per-side quartiles of one gated metric, wins per pair, and the verdicts."""
-    lower = spec["better"] == "lower"
-    values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
-    stats = {side: quartiles(values[side]) for side in SIDES}
+def count_wins(values: dict, lower: bool) -> tuple[int, int]:
+    """Pairs the change won and pairs tied."""
     wins = ties = 0
     for a, b in zip(values["parent"], values["change"]):
         if a == b:
             ties += 1
         elif (b < a) == lower:
             wins += 1
+    return wins, ties
+
+
+def compare(pairs: list[dict], name: str, spec: dict) -> dict:
+    """Per-side quartiles of one gated metric, wins per pair, and the verdicts."""
+    lower = spec["better"] == "lower"
+    values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+    stats = {side: quartiles(values[side]) for side in SIDES}
+    wins, ties = count_wins(values, lower)
     parent, change = stats["parent"]["median"], stats["change"]["median"]
     gain = (parent - change) if lower else (change - parent)
     worse_frac = -gain / parent if parent else 0.0
@@ -130,13 +142,27 @@ def log_ratio_spread(values: dict) -> float | None:
     return statistics.stdev(math.log(b / a) for a, b in pairs)
 
 
+def _spread_text(values: dict) -> str:
+    spread = log_ratio_spread(values)
+    return "-" if spread is None else f"{spread:.2g}"
+
+
 def summary_line(workload: str, name: str, m: dict) -> str:
     """One gated metric of a workload: medians, wins with the log-ratio spread, verdicts."""
-    spread = log_ratio_spread(m["values"])
     return (f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
             f"{m['unit']}, change won {m['change_wins']}/{m['pairs']} "
-            f"(log-ratio sd {'-' if spread is None else f'{spread:.2g}'}), "
+            f"(log-ratio sd {_spread_text(m['values'])}), "
             f"gain shown {m['gain_shown']}, worse beyond bound {m['worse_beyond_bound']}")
+
+
+def ungated_line(workload: str, name: str, spec: dict, pairs: list[dict]) -> str:
+    """One ungated report figure of a workload, taking unit and direction from its gated
+    twin's `spec`: medians and wins with the log-ratio spread, no verdict."""
+    values = {side: [p[side]["report"][name] for p in pairs] for side in SIDES}
+    wins, _ = count_wins(values, spec["better"] == "lower")
+    return (f"{workload} {name} (ungated): {statistics.median(values['parent']):.4g} -> "
+            f"{statistics.median(values['change']):.4g} {spec['unit']}, change won "
+            f"{wins}/{len(pairs)} (log-ratio sd {_spread_text(values)})")
 
 
 def trace_diffs(trace: dict) -> list[str]:
@@ -222,6 +248,8 @@ def main(argv=None) -> int:
     for w in workloads:
         for name, m in doc["workloads"][w]["metrics"].items():
             print(summary_line(w, name, m))
+        for name, twin in UNGATED.items():
+            print(ungated_line(w, name, gated[twin], pairs[w]))
     for line in trace_diffs(trace):
         print(line)
     return 0
