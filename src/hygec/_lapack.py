@@ -1,13 +1,9 @@
-"""The engine's six LAPACK routines, called in the OpenBLAS that scipy's wheels bundle.
-
-scipy's wheels ship libscipy_openblas* (LP64, symbols scipy_<routine>_) in scipy.libs/,
-or scipy/.dylibs/ on macOS. Where it is present, `lapack` calls dsfrk, dtfttr, dpotrf,
-dpotrs, dtrtri and dtrtrs in it through ctypes, as scipy's f2py wrapper _flapack does,
-with its call shapes and bitwise its results, and imports no scipy module. Elsewhere
-`lapack` is _flapack, loaded from its file without the scipy.linalg package (scipy's
-array-API layer, some 300 modules the engine never calls) and registered under its
-scipy name, so a later `import scipy.linalg` shares it.
-"""
+"""The engine's six LAPACK routines, called through ctypes at the addresses scipy links:
+the symbols scipy_<routine>_ of the libscipy_openblas* (LP64) that scipy's wheel bundles in
+scipy.libs/ or scipy/.dylibs/, or where there is none, the routines that scipy's f2py
+wrapper _flapack calls. _flapack is then loaded from its file without the scipy.linalg
+package (scipy's array-API layer, some 300 modules the engine never calls) and registered
+under its scipy name, so a later `import scipy.linalg` shares it."""
 
 import ctypes
 import sys
@@ -17,14 +13,84 @@ from pathlib import Path
 
 import numpy as np
 
+# each routine's arguments: C a CHARACTER, I an INTEGER, D a DOUBLE PRECISION, A an array
+_SIGNATURES = {"dsfrk": "CCCIIDAIDA", "dtfttr": "CCIAAII", "dpotrf": "CIAII",
+               "dpotrs": "CIIAIAII", "dtrtri": "CCIAII", "dtrtrs": "CCCIIAIAII"}
+# each argument type's C declaration and how `_Lapack._call` passes a value of it: ctypes
+# takes an INTEGER or a DOUBLE PRECISION by reference, an array by the address of its data
+_TYPES = {"C": (ctypes.c_char_p, str.encode), "I": (ctypes.POINTER(ctypes.c_int), ctypes.c_int),
+          "D": (ctypes.POINTER(ctypes.c_double), ctypes.c_double),
+          "A": (ctypes.c_void_p, lambda a: a.ctypes.data)}
+
+
+def _fortran(a, shape, write=False) -> np.ndarray:
+    """`a` itself, if it is an F-ordered float64 array of `shape`, writeable if `write`."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.f_contiguous
+            and a.shape == shape and (a.flags.writeable or not write)):
+        raise ValueError(f"LAPACK needs a{' writeable' * write} F-ordered float64 array of shape "
+                         f"{shape}, not {getattr(a, 'dtype', type(a))} of shape {np.shape(a)}")
+    return a
+
+
+class _Lapack:
+    """The six routines at `addresses`, called as the engine calls them: a a^T into new RFP
+    lower storage (transr "N") and its lower triangle into a new square; factors and
+    inverses in place; right-hand sides copied; INFO returned where it can flag the matrix.
+    LAPACK reads and writes the sizes it is told, so any other array is refused."""
+
+    def __init__(self, addresses: dict[str, int]):
+        self._routines = {}
+        for name, signature in _SIGNATURES.items():
+            # gfortran appends each CHARACTER's length, a size_t passed by value
+            chars = signature.count("C")
+            prototype = ctypes.CFUNCTYPE(None, *[_TYPES[c][0] for c in signature],
+                                         *[ctypes.c_size_t] * chars)
+            self._routines[name] = prototype(addresses[name]), signature, (1,) * chars
+
+    def _call(self, name: str, *args) -> int:
+        """Call `name` with `args`, INFO (dsfrk has none) and the CHARACTER lengths; INFO."""
+        routine, signature, lengths = self._routines[name]
+        info = ctypes.c_int(0)
+        tail = lengths if name == "dsfrk" else (info, *lengths)
+        routine(*[_TYPES[c][1](a) for c, a in zip(signature, args)], *tail)
+        return info.value
+
+    def dsfrk(self, a) -> np.ndarray:
+        n, k = np.shape(a)
+        c = np.zeros(n * (n + 1) // 2)
+        self._call("dsfrk", "N", "L", "N", n, k, 1.0, _fortran(a, (n, k)), n, 0.0, c)
+        return c
+
+    def dtfttr(self, arf, n: int) -> np.ndarray:
+        a = np.zeros((n, n), order="F")  # dtfttr writes one triangle; the other must read 0
+        self._call("dtfttr", "N", "L", n, _fortran(arf, (n * (n + 1) // 2,)), a, n)
+        return a
+
+    def dpotrf(self, a) -> int:
+        n = len(a)
+        return self._call("dpotrf", "L", n, _fortran(a, (n, n), write=True), n)
+
+    def dpotrs(self, c, b) -> np.ndarray:
+        n = len(c)
+        x = _fortran(np.array(b), (n,))  # a copy, which LAPACK overwrites with the solution
+        self._call("dpotrs", "L", n, 1, _fortran(c, (n, n)), n, x, n)
+        return x
+
+    def dtrtri(self, c) -> int:
+        n = len(c)
+        return self._call("dtrtri", "L", "N", n, _fortran(c, (n, n), write=True), n)
+
+    def dtrtrs(self, a, b) -> tuple[np.ndarray, int]:
+        n, nrhs = len(a), np.shape(b)[-1]
+        x = _fortran(np.array(b, order="F"), (n, nrhs))  # a copy, as for dpotrs
+        return x, self._call("dtrtrs", "L", "N", "N", n, nrhs, _fortran(a, (n, n)), n, x, n)
+
 
 def _load(name: str):
-    import scipy
-
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    folder = Path(scipy.__path__[0]) / "linalg"
+    folder = _SCIPY / "linalg"
     spec = PathFinder.find_spec(full, [str(folder)])
     if spec is None:
         raise ImportError(f"scipy's compiled wrapper {folder / name}.* is missing", name=full)
@@ -33,91 +99,26 @@ def _load(name: str):
     return module
 
 
-# each routine's arguments: C a CHARACTER, I an INTEGER, D a DOUBLE PRECISION, A an array
-_SIGNATURES = {"dsfrk": "CCCIIDAIDA", "dtfttr": "CCIAAII", "dpotrf": "CIAII",
-               "dpotrs": "CIIAIAII", "dtrtri": "CCIAII", "dtrtrs": "CCCIIAIAII"}
-_ARGTYPES = {"C": ctypes.c_char_p, "I": ctypes.POINTER(ctypes.c_int),
-             "D": ctypes.POINTER(ctypes.c_double), "A": ctypes.c_void_p}
-# how `_Bundled._call` passes each type of argument: ctypes takes a c_int or a c_double by
-# reference, and an array by the address of its data, which `_fortran` made F-ordered float64
-_PASS = {str: str.encode, int: ctypes.c_int, float: ctypes.c_double,
-         np.ndarray: lambda a: a.ctypes.data}
-
-
-def _fortran(a, shape=None, copy=False) -> np.ndarray:
-    """`a` as a Fortran-contiguous float64 array of `shape`, copied if asked or if it is not
-    one; LAPACK reads and writes the sizes it is told, so the shape is checked first."""
-    a = np.array(a, dtype=np.float64, order="F", copy=True if copy else None)
-    if shape is not None and a.shape != shape:
-        raise ValueError(f"LAPACK argument of shape {a.shape}, where {shape} is needed")
-    return a
-
-
-class _Bundled:
-    """The six routines of one libscipy_openblas, each with _flapack's arguments and results."""
-
-    def __init__(self, path: Path):
-        lib = ctypes.CDLL(str(path))
-        self._routines = {}
-        for name, signature in _SIGNATURES.items():
-            routine = getattr(lib, f"scipy_{name}_")
-            # gfortran appends each CHARACTER's length, a size_t passed by value
-            chars = signature.count("C")
-            routine.argtypes = [_ARGTYPES[c] for c in signature] + [ctypes.c_size_t] * chars
-            routine.restype = None
-            self._routines[name] = routine, (1,) * chars
-
-    def _call(self, name: str, *args) -> int:
-        """Call `name` with `args`, then INFO (dsfrk has none), then the CHARACTER lengths;
-        a str is a CHARACTER. Returns INFO."""
-        routine, lengths = self._routines[name]
-        info = ctypes.c_int(0)
-        tail = lengths if name == "dsfrk" else (info, *lengths)
-        routine(*[_PASS[type(a)](a) for a in args], *tail)
-        return info.value
-
-    def dsfrk(self, n, k, alpha, a, beta, c, uplo, overwrite_c):
-        a, c = _fortran(a, (n, k)), _fortran(c, (n * (n + 1) // 2,), copy=not overwrite_c)
-        self._call("dsfrk", "N", uplo, "N", n, k, float(alpha), a, n, float(beta), c)
-        return c
-
-    def dtfttr(self, n, arf, uplo):
-        a = np.zeros((n, n), order="F")  # dtfttr writes one triangle; the other must read 0
-        return a, self._call("dtfttr", "N", uplo, n, _fortran(arf, (n * (n + 1) // 2,)), a, n)
-
-    def dpotrf(self, a, lower, clean, overwrite_a):
-        if clean:
-            raise ValueError("dpotrf: only clean=0 is bound")
-        a = _fortran(a, (len(a), len(a)), copy=not overwrite_a)
-        return a, self._call("dpotrf", "L" if lower else "U", len(a), a, len(a))
-
-    def dpotrs(self, c, b, lower):
-        x = _fortran(b, copy=True)
-        n, nrhs = len(x), 1 if x.ndim == 1 else x.shape[1]
-        c = _fortran(c, (n, n))
-        return x, self._call("dpotrs", "L" if lower else "U", n, nrhs, c, n, x, n)
-
-    def dtrtri(self, c, lower, overwrite_c):
-        c = _fortran(c, (len(c), len(c)), copy=not overwrite_c)
-        return c, self._call("dtrtri", "L" if lower else "U", "N", len(c), c, len(c))
-
-    def dtrtrs(self, a, b, lower):
-        x = _fortran(b, copy=True)
-        n, nrhs = len(x), 1 if x.ndim == 1 else x.shape[1]
-        a = _fortran(a, (n, n))
-        return x, self._call("dtrtrs", "L" if lower else "U", "N", "N", n, nrhs, a, n, x, n)
-
-
-def _bundled_openblas() -> Path | None:
-    """scipy's libscipy_openblas, found without importing scipy; None where there is none."""
-    spec = find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    package = Path(spec.submodule_search_locations[0])
+def _bundled_openblas(package: Path) -> Path | None:
+    """The libscipy_openblas beside or inside scipy's folder `package`, or None."""
     found = [*package.parent.glob("scipy.libs/libscipy_openblas*"),
              *package.glob(".dylibs/libscipy_openblas*")]
     return min(found, default=None)
 
 
-_library = _bundled_openblas()
-lapack = _Bundled(_library) if _library else _load("_flapack")
+def _addresses(library: Path | None) -> dict[str, int]:
+    """Each routine's address: the symbol scipy_<routine>_ of `library`, or where there is
+    no library, the routine that _flapack's f2py object of that name calls."""
+    if library:
+        lib = ctypes.CDLL(str(library))
+        return {name: ctypes.cast(getattr(lib, f"scipy_{name}_"), ctypes.c_void_p).value
+                for name in _SIGNATURES}
+    wrapper = _load("_flapack")
+    # f2py makes each routine object's `_cpointer` an unnamed capsule of its address
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return {name: pointer(getattr(wrapper, name)._cpointer, None) for name in _SIGNATURES}
+
+
+_SCIPY = Path(find_spec("scipy").submodule_search_locations[0])  # without importing scipy
+lapack = _Lapack(_addresses(_bundled_openblas(_SCIPY)))

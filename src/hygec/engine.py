@@ -86,12 +86,9 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
 def lmmse_gram(H, v_z_lik) -> np.ndarray:
     """H^T diag(1/v_z_lik) H by LAPACK's dsfrk, in rectangular full packed (RFP) lower
     storage (transr "N"): n(n+1)/2 doubles, with no n x n square on the way."""
-    scaled = H / np.sqrt(v_z_lik)[:, None]
-    m, n = scaled.shape
-    # scaled.T is Fortran-contiguous, so dsfrk reads it in place: A A^T = scaled^T scaled;
-    # beta 0 with overwrite_c writes the result into the zeroed buffer, no copy
-    return lapack.dsfrk(n, m, 1.0, scaled.T, 0.0, np.zeros(n * (n + 1) // 2), uplo="L",
-                        overwrite_c=1)
+    # C-ordered whatever H's layout, so dsfrk reads scaled.T in place: A A^T = scaled^T scaled
+    scaled = np.divide(H, np.sqrt(v_z_lik)[:, None], order="C")
+    return lapack.dsfrk(scaled.T)
 
 
 def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
@@ -106,26 +103,26 @@ def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
 
     The RFP Gram is unpacked by dtfttr into a zero-filled n x n buffer that is
     factored in place, so its upper triangle needs no clean. The factorizations
-    are LAPACK routines of the OpenBLAS that scipy's wheels bundle, which
-    `_lapack` calls through ctypes, or through scipy's f2py wrapper _flapack
-    where scipy bundles no such library. The matvecs H^T u and H x are numpy
+    are LAPACK routines that `_lapack` calls through ctypes, at the symbols of
+    scipy's bundled OpenBLAS or, where there is none, at the addresses scipy's
+    f2py wrapper _flapack calls. The matvecs H^T u and H x are numpy
     einsums, whose own C loops call no BLAS routine: a numpy matmul would wake
     numpy's OpenBLAS thread pool, which then spins through scipy's
     factorizations on the same cores.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
-    prec = lapack.dtfttr(H.shape[1], gram, uplo="L")[0]
-    prec[np.diag_indices(H.shape[1])] += 1.0 / x_pri.var
-    chol, info = lapack.dpotrf(prec, lower=1, clean=0, overwrite_a=1)
+    chol = lapack.dtfttr(gram, H.shape[1])  # P, factored in place next
+    chol[np.diag_indices(H.shape[1])] += 1.0 / x_pri.var
+    info = lapack.dpotrf(chol)
     if info != 0:
         raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
     rhs = np.einsum("ij,i->j", H, z_lik.mean / z_lik.var) + x_pri.mean / x_pri.var
-    x_pos = lapack.dpotrs(chol, rhs, lower=1)[0]
+    x_pos = lapack.dpotrs(chol, rhs)
     if side == "x":
-        factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
-        return Moments(x_pos, np.einsum("ij,ij->j", factor, factor))
-    factor, info = lapack.dtrtrs(chol, H.T, lower=1)
+        lapack.dtrtri(chol)  # now L^-1, in place; potrf left diag > 0
+        return Moments(x_pos, np.einsum("ij,ij->j", chol, chol))
+    factor, info = lapack.dtrtrs(chol, H.T)
     if info != 0:
         raise FactorizationFailure(f"triangular solve with the LMMSE factor failed (info {info})")
     return Moments(np.einsum("ij,j->i", H, x_pos), np.einsum("ij,ij->j", factor, factor))

@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import inspect
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.special import expit, logit
 
 from hygec import engine
-from hygec._lapack import _load
+from hygec._lapack import _SCIPY, _addresses, _bundled_openblas, _Lapack
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
     LLR_CAP,
@@ -282,41 +281,78 @@ def test_run_is_bitwise_the_same_on_an_instance_given_in_other_dtypes(bits):
 
 @pytest.mark.parametrize("bits", [None, 2])
 def test_bundled_library_and_the_wrapper_give_the_same_bits(monkeypatch, bits):
-    # the binding calls the same symbols of the same library as scipy's f2py wrapper;
-    # an F-ordered H makes the binding copy the C-ordered H^T that dsfrk and dtrtrs read
-    if isinstance(engine.lapack, types.ModuleType):
-        pytest.skip("scipy bundles no libscipy_openblas, so the engine calls the wrapper")
+    # the binding at the bundled library's symbols and at the routines that _flapack's
+    # f2py objects call; an F-ordered H makes the binding copy the C-ordered H^T that
+    # dtrtrs reads
+    library = _bundled_openblas(_SCIPY)
+    if library is None:
+        pytest.skip("scipy bundles no libscipy_openblas, so the wrapper's are the only addresses")
     inst = _instance(2, 60, 120, 12, 0.15, 15.0, bits=bits)
     inst = dataclasses.replace(inst, H=np.asfortranarray(inst.H))
     assert inst.H.flags.f_contiguous and not inst.H.flags.c_contiguous
 
-    def solves():
+    def solves(source):
+        monkeypatch.setattr(engine, "lapack", _Lapack(_addresses(source)))
         m_x, v_x, _, x_hat, report = hygec_run(inst, 0.15)
         x_em, rho_em, em_report = em_hygec_run(inst, 0.05)
         return ([a.tobytes() for a in (m_x, v_x, x_hat, x_em)], rho_em,
                 report.inner_counts, em_report.inner_counts)
 
-    bundled = solves()
-    monkeypatch.setattr(engine, "lapack", _load("_flapack"))
-    assert solves() == bundled
+    bundled = solves(library)
+    assert solves(None) == bundled
     assert bundled[2][0] > 1
 
 
 def test_bundled_library_refuses_shapes_lapack_would_overrun():
-    # LAPACK reads and writes the sizes it is told, so the binding checks them first
-    if isinstance(engine.lapack, types.ModuleType):
-        pytest.skip("scipy bundles no libscipy_openblas, so the engine calls the wrapper")
+    # LAPACK reads and writes the sizes it is told, so the binding refuses any array that
+    # is not F-ordered float64 of LAPACK's shape (or a read-only one it would write),
+    # and converts none
     H = np.random.default_rng(0).standard_normal((5, 8))
     small_gram = lmmse_gram(H[:, :6], np.ones(5))
     with pytest.raises(ValueError, match="shape"):
         lmmse_block(H, small_gram, Moments(np.zeros(5), np.ones(5)),
                     Moments(np.zeros(8), np.ones(8)), "x")
+    square = np.asfortranarray(np.diag([4.0, 9.0, 16.0]))
     with pytest.raises(ValueError, match="shape"):
-        engine.lapack.dpotrf(np.ones((3, 2)), lower=1, clean=0, overwrite_a=0)
+        engine.lapack.dpotrf(np.ones((3, 2), order="F"))
     with pytest.raises(ValueError, match="shape"):
-        engine.lapack.dpotrs(np.eye(3), np.ones(4), lower=1)
-    with pytest.raises(ValueError, match="clean=0"):
-        engine.lapack.dpotrf(np.eye(3), lower=1, clean=1, overwrite_a=0)
+        engine.lapack.dpotrs(square, np.ones(4))
+    with pytest.raises(ValueError, match="F-ordered"):
+        engine.lapack.dpotrf(np.ascontiguousarray(square))
+    with pytest.raises(ValueError, match="float64"):
+        engine.lapack.dpotrf(square.astype(np.int64))
+    with pytest.raises(ValueError, match="float64"):
+        engine.lapack.dtrtrs(square, np.ones((3, 2), dtype=np.int64))
+    frozen = square.copy(order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        engine.lapack.dtrtri(frozen)
+    assert np.array_equal(frozen, square)
+    assert engine.lapack.dpotrf(square) == 0
+    assert np.array_equal(np.diag(square), [2.0, 3.0, 4.0])
+
+
+def test_scipy_folder_without_a_bundled_library_selects_the_wrapper(tmp_path):
+    # where scipy bundles no libscipy_openblas the routines' addresses are the ones that
+    # _flapack's f2py objects call, and the binding built on them gives the engine's bits
+    package = tmp_path / "site-packages" / "scipy"
+    (package / ".dylibs").mkdir(parents=True)
+    (package.parent / "scipy.libs").mkdir()
+    (package.parent / "scipy.libs" / "libgfortran-0a1b2c3d.so.5").touch()
+    assert _bundled_openblas(package) is None
+    wrapper = _Lapack(_addresses(_bundled_openblas(package)))
+    H = np.random.default_rng(1).standard_normal((30, 20))
+
+    def factor(binding):
+        chol = binding.dtfttr(binding.dsfrk(H.T), 20)
+        assert binding.dpotrf(chol) == 0
+        return chol.tobytes()
+
+    assert factor(wrapper) == factor(engine.lapack)
+    for name in ("scipy.libs/libscipy_openblas-0a1b2c3d.so", "scipy/.dylibs/libscipy_openblas.dylib"):
+        (package.parent / name).touch()
+        assert _bundled_openblas(package) == package.parent / name
+        (package.parent / name).unlink()
 
 
 def test_linear_run_peak_memory_is_the_packed_gram_and_one_square():

@@ -1,4 +1,4 @@
-"""A linear solve loads no scipy module, no numpy.polynomial and no process pool."""
+"""A linear solve loads no scipy package, no numpy.polynomial and no process pool."""
 
 import ast
 import os
@@ -12,17 +12,25 @@ from hygec._lapack import _load
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# run in a fresh interpreter, so no module is already loaded
+# run in a fresh interpreter, so no module is already loaded; argv[1] "wrapper" has the
+# engine call the routines at the addresses of scipy's f2py wrapper, "found" at those
+# the package found
 _PROBE = """
 import sys
 import hygec.bench, hygec.cli, hygec.em, hygec.engine, hygec.oracle
+from hygec import _lapack
 from hygec.bench import Scenario, build_instance
 
+if sys.argv[1] == "wrapper":
+    hygec.engine.lapack = _lapack._Lapack(_lapack._addresses(None))
 inst = build_instance(Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=20.0, seeds=(0,)), 0, None)
 hygec.engine.hygec_run(inst, 0.25)
 hygec.em.em_hygec_run(inst, 0.1)
 scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-assert not scipy, f"a linear solve loaded {scipy}"
+packages = [name for name in scipy if name in ("scipy", "scipy.linalg", "scipy.special")]
+assert not packages, f"a linear solve loaded {packages}"
+if sys.argv[1] == "found" and _lapack._bundled_openblas(_lapack._SCIPY):
+    assert not scipy, f"a linear solve on scipy's bundled library loaded {scipy}"
 assert "numpy.polynomial" not in sys.modules, "a linear solve loaded numpy.polynomial"
 assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
 """
@@ -42,6 +50,17 @@ print(hygec.engine.hygec_run(inst, 0.1)[3].tobytes().hex())
 """
 
 
+_LOAD_PROBE = """
+import sys
+from hygec._lapack import _load
+
+_load("_flapack")
+assert "scipy.linalg._flapack" in sys.modules
+packages = [name for name in ("scipy", "scipy.linalg") if name in sys.modules]
+assert not packages, f"loading _flapack imported {packages}"
+"""
+
+
 def _fresh(*args):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", *args], env={**os.environ, "PYTHONPATH": path},
@@ -51,9 +70,19 @@ def _fresh(*args):
 
 
 def test_linear_solve_loads_no_scipy_linalg_scipy_special_or_process_pool():
-    # the engine's LAPACK routines come from scipy's bundled OpenBLAS through ctypes;
-    # numpy.polynomial holds the Gauss-Legendre nodes of the quantized cell moments
-    _fresh(_PROBE)
+    # the engine's LAPACK routines are called through ctypes, and where scipy bundles its
+    # OpenBLAS no scipy module loads at all; numpy.polynomial holds the Gauss-Legendre
+    # nodes of the quantized cell moments
+    _fresh(_PROBE, "found")
+
+
+def test_linear_solve_through_the_wrapper_addresses_loads_no_scipy_package():
+    # the wrapper's addresses load scipy.linalg._flapack from its file, and no package
+    _fresh(_PROBE, "wrapper")
+
+
+def test_loading_the_wrapper_imports_no_scipy_package():
+    _fresh(_LOAD_PROBE)
 
 
 def test_one_copy_of_the_wrappers_in_either_import_order():
