@@ -1,9 +1,8 @@
 """The engine's six LAPACK routines, called through ctypes at the addresses scipy links:
 the symbols scipy_<routine>_ of the libscipy_openblas* (LP64) that scipy's wheel bundles in
 scipy.libs/ or scipy/.dylibs/, or where there is none, the routines that scipy's f2py
-wrapper _flapack calls. _flapack is then loaded from its file without the scipy.linalg
-package (scipy's array-API layer, some 300 modules the engine never calls) and registered
-under its scipy name, so a later `import scipy.linalg` shares it."""
+wrapper _flapack calls, which is then loaded from its file without the scipy.linalg package
+(300 modules the engine never calls), under its scipy name so `import scipy.linalg` shares it."""
 
 import ctypes
 import sys
@@ -120,5 +119,7 @@ def _addresses(library: Path | None) -> dict[str, int]:
     return {name: pointer(getattr(wrapper, name)._cpointer, None) for name in _SIGNATURES}
 
 
-_SCIPY = Path(find_spec("scipy").submodule_search_locations[0])  # without importing scipy
+if find_spec("scipy") is None:  # found without importing scipy
+    raise ModuleNotFoundError("the engine's LAPACK routines need scipy", name="scipy")
+_SCIPY = Path(find_spec("scipy").submodule_search_locations[0])
 lapack = _Lapack(_addresses(_bundled_openblas(_SCIPY)))

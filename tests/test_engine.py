@@ -349,7 +349,8 @@ def test_scipy_folder_without_a_bundled_library_selects_the_wrapper(tmp_path):
         return chol.tobytes()
 
     assert factor(wrapper) == factor(engine.lapack)
-    for name in ("scipy.libs/libscipy_openblas-0a1b2c3d.so", "scipy/.dylibs/libscipy_openblas.dylib"):
+    for name in ("scipy.libs/libscipy_openblas-0a1b2c3d.so",
+                 "scipy/.dylibs/libscipy_openblas.dylib"):
         (package.parent / name).touch()
         assert _bundled_openblas(package) == package.parent / name
         (package.parent / name).unlink()
