@@ -47,7 +47,7 @@ class _Lapack:
             self._routines[name] = prototype(addresses[name]), signature, (1,) * chars
 
     def _call(self, name: str, *args) -> int:
-        """Call `name` with `args`, INFO (dsfrk has none) and the CHARACTER lengths; INFO."""
+        """Calls `name` with `args`, INFO (none for dsfrk), the CHARACTER lengths; returns INFO."""
         routine, signature, lengths = self._routines[name]
         info = ctypes.c_int(0)
         tail = lengths if name == "dsfrk" else (info, *lengths)
