@@ -150,16 +150,20 @@ class Scenario:
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
         d = dict(d)
-        unknown = set(d) - {f.name for f in fields(Scenario)}
-        if unknown:
-            raise InvalidParameter(f"unknown scenario fields: {sorted(unknown)}")
+        _refuse_unknown("scenario", d, Scenario)
         try:
-            for f in fields(Scenario):
-                if f.name in d and f.type.startswith("tuple["):
-                    d[f.name] = tuple(d[f.name])
-                elif f.name in d and is_dataclass(f.default_factory):  # the engine and em blocks
+            for f in (f for f in fields(Scenario) if f.name in d):
+                value = d[f.name]
+                if f.type.startswith("tuple["):
+                    if not isinstance(value, (list, tuple)):  # tuple() would split a string
+                        raise InvalidParameter(f"{f.name} must be a list, not {value!r}")
+                    d[f.name] = tuple(value)
+                elif is_dataclass(f.default_factory):  # the engine and em blocks
+                    if not isinstance(value, dict):
+                        raise InvalidParameter(f"{f.name} must be an object, not {value!r}")
+                    _refuse_unknown(f.name, value, f.default_factory)
                     try:
-                        d[f.name] = f.default_factory(**d[f.name])
+                        d[f.name] = f.default_factory(**value)
                     except InvalidParameter as exc:
                         raise InvalidParameter(f"{f.name}.{exc}") from exc
             return Scenario(**d)
@@ -169,6 +173,12 @@ class Scenario:
     @staticmethod
     def from_json(path: str) -> "Scenario":
         return Scenario.from_dict(load_json(path))
+
+
+def _refuse_unknown(what: str, d: dict, cls) -> None:
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InvalidParameter(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def load_json(path: str) -> dict:

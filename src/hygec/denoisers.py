@@ -1,8 +1,9 @@
 """Scalar posterior computations and the message algebra built on them.
 
-Everything is elementwise and vectorized; functions accept scalars or arrays
-and follow numpy broadcasting. Densities and odds ratios are evaluated in the
-log domain throughout.
+Everything is elementwise and vectorized. The functions take float64 arrays,
+as `ProblemInstance` and the engine's messages hold them, or Python floats,
+follow numpy broadcasting and convert neither; a list is not converted to an
+array. Densities and odds ratios are evaluated in the log domain throughout.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ def _expit(x):
 
 def z_posterior_awgn(y, m, v, noise_var) -> Moments:
     """Moments of z ~ N(m, v) given y = z + w, w ~ N(0, noise_var)."""
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
     total = v + noise_var
     return Moments((v * y + noise_var * m) / total, v * noise_var / total)
 
@@ -66,7 +65,7 @@ def _std_trunc_moments(a, b):
     """
     from scipy.special import erf, erfcx  # only the quantized channel needs them
 
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(a, b)
     if np.any(a >= b):
         raise InvalidParameter("need lower < upper for every cell")
 
@@ -154,10 +153,8 @@ def channel_posterior(channel, y, m, v) -> Moments:
     return z_posterior_cell(*channel.cell_bounds(y), m, v, channel.noise_var)
 
 
-def _element_llr(m_x_lik, v_x_lik, sigma_x_sq):
+def _element_llr(m, v, sigma_x_sq):
     # log N(0|m, sigma_x_sq + v) - log N(0|m, v) per element
-    v = np.asarray(v_x_lik, dtype=float)
-    m = np.asarray(m_x_lik, dtype=float)
     total = sigma_x_sq + v
     return 0.5 * (np.log(v) - np.log(total)) + 0.5 * m * m * (1.0 / v - 1.0 / total)
 
@@ -169,8 +166,6 @@ def x_posterior_spike_slab(m, v, prior_llr, sigma_x_sq) -> tuple[Moments, np.nda
     Returns the moments and the posterior activity probability pi. Prior
     log-odds of -inf or +inf give pi exactly 0 or 1.
     """
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
     if np.any(v <= 0):
         raise InvalidParameter("v must be positive")
     pi = _expit(prior_llr + _element_llr(m, v, sigma_x_sq))  # plus the slab-vs-spike evidence
@@ -188,10 +183,7 @@ def extrinsic(pos: Moments, cav: Moments, v_min: float, v_max: float) -> Moments
     A nonpositive precision difference saturates the variance at v_max instead
     of failing.
     """
-    pos_mean = np.asarray(pos.mean, dtype=float)
-    pos_var = np.asarray(pos.var, dtype=float)
-    cav_mean = np.asarray(cav.mean, dtype=float)
-    cav_var = np.asarray(cav.var, dtype=float)
+    (pos_mean, pos_var), (cav_mean, cav_var) = pos, cav
     prec = 1.0 / pos_var - 1.0 / cav_var
     with np.errstate(divide="ignore", over="ignore"):
         var = np.where(prec > 0.0, np.clip(1.0 / np.where(prec > 0, prec, 1.0), v_min, v_max), v_max)
@@ -204,7 +196,7 @@ def _group_llr(m_x_lik, v_x_lik, rho, sigma_x_sq, groups: GroupStructure):
     # the prior's plus the evidence of all its elements
     if not 0 < rho < 1:
         raise InvalidParameter("rho must lie in (0, 1)")
-    if np.any(np.asarray(v_x_lik, dtype=float) <= 0):
+    if np.any(v_x_lik <= 0):
         raise InvalidParameter("v_x_lik must be positive")
     llr_in = _element_llr(m_x_lik, v_x_lik, sigma_x_sq)
     return llr_in, np.log(rho) - np.log1p(-rho) + np.add.reduceat(llr_in, groups.offsets)

@@ -50,7 +50,7 @@ class HygecConfig:
         if not 0 < self.damping <= 1:
             raise InvalidParameter("damping must lie in (0, 1]")
         if not 0 < self.v_min < self.v_max:
-            raise InvalidParameter("need 0 < v_min < v_max")
+            raise InvalidParameter("v_min must lie in (0, v_max)")
 
 
 def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:

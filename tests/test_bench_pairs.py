@@ -1,5 +1,5 @@
 """The revision stamp tools/bench_pairs.py writes for each side of a record, and the
-gated, ungated and traced metrics it prints."""
+gated, ungated, per-run and traced metrics it prints."""
 
 import importlib.util
 import json
@@ -96,7 +96,8 @@ def test_ungated_line_reads_each_run_report_and_gives_no_verdict():
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_every_record_gives_the_ungated_lines(path):
-    # each run of a record keeps its report, so the ungated figures can be read back
+    # each run of a record keeps its report and metrics, so the ungated figures and
+    # each run's peak_rss_mb can be read back
     doc = json.loads(path.read_text())
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m for m in benchmark["end_to_end"]}
@@ -104,3 +105,16 @@ def test_every_record_gives_the_ungated_lines(path):
         for name, twin in bench_pairs.UNGATED.items():
             line = bench_pairs.ungated_line(workload, name, gated[twin], body["runs"])
             assert line.startswith(f"{workload} {name} (ungated): "), line
+        for side in bench_pairs.SIDES:
+            line = bench_pairs.rss_line(workload, side, body["runs"])
+            values = line.removeprefix(f"{workload} peak_rss_mb {side} runs: ").removesuffix(" MB")
+            assert len(values.split()) == len(body["runs"]), line
+
+
+def test_rss_line_lists_each_run_in_pair_order():
+    pairs = [{"parent": {"metrics": {"peak_rss_mb": p}}, "change": {"metrics": {"peak_rss_mb": c}}}
+             for p, c in [(171.04, 187.12), (171.0, 171.16)]]
+    assert bench_pairs.rss_line("full-linear", "parent", pairs) == (
+        "full-linear peak_rss_mb parent runs: 171.0 171.0 MB")
+    assert bench_pairs.rss_line("full-linear", "change", pairs) == (
+        "full-linear peak_rss_mb change runs: 187.1 171.2 MB")

@@ -194,8 +194,26 @@ def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
                                ("em", "warm_start", True)):
         sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **{block: {knob: value}})
         assert main(["run", sc]) == 2, knob
-        err = capsys.readouterr().err
-        assert "error: malformed scenario: " in err and knob in err
+        assert f"error: unknown {block} fields: ['{knob}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("algorithms", "em-hygec", "algorithms must be a list, not 'em-hygec'"),
+    ("seeds", "0", "seeds must be a list, not '0'"),
+    ("sweep_values", 5, "sweep_values must be a list, not 5"),
+    ("engine", {"nope": 1}, "unknown engine fields: ['nope']"),
+    ("em", {"nope": 1}, "unknown em fields: ['nope']"),
+    ("engine", [1, 2], "engine must be an object, not [1, 2]"),
+    ("engine", None, "engine must be an object, not None"),
+    ("engine", {"v_min": 1e-3, "v_max": 1e-4}, "engine.v_min must lie in (0, v_max)"),
+], ids=["algorithms_text", "seeds_text", "sweep_values_number", "engine_unknown_key",
+        "em_unknown_key", "engine_list", "engine_null", "engine_v_range"])
+def test_run_names_a_wrong_shaped_field(tmp_path, capsys, field, value, message):
+    # a list field takes a list, a nested block an object with known keys; each
+    # refusal names the field, as an unknown top-level key does
+    extra = {"sweep_param": "mean"} if field == "sweep_values" else {}
+    assert main(["run", _scenario_file(tmp_path, **extra, **{field: value})]) == 2
+    assert capsys.readouterr().err.strip().endswith(f"error: {message}")
 
 
 def test_gen_missing_spec_exits_two(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.special import expit, logit
 
-from hygec import engine
+from hygec import denoisers, engine
 from hygec._lapack import _SCIPY, _addresses, _bundled_openblas, _Lapack
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
@@ -30,7 +30,7 @@ from hygec.engine import (
     lmmse_gram,
 )
 from hygec.ensembles import apply_channel, gen_group_sparse_signal
-from hygec.oracle import exact_posterior_small
+from hygec.oracle import exact_posterior_small, nmse
 from hygec.types import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -253,10 +253,12 @@ def test_engine_has_no_numpy_matmul():
 
 
 def test_engine_converts_no_array():
-    # ProblemInstance fixes its arrays' dtypes once; the engine reads them as they are
-    tree = ast.parse(inspect.getsource(inspect.getmodule(lmmse_block)))
-    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    assert not [name for name in calls if name in ("np.asarray", "np.array")]
+    # ProblemInstance fixes its arrays' dtypes once; the engine, the denoisers and the
+    # NMSE that every sweep calls read them as they are
+    for source in (engine, denoisers, nmse):
+        tree = ast.parse(inspect.getsource(source))
+        calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not [name for name in calls if name in ("np.asarray", "np.array")], source
 
 
 @pytest.mark.parametrize("bits", [None, 2])

@@ -28,8 +28,9 @@ than that spread needs many pairs to show. The same medians, win count and
 spread, with no verdict, follow for the ungated ``setup_s_wall`` and
 ``ms_per_sweep_wall`` of every run's report: the gated ``setup_s`` and
 ``ms_per_sweep`` are scaled by a gauge of the machine's speed, which can widen
-the spread of the pairs instead of narrowing it. The printout ends with every
-per-layer metric of the traced runs whose parent and change values differ, so
+the spread of the pairs instead of narrowing it. Each workload's lines end
+with each side's ``peak_rss_mb`` run by run, in pair order, so a run whose peak
+jumps shows beside the median. The printout ends with every per-layer metric of the traced runs whose parent and change values differ, so
 a change that moves a count, such as ``em.inner_sweeps``, shows it on screen.
 """
 
@@ -165,6 +166,12 @@ def ungated_line(workload: str, name: str, spec: dict, pairs: list[dict]) -> str
             f"{wins}/{len(pairs)} (log-ratio sd {_spread_text(values)})")
 
 
+def rss_line(workload: str, side: str, pairs: list[dict]) -> str:
+    """One side's `peak_rss_mb` of every run of a workload, in pair order."""
+    values = " ".join(f"{p[side]['metrics']['peak_rss_mb']:.1f}" for p in pairs)
+    return f"{workload} peak_rss_mb {side} runs: {values} MB"
+
+
 def trace_diffs(trace: dict) -> list[str]:
     """One line per workload and traced metric whose parent and change values differ."""
     def show(value):
@@ -250,6 +257,8 @@ def main(argv=None) -> int:
             print(summary_line(w, name, m))
         for name, twin in UNGATED.items():
             print(ungated_line(w, name, gated[twin], pairs[w]))
+        for side in SIDES:
+            print(rss_line(w, side, pairs[w]))
     for line in trace_diffs(trace):
         print(line)
     return 0
