@@ -30,8 +30,9 @@ spread, with no verdict, follow for the ungated ``setup_s_wall`` and
 ``ms_per_sweep`` are scaled by a gauge of the machine's speed, which can widen
 the spread of the pairs instead of narrowing it. Each workload's lines end
 with each side's ``peak_rss_mb`` run by run, in pair order, so a run whose peak
-jumps shows beside the median. The printout ends with every per-layer metric of the traced runs whose parent and change values differ, so
-a change that moves a count, such as ``em.inner_sweeps``, shows it on screen.
+jumps shows beside the median. The printout ends with every per-layer metric
+of the traced runs whose parent and change values differ, so a change that
+moves a count, such as ``em.inner_sweeps``, shows it on screen.
 """
 
 from __future__ import annotations
