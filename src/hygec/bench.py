@@ -1,7 +1,5 @@
 """Scenario runner: builds seeded instances, runs the selected algorithms over
-parameter sweeps, and serializes results and instances. Also holds the
-engine's exhaustive-enumeration parity check, which needs both the engine and
-the oracle."""
+parameter sweeps, and serializes results and instances."""
 
 from __future__ import annotations
 
@@ -13,7 +11,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .denoisers import indicator_beliefs
 from .em import EmConfig, em_hygec_run
 from .engine import HygecConfig, hygec_run
 from .ensembles import (
@@ -24,9 +21,7 @@ from .ensembles import (
     gen_matrix,
     snr_to_noise_var,
 )
-from .oracle import exact_posterior_small
 from .types import (
-    CONVERGED,
     Channel,
     GroupStructure,
     HygecError,
@@ -286,44 +281,6 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_trial, *zip(*args)))
     return [row for batch in batches for row in batch]
-
-
-def enumeration_parity(seeds) -> tuple[float, float, float, int]:
-    """The engine against exhaustive enumeration on one tiny instance per seed.
-
-    Each instance (m=10, n=12, six groups of two, rate 0.1, 15 dB) is drawn
-    from the single stream `default_rng(seed)`. Returns the pooled RMS error
-    of the converged posterior means, the worst per-seed RMS, the mean
-    absolute error of the group activities, and the number of seeds whose
-    run did not converge (left out of the three errors).
-    """
-    rho, sigma_x_sq = 0.1, 1.0
-    # tiny instances rail extrinsic variances at the default ceiling;
-    # a lower ceiling keeps the sweep inside its contraction region
-    cfg = HygecConfig(v_max=1e4)
-    se_sum = mae_sum = worst = 0.0
-    n_el = n_grp = nonconv = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        groups = GroupStructure.even(12, 6)
-        H = gen_matrix(MatrixSpec("iid", 10, 12), rng)
-        x, xi = gen_group_sparse_signal(groups, rho, sigma_x_sq, rng)
-        noise_var = snr_to_noise_var(H, rho, sigma_x_sq, 15.0)
-        channel = Channel.linear_awgn(noise_var)
-        y = apply_channel(H, x, channel, rng)
-        inst = ProblemInstance(H, y, groups, channel, sigma_x_sq, x, xi, rho)
-        m_x_lik, v_x_lik, _, x_pos, report = hygec_run(inst, rho, cfg)
-        if report.termination != CONVERGED:
-            nonconv += 1
-            continue
-        x_ref, _, xi_ref = exact_posterior_small(inst, rho, sigma_x_sq)
-        se_sum += float(np.sum((x_pos - x_ref) ** 2))
-        n_el += inst.n
-        beliefs = indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
-        mae_sum += float(np.sum(np.abs(beliefs - xi_ref)))
-        n_grp += groups.k
-        worst = max(worst, float(np.sqrt(np.mean((x_pos - x_ref) ** 2))))
-    return float(np.sqrt(se_sum / n_el)), worst, mae_sum / n_grp, nonconv
 
 
 def final_rows(rows: list[dict]) -> list[dict]:

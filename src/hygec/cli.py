@@ -7,7 +7,7 @@ import dataclasses
 import sys
 
 from . import bench
-from .oracle import denoiser_parity
+from .oracle import denoiser_parity, enumeration_parity
 from .types import NUMERICAL_FAILURE, HygecError, InvalidParameter
 
 
@@ -83,7 +83,7 @@ def _check_line(name: str, ok: bool, detail: str) -> bool:
 def _cmd_check(args) -> int:
     # acceptance criteria 1 and 2, under their own bounds, at 100 draws and 10 seeds
     lin_mean, lin_var, q_mean, q_var, ss_worst = denoiser_parity(100)
-    rms, worst, mae, nonconv = bench.enumeration_parity(range(10))
+    rms, worst, mae, nonconv = enumeration_parity(range(10))
     ok = [
         _check_line("linear-denoiser-vs-quadrature", lin_mean < 1e-7 and lin_var < 1e-6,
                     f"mean {lin_mean:.2e} var {lin_var:.2e}"),

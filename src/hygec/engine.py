@@ -10,7 +10,6 @@ import numpy as np
 from ._lapack import lapack
 from .denoisers import channel_posterior, extrinsic, llr_messages, x_posterior_spike_slab
 from .ensembles import signal_power
-from .oracle import nmse
 from .types import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -30,6 +29,10 @@ class FactorizationFailure(HygecError):
 
 
 class NonFinite(HygecError):
+    pass
+
+
+class AllZeroTruth(HygecError):
     pass
 
 
@@ -182,6 +185,18 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
         raise NonFinite(f"non-finite message state after sweep {state.t + 1}")
     state.t += 1
     return state
+
+
+def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float:
+    """Normalized squared error in dB, floored at -300, of two float64 arrays as given."""
+    denom = float(np.dot(x_true, x_true))
+    if denom == 0.0:
+        raise AllZeroTruth("NMSE is undefined for an all-zero truth")
+    diff = x_hat - x_true
+    ratio = float(np.dot(diff, diff)) / denom
+    if ratio <= 1e-30:
+        return -300.0
+    return max(10.0 * float(np.log10(ratio)), -300.0)
 
 
 def hygec_run(

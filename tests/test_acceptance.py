@@ -11,19 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from hygec.bench import (
-    Scenario,
-    build_instance,
-    enumeration_parity,
-    final_rows,
-    run_scenario,
-    summarize,
-)
+from hygec.bench import Scenario, build_instance, final_rows, run_scenario, summarize
 from hygec.cli import main
 from hygec.denoisers import extrinsic
 from hygec.em import em_hygec_run
 from hygec.engine import HygecConfig, hygec_sweep, init_state
-from hygec.oracle import denoiser_parity
+from hygec.oracle import denoiser_parity, enumeration_parity
 from hygec.types import Moments
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

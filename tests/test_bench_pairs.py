@@ -1,5 +1,5 @@
 """The revision stamp tools/bench_pairs.py writes for each side of a record, and the
-gated, ungated, per-run and traced metrics it prints."""
+gated, ungated, per-run and traced metrics and the solve counts it prints."""
 
 import importlib.util
 import json
@@ -96,8 +96,8 @@ def test_ungated_line_reads_each_run_report_and_gives_no_verdict():
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_every_record_gives_the_ungated_lines(path):
-    # each run of a record keeps its report and metrics, so the ungated figures and
-    # each run's peak_rss_mb can be read back
+    # each run of a record keeps its report, metrics and solve count, so the ungated
+    # figures, each run's peak_rss_mb and each run's solves can be read back
     doc = json.loads(path.read_text())
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m for m in benchmark["end_to_end"]}
@@ -109,6 +109,9 @@ def test_every_record_gives_the_ungated_lines(path):
             line = bench_pairs.rss_line(workload, side, body["runs"])
             values = line.removeprefix(f"{workload} peak_rss_mb {side} runs: ").removesuffix(" MB")
             assert len(values.split()) == len(body["runs"]), line
+            line = bench_pairs.solves_line(workload, side, body["runs"])
+            counts = line.removeprefix(f"{workload} solves {side} runs: ").split()
+            assert [int(c) for c in counts] == [r[side]["attempted"] for r in body["runs"]], line
 
 
 def test_rss_line_lists_each_run_in_pair_order():
@@ -118,3 +121,11 @@ def test_rss_line_lists_each_run_in_pair_order():
         "full-linear peak_rss_mb parent runs: 171.0 171.0 MB")
     assert bench_pairs.rss_line("full-linear", "change", pairs) == (
         "full-linear peak_rss_mb change runs: 187.1 171.2 MB")
+
+
+def test_solves_line_lists_each_run_in_pair_order():
+    pairs = [{"parent": {"attempted": p}, "change": {"attempted": c}} for p, c in [(4, 4), (5, 3)]]
+    assert bench_pairs.solves_line("full-linear", "parent", pairs) == (
+        "full-linear solves parent runs: 4 5")
+    assert bench_pairs.solves_line("full-linear", "change", pairs) == (
+        "full-linear solves change runs: 4 3")

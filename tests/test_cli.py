@@ -343,3 +343,22 @@ def test_check_fails_the_check_whose_error_is_over_its_bound(capsys, monkeypatch
         ("spike-slab-vs-two-branch", "PASS"),
         ("engine-vs-exact-enumeration", "PASS"),
     ]
+
+
+def test_check_fails_the_enumeration_check_on_a_nonconverged_seed(capsys, monkeypatch):
+    calls = []
+
+    def spy(seeds):
+        calls.append(seeds)
+        return 1e-3, 2e-3, 1e-3, 1  # errors under their bounds, one seed not converged
+
+    monkeypatch.setattr("hygec.cli.enumeration_parity", spy)
+    assert main(["check"]) == 1
+    assert calls == [range(10)]
+    lines = [l.split()[:2] for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert [(name.rstrip(":"), verdict) for verdict, name in lines] == [
+        ("linear-denoiser-vs-quadrature", "PASS"),
+        ("quantized-denoiser-vs-quadrature", "PASS"),
+        ("spike-slab-vs-two-branch", "PASS"),
+        ("engine-vs-exact-enumeration", "FAIL"),
+    ]

@@ -28,9 +28,10 @@ from hygec.engine import (
     init_state,
     lmmse_block,
     lmmse_gram,
+    nmse,
 )
 from hygec.ensembles import apply_channel, gen_group_sparse_signal
-from hygec.oracle import exact_posterior_small, nmse
+from hygec.oracle import exact_posterior_small
 from hygec.types import (
     CONVERGED,
     MAX_ITERATIONS,

@@ -100,6 +100,20 @@ def test_no_module_imports_scipy_linalg():
         assert not [name for name in names if name.startswith("scipy.linalg")], path.name
 
 
+def test_only_the_cli_imports_the_oracle():
+    # the references sit above the solver: `from . import oracle` and `from .oracle import
+    # nmse` count as importing hygec.oracle too
+    paths = sorted((SRC / "hygec").glob("*.py"))
+    assert SRC / "hygec" / "cli.py" in paths
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+        names += [f"{'hygec.' * (n.level > 0)}{n.module or ''}.{a.name}".replace("..", ".")
+                  for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names]
+        imports_oracle = [name for name in names if name.startswith("hygec.oracle")]
+        assert bool(imports_oracle) == (path.name == "cli.py"), path.name
+
+
 def test_missing_wrapper_is_named():
     with pytest.raises(ImportError, match=r"_no_such_wrapper\.\*"):
         _load("_no_such_wrapper")

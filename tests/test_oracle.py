@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm, truncnorm
 
+from hygec.engine import AllZeroTruth, nmse
 from hygec.ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix
-from hygec.oracle import (
-    AllZeroTruth,
-    Unsupported,
-    ZeroMass,
-    exact_posterior_small,
-    nmse,
-    quad_z_posterior,
-)
+from hygec.oracle import Unsupported, ZeroMass, exact_posterior_small, quad_z_posterior
 from hygec.types import Channel, GroupStructure, InvalidParameter, ProblemInstance
 
 

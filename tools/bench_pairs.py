@@ -30,7 +30,9 @@ spread, with no verdict, follow for the ungated ``setup_s_wall`` and
 ``ms_per_sweep`` are scaled by a gauge of the machine's speed, which can widen
 the spread of the pairs instead of narrowing it. Each workload's lines end
 with each side's ``peak_rss_mb`` run by run, in pair order, so a run whose peak
-jumps shows beside the median. The printout ends with every per-layer metric
+jumps shows beside the median, and then each side's solves run by run
+(perfbench's ``attempted``), so the record shows how many solves each run's
+gated figures rest on. The printout ends with every per-layer metric
 of the traced runs whose parent and change values differ, so a change that
 moves a count, such as ``em.inner_sweeps``, shows it on screen.
 """
@@ -173,6 +175,12 @@ def rss_line(workload: str, side: str, pairs: list[dict]) -> str:
     return f"{workload} peak_rss_mb {side} runs: {values} MB"
 
 
+def solves_line(workload: str, side: str, pairs: list[dict]) -> str:
+    """One side's solves of every run of a workload, in pair order."""
+    values = " ".join(str(p[side]["attempted"]) for p in pairs)
+    return f"{workload} solves {side} runs: {values}"
+
+
 def trace_diffs(trace: dict) -> list[str]:
     """One line per workload and traced metric whose parent and change values differ."""
     def show(value):
@@ -260,6 +268,8 @@ def main(argv=None) -> int:
             print(ungated_line(w, name, gated[twin], pairs[w]))
         for side in SIDES:
             print(rss_line(w, side, pairs[w]))
+        for side in SIDES:
+            print(solves_line(w, side, pairs[w]))
     for line in trace_diffs(trace):
         print(line)
     return 0
