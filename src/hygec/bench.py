@@ -71,9 +71,8 @@ class Scenario:
     seeds: tuple[int, ...]
     algorithms: tuple[str, ...] = ("hygec-known-rho",)
     bits: int | None = None  # None: plain linear-noise channel
-    matrix_kind: str = "iid"
     matrix_mean: float = 0.0
-    kappa: float = 1.0
+    kappa: float | None = None  # None: an i.i.d. matrix; a value or a kappa sweep: conditioned
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] = ()
     sigma_x_sq: float = 1.0
@@ -112,14 +111,11 @@ class Scenario:
             raise InvalidParameter("sweep_values needs a sweep_param")
         if self.sweep_param is not None and not self.sweep_values:  # it would run no trial
             raise InvalidParameter(f"sweep_param {self.sweep_param!r} needs sweep_values")
-        if self.matrix_kind not in ("iid", "conditioned"):
-            raise InvalidParameter(f"unknown matrix kind {self.matrix_kind!r}")
-        if self.conditioned and (self.sweep_param == "mean" or self.matrix_mean != 0.0):
+        conditioned = self.kappa is not None or self.sweep_param == "kappa"
+        if conditioned and (self.sweep_param == "mean" or self.matrix_mean != 0.0):
             raise InvalidParameter("a conditioned matrix takes no matrix mean")
-        if not self.conditioned and self.kappa != 1.0:
-            raise InvalidParameter("kappa needs matrix_kind 'conditioned' or a kappa sweep")
         # a sweep sets its own parameter at every point
-        if self.sweep_param == "kappa" and self.kappa != 1.0:
+        if self.sweep_param == "kappa" and self.kappa is not None:
             raise InvalidParameter("a kappa sweep sets kappa at every point; drop kappa")
         if self.sweep_param == "mean" and self.matrix_mean != 0.0:
             raise InvalidParameter("a mean sweep sets matrix_mean at every point; drop matrix_mean")
@@ -134,13 +130,9 @@ class Scenario:
             kappa = float(sweep_value)
         if self.sweep_param == "mean" and sweep_value is not None:
             mean = float(sweep_value)
-        kind = "conditioned" if self.conditioned else "iid"
-        return MatrixSpec(kind, self.m, self.n, kappa), mean  # an i.i.d. scenario has kappa 1
-
-    @property
-    def conditioned(self) -> bool:
-        """Whether the matrix is drawn conditioned; a kappa sweep implies it."""
-        return self.matrix_kind == "conditioned" or self.sweep_param == "kappa"
+        if kappa is None:
+            return MatrixSpec("iid", self.m, self.n), mean
+        return MatrixSpec("conditioned", self.m, self.n, kappa), mean
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":

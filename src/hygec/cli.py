@@ -63,12 +63,11 @@ def _summary_lines(summary) -> list[str]:
 
 def _cmd_gen(args) -> int:
     d = bench.load_json(args.spec)
-    d.setdefault("name", "custom")
-    d.setdefault("seeds", [args.seed])
-    scenario = bench.Scenario.from_dict(d)  # the spec's own seeds are checked as written
+    if "seeds" in d:  # the seed comes from --seed alone
+        raise InvalidParameter("gen draws at --seed; a spec takes no seeds")
+    scenario = bench.Scenario.from_dict({"name": "custom", **d, "seeds": [args.seed]})
     if scenario.sweep_param is not None:  # one instance cannot hold a sweep's points
         raise InvalidParameter("gen draws one instance; a spec takes no sweep_param")
-    scenario = dataclasses.replace(scenario, seeds=(args.seed,))
     inst = bench.build_instance(scenario, args.seed, None)
     bench.export_instance(inst, args.out, seed=args.seed)
     print(f"wrote {args.out} (m={inst.m}, n={inst.n}, k={inst.groups.k})")

@@ -11,7 +11,6 @@ from .denoisers import indicator_beliefs
 from .engine import HygecConfig, hygec_run
 from .types import (
     CONVERGED,
-    MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     GroupStructure,
     InvalidParameter,
@@ -67,7 +66,7 @@ def em_hygec_run(
         raise InvalidParameter("rho_init must lie in (0, 1)")
 
     rho = rho_init
-    report = RecoveryReport(rho_trace=[rho], termination=MAX_ITERATIONS)
+    report = RecoveryReport(rho_trace=[rho])
     for _ in range(em_cfg.max_outer):
         m_x_lik, v_x_lik, _, x_pos, inner = hygec_run(inst, rho, cfg)
         report.inner_counts.extend(inner.inner_counts)

@@ -12,7 +12,6 @@ from .denoisers import channel_posterior, extrinsic, llr_messages, x_posterior_s
 from .ensembles import signal_power
 from .types import (
     CONVERGED,
-    MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     GecState,
     HygecError,
@@ -219,7 +218,7 @@ def hygec_run(
     if not 0 < rho < 1:
         raise InvalidParameter("rho must lie in (0, 1)")
     state = init_state(inst, rho, cfg)
-    report = RecoveryReport(rho_trace=[rho], termination=MAX_ITERATIONS)
+    report = RecoveryReport(rho_trace=[rho])
     track_nmse = inst.x_true is not None and np.any(inst.x_true != 0)
     for _ in range(cfg.max_iter):
         x_prev = state.x_post.mean

@@ -268,7 +268,7 @@ class RecoveryReport:
 
     nmse_trace: list[float] = field(default_factory=list)
     rho_trace: list[float] = field(default_factory=list)
-    termination: str = CONVERGED
+    termination: str = MAX_ITERATIONS
     inner_counts: list[int] = field(default_factory=list)
     failure: str | None = None
 

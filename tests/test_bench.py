@@ -59,7 +59,7 @@ def _scenario(**overrides):
 
 def test_scenario_validation():
     _scenario()  # baseline is valid
-    _scenario(matrix_kind="conditioned", kappa=10.0)
+    _scenario(kappa=10.0)  # a written kappa draws a conditioned matrix
     _scenario(sweep_param="kappa", sweep_values=(1.0, 10.0))
     for bad in (
         dict(name="made-up"),
@@ -72,17 +72,16 @@ def test_scenario_validation():
         dict(k=31),
         dict(rho=0.0),
         # options build_instance would drop without a word
-        dict(matrix_kind="gaussian"),
         dict(sweep_values=(1.0, 10.0)),  # no sweep_param
         dict(sweep_param="kappa"),  # no sweep_values: no trial would run
         dict(sweep_param="mean"),
-        dict(matrix_kind="conditioned", sweep_param="mean", sweep_values=(0.0, 0.1)),
-        dict(matrix_kind="conditioned", matrix_mean=0.1),
+        dict(kappa=10.0, sweep_param="mean", sweep_values=(0.0, 0.1)),
+        dict(kappa=10.0, matrix_mean=0.1),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0), matrix_mean=0.1),
-        dict(kappa=1000.0),  # i.i.d. matrix, no kappa sweep
         # a sweep overrides the scenario's own value at every point
         dict(sweep_param="mean", sweep_values=(0.0, 0.1), matrix_mean=0.05),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0), kappa=50.0),
+        dict(sweep_param="kappa", sweep_values=(1.0, 10.0), kappa=1.0),
         # values of the wrong type, as a JSON file can hold them
         dict(seeds="ab"),
         dict(seeds=(0.5,)),
@@ -93,9 +92,9 @@ def test_scenario_validation():
         dict(sweep_param="mean", sweep_values=("x",)),
         dict(bits=2.5),
         # refused at load, though a later layer owns the rule
-        dict(matrix_kind="conditioned", kappa=0.5),
+        dict(kappa=0.5),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0, 0.5)),  # the last point
-        dict(m=1, matrix_kind="conditioned", kappa=2.0),
+        dict(m=1, kappa=2.0),
         dict(bits=0),
         dict(bits=20),
         dict(sigma_x_sq=-1.0),
@@ -110,7 +109,7 @@ def test_scenario_validation():
         ("sigma_x_sq", dict(sigma_x_sq=float("inf"))),
         ("rho", dict(rho=float("nan"))),
         ("rho_init", dict(rho_init=float("nan"))),
-        ("kappa", dict(matrix_kind="conditioned", kappa=float("inf"))),
+        ("kappa", dict(kappa=float("inf"))),
         ("sweep_values", dict(sweep_param="mean", sweep_values=(0.0, float("nan")))),
     ):
         with pytest.raises(InvalidParameter, match=name):
@@ -284,8 +283,9 @@ def test_scenario_from_json(tmp_path):
 
 def test_matrix_at_resolves_each_sweep_point():
     assert _scenario().matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
-    assert _scenario(matrix_kind="conditioned", kappa=10.0).matrix_at(None) == (
+    assert _scenario(kappa=10.0).matrix_at(None) == (
         MatrixSpec("conditioned", 20, 30, 10.0), 0.0)
+    assert _scenario(kappa=1.0).matrix_at(None) == (MatrixSpec("conditioned", 20, 30, 1.0), 0.0)
     kappa_sweep = _scenario(sweep_param="kappa", sweep_values=(1, 100))
     assert kappa_sweep.matrix_at(100) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
     mean_sweep = _scenario(sweep_param="mean", sweep_values=(0.0, 0.2))

@@ -206,8 +206,10 @@ def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
     ("engine", [1, 2], "engine must be an object, not [1, 2]"),
     ("engine", None, "engine must be an object, not None"),
     ("engine", {"v_min": 1e-3, "v_max": 1e-4}, "engine.v_min must lie in (0, v_max)"),
+    # a written kappa or a kappa sweep is what makes a matrix conditioned
+    ("matrix_kind", "conditioned", "unknown scenario fields: ['matrix_kind']"),
 ], ids=["algorithms_text", "seeds_text", "sweep_values_number", "engine_unknown_key",
-        "em_unknown_key", "engine_list", "engine_null", "engine_v_range"])
+        "em_unknown_key", "engine_list", "engine_null", "engine_v_range", "matrix_kind"])
 def test_run_names_a_wrong_shaped_field(tmp_path, capsys, field, value, message):
     # a list field takes a list, a nested block an object with known keys; each
     # refusal names the field, as an unknown top-level key does
@@ -222,20 +224,22 @@ def test_gen_missing_spec_exits_two(tmp_path, capsys):
     assert not (tmp_path / "x.npz").exists()
 
 
-def test_gen_negative_seed_exits_two_when_spec_lists_seeds(tmp_path, capsys):
+def test_gen_takes_its_seed_from_the_option_alone(tmp_path, capsys):
+    # a spec's seeds would be dropped without a word, so a spec that holds any is
+    # refused by name, even when they match --seed; a negative --seed is refused too
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0,
-                                "seeds": [0]}))
     out = tmp_path / "x.npz"
-    assert main(["gen", str(spec), "--seed", "-1", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
-    # the spec's own seeds are still checked as written
-    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0,
-                                "seeds": [0.5]}))
-    assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    base = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}
+    for extra, argv, message in (
+        ({"seeds": [5, 6]}, [], "gen draws at --seed; a spec takes no seeds"),
+        ({"seeds": [3]}, ["--seed", "3"], "gen draws at --seed; a spec takes no seeds"),
+        ({"seeds": [0.5]}, ["--seed", "3"], "gen draws at --seed; a spec takes no seeds"),
+        ({}, ["--seed", "-1"], "seeds must be nonnegative, not (-1,)"),
+    ):
+        spec.write_text(json.dumps({**base, **extra}))
+        assert main(["gen", str(spec), *argv, "--out", str(out)]) == 2, extra
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_gen_refuses_a_sweep_spec(tmp_path, capsys):
@@ -258,7 +262,9 @@ def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkey
     monkeypatch.setattr("hygec.bench.run_trial", no_trial)
     for message, overrides in (
         ("kappa must be >= 1", dict(sweep_param="kappa", sweep_values=[1, 10, 0.5])),
-        ("a 1-row matrix cannot have kappa > 1", dict(m=1, matrix_kind="conditioned", kappa=2)),
+        ("a 1-row matrix cannot have kappa > 1", dict(m=1, kappa=2)),
+        ("a kappa sweep sets kappa at every point; drop kappa",
+         dict(sweep_param="kappa", sweep_values=[1, 10], kappa=1)),
         ("need m <= n", dict(m=40)),
         ("matrix dimensions must be positive", dict(m=0)),
         ("quantized channel needs 1 <= bits <= 16", dict(bits=20)),
