@@ -110,7 +110,7 @@ def _imports() -> dict[str, list[str]]:
 
 def test_no_module_imports_scipy_linalg():
     for name, names in _imports().items():
-        assert not [n for n in names if n.startswith("scipy.linalg")], name
+        assert not any(n.startswith("scipy.linalg") for n in names), name
 
 
 def test_only_the_cli_imports_the_oracle():
