@@ -34,6 +34,8 @@ from .types import (
 SCENARIO_NAMES = ("iteration-trace", "condition-sweep", "mean-sweep", "rho-learning", "custom")
 ALGORITHMS = ("hygec-known-rho", "em-hygec")
 SWEEP_PARAMS = (None, "kappa", "mean")
+# the fields that build_instance and Scenario.matrix_at read at no sweep point
+RECIPE = ("m", "n", "k", "rho", "snr_db", "bits", "matrix_mean", "kappa", "sigma_x_sq")
 
 CSV_COLUMNS = (
     "scenario", "seed", "sweep_value", "algorithm", "iteration",

@@ -63,11 +63,9 @@ def _summary_lines(summary) -> list[str]:
 
 def _cmd_gen(args) -> int:
     d = bench.load_json(args.spec)
-    if "seeds" in d:  # the seed comes from --seed alone
-        raise InvalidParameter("gen draws at --seed; a spec takes no seeds")
+    if extra := sorted(set(d) - set(bench.RECIPE)):  # fields that one draw would not read
+        raise InvalidParameter(f"gen draws at --seed; a spec takes no {', '.join(extra)}")
     scenario = bench.Scenario.from_dict({"name": "custom", **d, "seeds": [args.seed]})
-    if scenario.sweep_param is not None:  # one instance cannot hold a sweep's points
-        raise InvalidParameter("gen draws one instance; a spec takes no sweep_param")
     inst = bench.build_instance(scenario, args.seed, None)
     bench.export_instance(inst, args.out, seed=args.seed)
     print(f"wrote {args.out} (m={inst.m}, n={inst.n}, k={inst.groups.k})")

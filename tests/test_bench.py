@@ -12,6 +12,7 @@ import pytest
 import hygec
 from hygec.bench import (
     CSV_COLUMNS,
+    RECIPE,
     IoError,
     Scenario,
     SchemaMismatch,
@@ -24,6 +25,7 @@ from hygec.bench import (
     summarize,
     write_csv,
     write_json,
+    _entries,
 )
 from hygec.em import EmConfig, em_hygec_run
 from hygec.engine import HygecConfig
@@ -325,6 +327,35 @@ def test_build_instance_mean_sweep_keeps_noise_calibration():
     assert shifted.channel.bits == 3
     y = np.asarray(shifted.y, dtype=np.int64)
     assert np.all(y >= 0) and np.all(y < shifted.channel.n_cells)
+
+
+def _bits(inst):
+    # every archive member of an instance, as its dtype, shape and bytes
+    members = {name: np.asarray(value) for name, value in _entries(inst).items()}
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in members.items()}
+
+
+def test_recipe_is_what_build_instance_reads():
+    # each recipe field, changed to another valid value, changes the drawn instance;
+    # any other Scenario field leaves it bitwise equal
+    recipe = {"m": dict(m=24), "n": dict(n=36), "k": dict(k=5), "rho": dict(rho=0.3),
+              "snr_db": dict(snr_db=20.0), "bits": dict(bits=2),
+              "matrix_mean": dict(matrix_mean=0.5), "kappa": dict(kappa=10.0),
+              "sigma_x_sq": dict(sigma_x_sq=2.0)}
+    others = {"name": dict(name="custom"), "seeds": dict(seeds=(7, 8)),
+              "algorithms": dict(algorithms=("em-hygec",)),
+              "sweep_param": dict(sweep_param="mean", sweep_values=(0.5,)),
+              "sweep_values": dict(sweep_param="kappa", sweep_values=(10.0,)),
+              "rho_init": dict(rho_init=0.05), "engine": dict(engine=HygecConfig(max_iter=3)),
+              "em": dict(em=EmConfig(max_outer=2))}
+    assert sorted(recipe) == sorted(RECIPE)
+    assert set(others) == {f.name for f in dataclasses.fields(Scenario)} - set(RECIPE)
+    base = _scenario()
+    drawn = _bits(build_instance(base, 3, None))
+    for name, change in recipe.items():
+        assert _bits(build_instance(dataclasses.replace(base, **change), 3, None)) != drawn, name
+    for name, change in others.items():
+        assert _bits(build_instance(dataclasses.replace(base, **change), 3, None)) == drawn, name
 
 
 def test_run_trial_repeats_each_rate_over_its_sweeps(monkeypatch):

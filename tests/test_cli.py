@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hygec.bench import build_instance, import_instance, Scenario
+from hygec.bench import RECIPE, build_instance, import_instance, Scenario
 from hygec.cli import _parse_seeds, main
 from hygec.types import NUMERICAL_FAILURE
 
@@ -251,6 +251,50 @@ def test_gen_refuses_a_sweep_spec(tmp_path, capsys):
     assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 2
     assert "sweep_param" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_refuses_every_field_outside_the_recipe_before_any_draw(tmp_path, capsys,
+                                                                    monkeypatch):
+    # one draw reads the recipe alone, so a spec that writes any other Scenario field,
+    # even at a valid value, would lose it without a word; the set is derived from
+    # the dataclass, so a field added later is refused until it joins the recipe
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr("hygec.bench.build_instance", no_draw)
+    written = {"name": "custom", "seeds": [3], "algorithms": ["em-hygec"],
+               "sweep_param": None, "sweep_values": [], "rho_init": 0.05,
+               "engine": {"max_iter": 3}, "em": {"max_outer": 2}}
+    others = {f.name for f in dataclasses.fields(Scenario)} - set(RECIPE)
+    assert set(written) == others
+    spec, out = tmp_path / "spec.json", tmp_path / "x.npz"
+    base = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}
+    for name in sorted(others):
+        Scenario.from_dict({"name": "custom", "seeds": [3], **base, name: written[name]})
+        spec.write_text(json.dumps({**base, name: written[name]}))
+        assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 2, name
+        assert capsys.readouterr().err == f"error: gen draws at --seed; a spec takes no {name}\n"
+        assert not out.exists()
+    # every such key is named, in sorted order, a key Scenario does not know too
+    spec.write_text(json.dumps({**base, "seeds": [3], "nope": 1, "engine": {}}))
+    assert main(["gen", str(spec), "--out", str(out)]) == 2
+    message = "gen draws at --seed; a spec takes no engine, nope, seeds"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_reads_every_recipe_field(tmp_path, capsys):
+    recipe = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0, "bits": 2,
+              "matrix_mean": 0.0, "kappa": 10.0, "sigma_x_sq": 2.0}
+    assert sorted(recipe) == sorted(RECIPE)
+    spec, out = tmp_path / "spec.json", tmp_path / "x.npz"
+    spec.write_text(json.dumps(recipe))
+    assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 0
+    inst = import_instance(str(out))
+    ref = build_instance(Scenario(name="custom", seeds=(3,), **recipe), 3, None)
+    assert inst.channel == ref.channel and inst.sigma_x_sq == 2.0
+    assert np.array_equal(inst.H, ref.H)
+    assert np.array_equal(inst.y, ref.y)
 
 
 def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
