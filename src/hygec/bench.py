@@ -170,11 +170,19 @@ def _refuse_unknown(what: str, d: dict, cls) -> None:
         raise InvalidParameter(f"unknown {what} fields: {sorted(unknown)}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.load alone keeps the last copy of a repeated key without a word
+    keys = [key for key, _ in pairs]
+    if repeated := sorted({key for key in keys if keys.count(key) > 1}):
+        raise SchemaMismatch(f"repeated key(s) {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def load_json(path: str) -> dict:
     """The JSON object in a scenario or instance-spec file."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
+            d = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text

@@ -142,7 +142,8 @@ def enumeration_parity(seeds) -> tuple[float, float, float, int]:
     from the single stream `default_rng(seed)`. Returns the pooled RMS error
     of the converged posterior means, the worst per-seed RMS, the mean
     absolute error of the group activities, and the number of seeds whose
-    run did not converge (left out of the three errors).
+    run did not converge (left out of the three errors, which are NaN when
+    no seed converged).
     """
     rho, sigma_x_sq = 0.1, 1.0
     # tiny instances rail extrinsic variances at the default ceiling;
@@ -170,6 +171,8 @@ def enumeration_parity(seeds) -> tuple[float, float, float, int]:
         mae_sum += float(np.sum(np.abs(beliefs - xi_ref)))
         n_grp += groups.k
         worst = max(worst, float(np.sqrt(np.mean((x_pos - x_ref) ** 2))))
+    if not n_el:  # no seed converged: there is no error to pool
+        return np.nan, np.nan, np.nan, nonconv
     return float(np.sqrt(se_sum / n_el)), worst, mae_sum / n_grp, nonconv
 
 

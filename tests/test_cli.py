@@ -7,6 +7,7 @@ import pytest
 
 from hygec.bench import RECIPE, build_instance, import_instance, Scenario
 from hygec.cli import _parse_seeds, main
+from hygec.engine import hygec_run
 from hygec.types import NUMERICAL_FAILURE
 
 
@@ -297,6 +298,36 @@ def test_gen_reads_every_recipe_field(tmp_path, capsys):
     assert np.array_equal(inst.y, ref.y)
 
 
+def test_a_repeated_key_exits_two(tmp_path, capsys):
+    # json alone would keep the last copy; a repeat at any depth is refused by name
+    path, out = tmp_path / "file.json", tmp_path / "out.npz"
+    head = '{"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0'
+    scenario = head + ', "name": "custom", "seeds": [0], "algorithms": ["em-hygec"]'
+    for command, text, key in (
+        ("run", scenario + ', "rho": 0.5}', "rho"),
+        ("run", scenario + ', "engine": {"max_iter": 3, "tol": 1e-6, "max_iter": 4}}', "max_iter"),
+        ("run", scenario + ', "em": {"tol": 1e-4, "tol": 1e-5}}', "tol"),
+        ("gen", head + ', "rho": 0.5}', "rho"),
+        ("gen", head + ', "engine": {"max_iter": 3, "max_iter": 4}}', "max_iter"),
+    ):
+        path.write_text(text)
+        argv = [command, str(path)] + (["--out", str(out)] if command == "gen" else [])
+        assert main(argv) == 2, text
+        assert capsys.readouterr().err == f"error: repeated key(s) {key}\n"
+        assert not out.exists()
+
+
+def test_an_output_path_in_a_missing_directory_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert main(["run", _scenario_file(tmp_path), "--out", str(missing / "rows.csv")]) == 2
+    assert "error: " in capsys.readouterr().err
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}))
+    assert main(["gen", str(spec), "--out", str(missing / "x.npz")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
     # each is refused at load with the message of the layer that owns the rule,
     # so no trial runs
@@ -412,3 +443,19 @@ def test_check_fails_the_enumeration_check_on_a_nonconverged_seed(capsys, monkey
         ("spike-slab-vs-two-branch", "PASS"),
         ("engine-vs-exact-enumeration", "FAIL"),
     ]
+
+
+def test_check_fails_when_no_enumeration_seed_converges(capsys, monkeypatch):
+    # every run capped at one sweep: no seed converges, so there is no error to
+    # pool, and the check prints FAIL rather than dividing by zero
+    real_run = hygec_run
+
+    def one_sweep(inst, rho, cfg):
+        return real_run(inst, rho, dataclasses.replace(cfg, max_iter=1))
+
+    monkeypatch.setattr("hygec.oracle.hygec_run", one_sweep)
+    monkeypatch.setattr("hygec.cli.denoiser_parity", lambda draws: (0.0,) * 5)
+    assert main(["check"]) == 1
+    *_, last = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert last.startswith("FAIL engine-vs-exact-enumeration: pooled rms nan")
+    assert last.endswith("nonconverged 10/10")

@@ -187,6 +187,14 @@ def test_validate_dimension_mismatch():
     dataclasses.replace(inst, xi_true=np.array([True, False]))
 
 
+def test_validate_refuses_a_truth_of_the_wrong_length():
+    inst = _consistent_instance()
+    for name, value, message in (("x_true", inst.x_true[:-1], "x_true must have length 6"),
+                                 ("xi_true", np.array([1, 0, 0]), "xi_true must have length 2")):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            dataclasses.replace(inst, **{name: value})
+
+
 def test_validate_group_coverage():
     inst = _consistent_instance()
     with pytest.raises(GroupCoverage):
