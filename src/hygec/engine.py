@@ -88,9 +88,12 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
 def lmmse_gram(H, v_z_lik) -> np.ndarray:
     """H^T diag(1/v_z_lik) H by LAPACK's dsfrk, in rectangular full packed (RFP) lower
     storage (transr "N"): n(n+1)/2 doubles, with no n x n square on the way."""
-    # C-ordered whatever H's layout, so dsfrk reads scaled.T in place: A A^T = scaled^T scaled
+    # C-ordered whatever H's layout, so dsfrk reads scaled.T in place: A A^T = scaled^T scaled;
+    # beta 0 with overwrite_c writes the result into the zeroed buffer, no copy
     scaled = np.divide(H, np.sqrt(v_z_lik)[:, None], order="C")
-    return lapack.dsfrk(scaled.T)
+    m, n = scaled.shape
+    return lapack.dsfrk(n, m, 1.0, scaled.T, 0.0, np.zeros(n * (n + 1) // 2), uplo="L",
+                        overwrite_c=1)
 
 
 def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
@@ -103,28 +106,27 @@ def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
     diag H P^-1 H^T). No inverse of P is formed: diag P^-1 is the column sums
     of squares of L^-1, and diag H P^-1 H^T those of L^-1 H^T.
 
-    The RFP Gram is unpacked by dtfttr into a zero-filled n x n buffer that is
-    factored in place, so its upper triangle needs no clean. The factorizations
-    are LAPACK routines that `_lapack` calls through ctypes, at the symbols of
-    scipy's bundled OpenBLAS or, where there is none, at the addresses scipy's
-    f2py wrapper _flapack calls. The matvecs H^T u and H x are numpy
-    einsums, whose own C loops call no BLAS routine: a numpy matmul would wake
-    numpy's OpenBLAS thread pool, which then spins through scipy's
-    factorizations on the same cores.
+    The RFP Gram is unpacked by dtfttr into the n x n buffer that is factored in
+    place; f2py zero-fills it, so its upper triangle needs no clean. The
+    factorizations are scipy's LAPACK routines, loaded by `_lapack` without the
+    scipy.linalg package. The matvecs H^T u and H x are numpy einsums, whose own
+    C loops call no BLAS routine: a numpy matmul would wake numpy's OpenBLAS
+    thread pool, which then spins through scipy's factorizations on the same
+    cores.
     """
     if side not in ("x", "z"):
         raise InvalidParameter(f"side must be 'x' or 'z', not {side!r}")
-    chol = lapack.dtfttr(gram, H.shape[1])  # P, factored in place next
-    chol[np.diag_indices(H.shape[1])] += 1.0 / x_pri.var
-    info = lapack.dpotrf(chol)
+    prec = lapack.dtfttr(H.shape[1], gram, uplo="L")[0]
+    prec[np.diag_indices(H.shape[1])] += 1.0 / x_pri.var
+    chol, info = lapack.dpotrf(prec, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(f"Cholesky of the LMMSE precision failed (info {info})")
     rhs = np.einsum("ij,i->j", H, z_lik.mean / z_lik.var) + x_pri.mean / x_pri.var
-    x_pos = lapack.dpotrs(chol, rhs)
+    x_pos = lapack.dpotrs(chol, rhs, lower=1)[0]
     if side == "x":
-        lapack.dtrtri(chol)  # now L^-1, in place; potrf left diag > 0
-        return Moments(x_pos, np.einsum("ij,ij->j", chol, chol))
-    factor, info = lapack.dtrtrs(chol, H.T)
+        factor = lapack.dtrtri(chol, lower=1, overwrite_c=1)[0]  # L^-1; potrf left diag > 0
+        return Moments(x_pos, np.einsum("ij,ij->j", factor, factor))
+    factor, info = lapack.dtrtrs(chol, H.T, lower=1)
     if info != 0:
         raise FactorizationFailure(f"triangular solve with the LMMSE factor failed (info {info})")
     return Moments(np.einsum("ij,j->i", H, x_pos), np.einsum("ij,ij->j", factor, factor))

@@ -12,27 +12,41 @@ from hygec._lapack import _load
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# run in a fresh interpreter, so no module is already loaded; argv[1] "wrapper" has the
-# engine call the routines at the addresses of scipy's f2py wrapper, "found" at those
-# the package found
+# run in a fresh interpreter, so no module is already loaded
 _PROBE = """
 import sys
 import hygec.bench, hygec.cli, hygec.em, hygec.engine, hygec.oracle
-from hygec import _lapack
 from hygec.bench import Scenario, build_instance
 
-if sys.argv[1] == "wrapper":
-    hygec.engine.lapack = _lapack._Lapack(_lapack._addresses(None))
 inst = build_instance(Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=20.0, seeds=(0,)), 0, None)
 hygec.engine.hygec_run(inst, 0.25)
 hygec.em.em_hygec_run(inst, 0.1)
 scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-packages = [name for name in scipy if name in ("scipy", "scipy.linalg", "scipy.special")]
-assert not packages, f"a linear solve loaded {packages}"
-if sys.argv[1] == "found" and _lapack._bundled_openblas(_lapack._SCIPY):
-    assert not scipy, f"a linear solve on scipy's bundled library loaded {scipy}"
+assert scipy == ["scipy.linalg._flapack"], f"a linear solve loaded {scipy}"
 assert "numpy.polynomial" not in sys.modules, "a linear solve loaded numpy.polynomial"
 assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
+"""
+
+# a meta-path finder in place of PathFinder that finds no scipy, so find_spec("scipy")
+# is None; every other name is found as before
+_NO_SCIPY_PROBE = """
+import sys
+from importlib.machinery import PathFinder
+
+class NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            return None
+        return PathFinder.find_spec(name, path, target)
+
+sys.meta_path[sys.meta_path.index(PathFinder)] = NoScipy
+try:
+    import hygec.engine
+except ModuleNotFoundError as error:
+    assert error.name == "scipy" and "scipy" in str(error), error
+else:
+    raise AssertionError("hygec.engine imported without scipy")
 """
 
 # argv[1] says whether scipy.linalg is imported before or after the package;
@@ -70,15 +84,14 @@ def _fresh(*args):
 
 
 def test_linear_solve_loads_no_scipy_linalg_scipy_special_or_process_pool():
-    # the engine's LAPACK routines are called through ctypes, and where scipy bundles its
-    # OpenBLAS no scipy module loads at all; numpy.polynomial holds the Gauss-Legendre
-    # nodes of the quantized cell moments
-    _fresh(_PROBE, "found")
+    # a linear and an EM solve load scipy's f2py LAPACK wrapper from its file and no
+    # scipy package; numpy.polynomial holds the Gauss-Legendre nodes of the quantized
+    # cell moments
+    _fresh(_PROBE)
 
 
-def test_linear_solve_through_the_wrapper_addresses_loads_no_scipy_package():
-    # the wrapper's addresses load scipy.linalg._flapack from its file, and no package
-    _fresh(_PROBE, "wrapper")
+def test_missing_scipy_is_named_at_import():
+    _fresh(_NO_SCIPY_PROBE)
 
 
 def test_loading_the_wrapper_imports_no_scipy_package():
