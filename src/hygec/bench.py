@@ -86,8 +86,9 @@ class Scenario:
         _check_numbers(self)
         if any(seed < 0 for seed in self.seeds):
             raise InvalidParameter(f"seeds must be nonnegative, not {self.seeds!r}")
-        if len(set(self.seeds)) < len(self.seeds):  # a trial run twice, counted once
-            raise InvalidParameter(f"seeds must not repeat, not {self.seeds!r}")
+        for name in ("seeds", "algorithms", "sweep_values"):  # a trial run twice, counted once
+            if len(set(values := getattr(self, name))) < len(values):
+                raise InvalidParameter(f"{name} must not repeat, not {values!r}")
         if self.name not in SCENARIO_NAMES:
             raise InvalidParameter(f"unknown scenario name {self.name!r}")
         if not self.seeds:

@@ -123,11 +123,17 @@ def test_run_descending_seed_range_exits_two(tmp_path, capsys):
 
 
 def test_run_repeated_seeds_exit_two(tmp_path, capsys):
-    # a repeated seed would run its trial twice and be counted once in the summary
-    for seeds, override in (([1, 1], []), ([0], ["--seeds", "0-2,1"])):
-        assert main(["run", _scenario_file(tmp_path, seeds=seeds), *override]) == 2, seeds
+    # a repeated seed, algorithm or sweep value would run its trials twice and count
+    # them once in the summary
+    for field, fields, override in (
+            ("seeds", {"seeds": [1, 1]}, []),
+            ("seeds", {"seeds": [0]}, ["--seeds", "0-2,1"]),
+            ("algorithms", {"algorithms": ["hygec-known-rho", "hygec-known-rho"]}, []),
+            ("sweep_values", {"sweep_param": "kappa", "sweep_values": [10, 10.0]}, [])):
+        sc = _scenario_file(tmp_path, **{"seeds": [0, 1], **fields})
+        assert main(["run", sc, *override]) == 2, fields
         captured = capsys.readouterr()
-        assert "error: seeds must not repeat" in captured.err
+        assert f"error: {field} must not repeat" in captured.err
         assert captured.out == ""
 
 
