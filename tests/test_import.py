@@ -12,9 +12,12 @@ from hygec._lapack import _load
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# run in a fresh interpreter, so no module is already loaded
+# run in a fresh interpreter, so no module is already loaded; argv[1] "packages" checks
+# what a linear and an EM solve leave unloaded, "wrapper" that the engine's routines are
+# those of scipy's f2py wrapper, loaded from its file under its scipy name
 _PROBE = """
 import sys
+from pathlib import Path
 import hygec.bench, hygec.cli, hygec.em, hygec.engine, hygec.oracle
 from hygec.bench import Scenario, build_instance
 
@@ -22,9 +25,17 @@ inst = build_instance(Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=
 hygec.engine.hygec_run(inst, 0.25)
 hygec.em.em_hygec_run(inst, 0.1)
 scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-assert scipy == ["scipy.linalg._flapack"], f"a linear solve loaded {scipy}"
-assert "numpy.polynomial" not in sys.modules, "a linear solve loaded numpy.polynomial"
-assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
+if sys.argv[1] == "packages":
+    packages = [name for name in scipy if name in ("scipy", "scipy.linalg", "scipy.special")]
+    assert not packages, f"a linear solve loaded {packages}"
+    assert "numpy.polynomial" not in sys.modules, "a linear solve loaded numpy.polynomial"
+    assert "concurrent.futures.process" not in sys.modules, "the process pool loaded"
+else:
+    assert scipy == ["scipy.linalg._flapack"], f"a linear solve loaded {scipy}"
+    wrapper = sys.modules["scipy.linalg._flapack"]
+    assert hygec.engine.lapack is wrapper, "the engine calls another LAPACK"
+    folder = Path(wrapper.__file__).parent
+    assert folder.name == "linalg" and folder.parent.name == "scipy", wrapper.__file__
 """
 
 # a meta-path finder in place of PathFinder that finds no scipy, so find_spec("scipy")
@@ -84,10 +95,14 @@ def _fresh(*args):
 
 
 def test_linear_solve_loads_no_scipy_linalg_scipy_special_or_process_pool():
-    # a linear and an EM solve load scipy's f2py LAPACK wrapper from its file and no
-    # scipy package; numpy.polynomial holds the Gauss-Legendre nodes of the quantized
-    # cell moments
-    _fresh(_PROBE)
+    # numpy.polynomial holds the Gauss-Legendre nodes of the quantized cell moments
+    _fresh(_PROBE, "packages")
+
+
+def test_linear_solve_through_the_wrapper_addresses_loads_no_scipy_package():
+    # the engine calls scipy's f2py LAPACK wrapper, loaded from its file, and no other
+    # scipy module loads
+    _fresh(_PROBE, "wrapper")
 
 
 def test_missing_scipy_is_named_at_import():
