@@ -114,9 +114,6 @@ class Scenario:
             raise InvalidParameter("sweep_values needs a sweep_param")
         if self.sweep_param is not None and not self.sweep_values:  # it would run no trial
             raise InvalidParameter(f"sweep_param {self.sweep_param!r} needs sweep_values")
-        conditioned = self.kappa is not None or self.sweep_param == "kappa"
-        if conditioned and (self.sweep_param == "mean" or self.matrix_mean != 0.0):
-            raise InvalidParameter("a conditioned matrix takes no matrix mean")
         # a sweep sets its own parameter at every point
         if self.sweep_param == "kappa" and self.kappa is not None:
             raise InvalidParameter("a kappa sweep sets kappa at every point; drop kappa")
@@ -135,6 +132,8 @@ class Scenario:
             mean = float(sweep_value)
         if kappa is None:
             return MatrixSpec("iid", self.m, self.n), mean
+        if self.sweep_param == "mean" or mean != 0.0:
+            raise InvalidParameter("a conditioned matrix takes no matrix mean")
         return MatrixSpec("conditioned", self.m, self.n, kappa), mean
 
     @staticmethod

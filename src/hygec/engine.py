@@ -65,9 +65,9 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     On the linear channel `z_lik` is N(y, noise_var), which z_posterior_awgn
     followed by extrinsic returns for every z-prior message. The other
     likelihood-side messages are placeholders (recomputed before first use
-    inside a sweep); their variances start at v_max, uninformative. The linear
-    channel's Gram, fixed with its `z_lik`, is built here once; the quantized
-    channel's, which changes every sweep, is not.
+    inside a sweep); their variances start at v_max, uninformative. `gram`, the
+    Gram of `z_lik`, is built here on the linear channel, where no sweep writes
+    either; on the quantized channel it is None until the first sweep.
     """
     m, n = inst.m, inst.n
     p_z = signal_power(inst.H, rho, inst.sigma_x_sq) + inst.channel.noise_var
@@ -155,8 +155,8 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     N(y, noise_var), whatever the z-prior message is; `init_state` sets it and
     its Gram `state.gram`, and no sweep writes either. The sweep skips the
     z-channel denoise and the z-side solve, whose only output would feed that
-    denoiser. The quantized channel builds its Gram every sweep from the new
-    z-likelihood message. `state.t` counts the sweeps that completed with a
+    denoiser. The quantized sweep stores each new z-likelihood's Gram there;
+    both solves read it. `state.t` counts the sweeps that completed with a
     finite state; a sweep that raises leaves it as it was.
     """
     damp = cfg.damping if state.t > 0 else 1.0
@@ -165,10 +165,9 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     if not linear:
         z_channel = channel_posterior(inst.channel, inst.y, *state.z_pri)
         state.z_lik = _refresh(z_channel, state.z_pri, state.z_lik, damp, cfg)
-    # the z-side message is fixed for the rest of the sweep, so both solves share it
-    gram = state.gram if linear else lmmse_gram(inst.H, state.z_lik.var)
+        state.gram = lmmse_gram(inst.H, state.z_lik.var)
 
-    x_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "x")
+    x_joint = lmmse_block(inst.H, state.gram, state.z_lik, state.x_pri, "x")
     state.x_lik = _refresh(x_joint, state.x_pri, state.x_lik, damp, cfg)
 
     (x_mean, x_var), _pi = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
@@ -177,7 +176,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
 
     if not linear:
-        z_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "z")
+        z_joint = lmmse_block(inst.H, state.gram, state.z_lik, state.x_pri, "z")
         state.z_pri = _refresh(z_joint, state.z_lik, state.z_pri, damp, cfg)
 
     state.llr_hat = llr_messages(*state.x_lik, rho, inst.sigma_x_sq, inst.groups)
@@ -197,7 +196,7 @@ def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     ratio = float(np.dot(diff, diff)) / denom
     if ratio <= 1e-30:
         return -300.0
-    return max(10.0 * float(np.log10(ratio)), -300.0)
+    return 10.0 * float(np.log10(ratio))
 
 
 def hygec_run(

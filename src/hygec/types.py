@@ -234,11 +234,11 @@ class GecState:
     denoiser's output; and the per-element activity messages as prior
     log-odds (`llr_hat`).
 
-    On the linear channel `init_state` sets `z_lik` to the channel's own
-    N(y, noise_var) and its Gram `gram`, in LAPACK's rectangular full packed
-    (RFP) storage, and no sweep writes either; `z_pri` keeps its `init_state`
-    value, as no sweep reads or updates it there. On the quantized channel
-    `gram` is None. `t` counts the completed sweeps.
+    `gram` is the Gram H^T diag(1/z_lik.var) H of `z_lik`, in LAPACK's rectangular
+    full packed (RFP) storage, None only before a quantized run's first sweep.
+    On the linear channel `z_lik` is the channel's own N(y, noise_var); no sweep
+    writes it or `gram`, or reads or updates `z_pri`. `t` counts the completed
+    sweeps.
     """
 
     z_pri: Moments
@@ -250,7 +250,7 @@ class GecState:
     gram: np.ndarray | None = None
     t: int = 0
 
-    def all_finite(self) -> bool:  # the Gram is fixed before the first sweep: not scanned
+    def all_finite(self) -> bool:  # not the Gram, which H and the scanned z_lik fix
         values = (getattr(self, f.name) for f in fields(self) if f.name not in ("gram", "t"))
         arrays = (a for v in values for a in (v if isinstance(v, Moments) else (v,)))
         return all(np.all(np.isfinite(a)) for a in arrays)

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,7 +91,20 @@ def test_init_state_layout():
     assert np.array_equal(st.gram, lmmse_gram(inst.H, st.z_lik.var))  # fixed with N(y, noise_var)
     quant = init_state(_instance(0, 6, 10, 5, 0.2, 15.0, bits=2), 0.2, cfg)
     assert np.all(quant.z_lik.mean == 0) and np.all(quant.z_lik.var == cfg.v_max)
-    assert quant.gram is None  # the quantized sweep builds its Gram from each new message
+    assert quant.gram is None  # until the first sweep stores the Gram of its new message
+
+
+@pytest.mark.parametrize("path, sweep_value", [("iteration_trace_desk.json", None),
+                                               ("mean_sweep_b2_desk.json", 0.1)])
+def test_state_gram_is_the_gram_of_its_z_likelihood_after_every_sweep(path, sweep_value):
+    # one meaning on both channels: the Gram both solves of a sweep read
+    scenario = Scenario.from_json(str(Path(__file__).resolve().parents[1] / "scenarios" / path))
+    inst = build_instance(scenario, 0, sweep_value)
+    cfg = HygecConfig()
+    state = init_state(inst, scenario.rho, cfg)
+    for t in range(5):
+        hygec_sweep(state, inst, scenario.rho, cfg)
+        assert np.array_equal(state.gram, lmmse_gram(inst.H, state.z_lik.var)), f"sweep {t + 1}"
 
 
 @pytest.mark.parametrize("bits", [None, 2])
