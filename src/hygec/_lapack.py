@@ -17,7 +17,11 @@ def _load(name: str):
     if spec is None:
         raise ImportError(f"scipy's compiled wrapper {folder / name}.* is missing", name=full)
     sys.modules[full] = module = module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:  # as importlib does: no half-built module stays registered
+        del sys.modules[full]
+        raise
     return module
 
 

@@ -19,6 +19,7 @@ from .ensembles import (
     default_clip_range,
     gen_group_sparse_signal,
     gen_matrix,
+    snr_ratio,
     snr_to_noise_var,
 )
 from .types import (
@@ -107,6 +108,7 @@ class Scenario:
                 raise InvalidParameter(f"{name} must lie in (0, 1)")
         if not self.sigma_x_sq > 0:
             raise InvalidParameter("sigma_x_sq must be positive")
+        snr_ratio(self.snr_db)  # the noise calibration's divisor, refused here before any draw
         if self.bits is not None and not 1 <= self.bits <= 16:
             raise InvalidParameter("quantized channel needs 1 <= bits <= 16")
         # options that build_instance would otherwise drop without a word

@@ -36,6 +36,9 @@ class MatrixSpec:
                 raise InvalidParameter("kappa must be >= 1")
             if self.m == 1 and self.kappa != 1:
                 raise InvalidParameter("a 1-row matrix cannot have kappa > 1")
+            with np.errstate(over="ignore"):  # an overflowing sum of squares scales s to all 0
+                if not geometric_spectrum(self.m, self.kappa).all():
+                    raise InvalidParameter(f"kappa must keep sum(s**2) finite, not {self.kappa!r}")
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,7 +50,7 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def geometric_spectrum(m: int, kappa: float) -> np.ndarray:
     """M singular values in geometric progression, max/min = kappa, sum of squares = M;
-    a checked `MatrixSpec` never asks for one value with kappa > 1."""
+    a checked `MatrixSpec` asks for none whose sum overflows, nor one value with kappa > 1."""
     s = np.geomspace(kappa, 1.0, m)
     return s * np.sqrt(m / np.sum(s**2))
 
@@ -109,7 +112,18 @@ def signal_power(H: np.ndarray, rho: float, sigma_x_sq: float) -> float:
 
 def snr_to_noise_var(H: np.ndarray, rho: float, sigma_x_sq: float, snr_db: float) -> float:
     """Noise variance giving the requested SNR for the group-sparse source."""
-    return signal_power(H, rho, sigma_x_sq) / 10.0 ** (snr_db / 10.0)
+    return signal_power(H, rho, sigma_x_sq) / snr_ratio(snr_db)
+
+
+def snr_ratio(snr_db: float) -> float:
+    """10^(snr_db/10), refused unless a finite positive float64: Python's power raises
+    OverflowError above about 3082 dB and returns 0.0 below about -3236 dB."""
+    try:
+        if (ratio := 10.0 ** (snr_db / 10.0)) > 0:
+            return ratio
+    except OverflowError:
+        pass
+    raise InvalidParameter(f"snr_db must give a finite positive 10^(snr_db/10), not {snr_db!r}")
 
 
 def default_clip_range(H: np.ndarray, rho: float, sigma_x_sq: float, noise_var: float) -> float:

@@ -226,6 +226,17 @@ def test_every_input_dataclass_refuses_true_in_each_number_field():
                 dataclasses.replace(_EXAMPLES[cls](), **{f.name: value})
 
 
+def test_readme_scenario_table_names_the_dataclass_fields():
+    # README's table is a copy of the fields; the engine and em rows name their blocks' own
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `")]
+    names = {cell.strip(): re.findall(r"`(\w+)`", meaning) for cell, meaning in rows}
+    written = [name for cell in names for name in re.findall(r"`(\w+)`", cell)]
+    assert sorted(written) == sorted(f.name for f in dataclasses.fields(Scenario))
+    for block, cls in (("engine", HygecConfig), ("em", EmConfig)):
+        assert set(names[f"`{block}`"]) == {f.name for f in dataclasses.fields(cls)}, block
+
+
 def test_full_scenarios_scale_their_desk_twins():
     # every shipped scenario loads, and each _full file is its _desk twin with
     # m, n and k five times larger

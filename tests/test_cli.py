@@ -356,6 +356,26 @@ def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkey
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("field, value", [("snr_db", 3100), ("snr_db", -3300), ("kappa", 1e200)])
+def test_run_and_gen_refuse_what_float64_cannot_draw_at_load(tmp_path, capsys, monkeypatch,
+                                                              field, value):
+    # 10^(snr_db/10) overflows at 3100 dB and is 0.0 at -3300 dB, where the noise
+    # calibration would raise; kappa 1e200 overflows the spectrum's sum of squares, where
+    # the draw would be an all-zero matrix. Each is refused by name before any draw
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr("hygec.bench.build_instance", no_draw)
+    recipe = {"m": 20, "n": 40, "k": 8, "rho": 0.25, "snr_db": 10.0, field: value}
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(recipe))
+    scenario = _scenario_file(tmp_path, **recipe)
+    for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {field} must "), argv
+        assert not out.exists(), argv
+
+
 def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):
     bad_row = {
         "scenario": "custom", "seed": 0, "sweep_value": None,

@@ -30,6 +30,19 @@ def test_matrix_spec_validation():
         MatrixSpec("conditioned", 1, 8, kappa=10.0)
 
 
+def test_matrix_spec_refuses_a_kappa_whose_spectrum_overflows():
+    # sum(s**2) overflows to inf above about sqrt(float64 max) ~ 1.34e154 at m = 20, and
+    # from lower kappa at larger m, where many values lie near kappa; the draw would then
+    # scale every singular value to 0. The rule is the spectrum itself, so it is exact
+    H = gen_matrix(MatrixSpec("conditioned", 20, 40, kappa=1.3e154), np.random.default_rng(0))
+    assert np.all(np.isfinite(H)) and np.any(H != 0)
+    for m, kappa in ((20, 1.4e154), (20, 1e200), (1000, 1.0e154)):
+        with pytest.raises(InvalidParameter, match=r"^kappa must keep sum\(s\*\*2\) finite"):
+            MatrixSpec("conditioned", m, m, kappa=kappa)
+    spectrum = geometric_spectrum(1000, 9.0e153)  # below the m = 1000 bound: finite, positive
+    assert np.all(spectrum > 0) and abs(np.sum(spectrum**2) - 1000) < 1e-9
+
+
 def test_haar_factor_is_orthogonal():
     u = haar_orthogonal(40, np.random.default_rng(0))
     assert np.max(np.abs(u.T @ u - np.eye(40))) < 1e-10

@@ -150,3 +150,14 @@ def test_only_the_cli_imports_the_oracle():
 def test_missing_wrapper_is_named():
     with pytest.raises(ImportError, match=r"_no_such_wrapper\.\*"):
         _load("_no_such_wrapper")
+
+
+def test_a_wrapper_that_fails_to_load_leaves_no_module_behind(tmp_path, monkeypatch):
+    # as importlib does, so a later `import scipy.linalg` in the process cannot pick up a
+    # half-built module, as from a scipy wheel built against another numpy
+    (tmp_path / "linalg").mkdir()
+    (tmp_path / "linalg" / "_broken.py").write_text('raise ImportError("built for numpy 1.x")\n')
+    monkeypatch.setattr("hygec._lapack._SCIPY", tmp_path)
+    with pytest.raises(ImportError, match="numpy 1.x"):
+        _load("_broken")
+    assert "scipy.linalg._broken" not in sys.modules
