@@ -342,7 +342,7 @@ def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkey
 
     monkeypatch.setattr("hygec.bench.run_trial", no_trial)
     for message, overrides in (
-        ("kappa must be >= 1", dict(sweep_param="kappa", sweep_values=[1, 10, 0.5])),
+        ("kappa must lie in [1, 1e+14], not 0.5", dict(sweep_param="kappa", sweep_values=[1, 10, 0.5])),
         ("a 1-row matrix cannot have kappa > 1", dict(m=1, kappa=2)),
         ("a kappa sweep sets kappa at every point; drop kappa",
          dict(sweep_param="kappa", sweep_values=[1, 10], kappa=1)),

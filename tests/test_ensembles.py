@@ -6,6 +6,7 @@ import pytest
 
 from hygec.bench import _ROLE_MATRIX, _ROLE_NOISE, _ROLE_SIGNAL, Scenario, build_instance
 from hygec.ensembles import (
+    KAPPA_MAX,
     MatrixSpec,
     apply_channel,
     default_clip_range,
@@ -14,6 +15,7 @@ from hygec.ensembles import (
     geometric_spectrum,
     haar_orthogonal,
     signal_power,
+    snr_ratio,
     snr_to_noise_var,
 )
 from hygec.types import Channel, GroupStructure, InvalidParameter
@@ -31,16 +33,35 @@ def test_matrix_spec_validation():
 
 
 def test_matrix_spec_refuses_a_kappa_whose_spectrum_overflows():
-    # sum(s**2) overflows to inf above about sqrt(float64 max) ~ 1.34e154 at m = 20, and
-    # from lower kappa at larger m, where many values lie near kappa; the draw would then
-    # scale every singular value to 0. The rule is the spectrum itself, so it is exact
-    H = gen_matrix(MatrixSpec("conditioned", 20, 40, kappa=1.3e154), np.random.default_rng(0))
-    assert np.all(np.isfinite(H)) and np.any(H != 0)
-    for m, kappa in ((20, 1.4e154), (20, 1e200), (1000, 1.0e154)):
-        with pytest.raises(InvalidParameter, match=r"^kappa must keep sum\(s\*\*2\) finite"):
+    # sum(s**2) overflows above about sqrt(float64 max) ~ 1.34e154 at m = 20, and from
+    # lower kappa at larger m (about 9.6e153 at m = 1000); the bound KAPPA_MAX = 1e14
+    # refuses all of these, 1.3e154 too, far below where the spectrum would overflow
+    for m, kappa in ((20, 1.3e154), (20, 1.4e154), (20, 1e200), (1000, 1.0e154)):
+        with pytest.raises(InvalidParameter, match=r"^kappa must lie in \[1, 1e\+14\], not "):
             MatrixSpec("conditioned", m, m, kappa=kappa)
-    spectrum = geometric_spectrum(1000, 9.0e153)  # below the m = 1000 bound: finite, positive
+    spectrum = geometric_spectrum(1000, 9.0e153)  # below the m = 1000 overflow: finite, positive
     assert np.all(spectrum > 0) and abs(np.sum(spectrum**2) - 1000) < 1e-9
+
+
+def test_kappa_and_snr_db_bounds_are_inclusive_edges():
+    # at KAPPA_MAX the drawn condition number is still kappa to 1%; the next float is refused
+    assert KAPPA_MAX == 1e14
+    for m in (20, 100):
+        for seed in range(5):
+            spec = MatrixSpec("conditioned", m, 2 * m, kappa=1e14)
+            H = gen_matrix(spec, np.random.default_rng(seed))
+            sv = np.linalg.svd(H, compute_uv=False)
+            assert abs(sv.max() / sv.min() / 1e14 - 1) < 0.01, (m, seed)
+    with pytest.raises(InvalidParameter, match=r"^kappa must lie in \[1, 1e\+14\], not "):
+        MatrixSpec("conditioned", 20, 40, kappa=float(np.nextafter(1e14, np.inf)))
+    # +-300 dB give a finite positive ratio and noise variance; 0.1 dB beyond is refused
+    H = gen_matrix(MatrixSpec("iid", 20, 40), np.random.default_rng(0))
+    for snr_db, ratio in ((300, 1e30), (-300, 1e-30), (300.0, 1e30), (-300.0, 1e-30)):
+        assert snr_ratio(snr_db) == ratio
+        assert 0 < snr_to_noise_var(H, 0.25, 1.0, snr_db) < np.inf
+    for snr_db in (300.1, -300.1):
+        with pytest.raises(InvalidParameter, match=r"^snr_db must lie in \[-300, 300\], not "):
+            snr_ratio(snr_db)
 
 
 def test_haar_factor_is_orthogonal():
