@@ -56,14 +56,18 @@ def geometric_spectrum(m: int, kappa: float) -> np.ndarray:
 
 
 def gen_matrix(spec: MatrixSpec, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "iid":
-        H = rng.standard_normal((spec.m, spec.n))
-        H /= np.sqrt(spec.m)
-        return H
-    s = geometric_spectrum(spec.m, spec.kappa)
-    u = haar_orthogonal(spec.m, rng)
-    v = haar_orthogonal(spec.n, rng)
-    return (u * s) @ v[: spec.m, :]
+    """Draw H; numpy's refusal of a draw, H or a Haar factor, too big to index (ValueError)
+    or to allocate (MemoryError) is an InvalidParameter naming the shape."""
+    try:
+        if spec.kind == "iid":
+            H = rng.standard_normal((spec.m, spec.n))
+            H /= np.sqrt(spec.m)
+            return H
+        u = haar_orthogonal(spec.m, rng)
+        v = haar_orthogonal(spec.n, rng)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParameter(f"cannot draw a {spec.m} x {spec.n} matrix: {exc}") from exc
+    return (u * geometric_spectrum(spec.m, spec.kappa)) @ v[: spec.m, :]
 
 
 def gen_group_sparse_signal(

@@ -356,12 +356,14 @@ def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkey
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("field, value", [("snr_db", 3100), ("snr_db", -3300), ("kappa", 1e200)])
+@pytest.mark.parametrize("field, value", [("snr_db", 3100), ("snr_db", -3300), ("snr_db", -3200),
+                                          ("kappa", 1e200), ("kappa", 1e16)])
 def test_run_and_gen_refuse_what_float64_cannot_draw_at_load(tmp_path, capsys, monkeypatch,
                                                               field, value):
-    # 10^(snr_db/10) overflows at 3100 dB and is 0.0 at -3300 dB, where the noise
-    # calibration would raise; kappa 1e200 overflows the spectrum's sum of squares, where
-    # the draw would be an all-zero matrix. Each is refused by name before any draw
+    # 10^(snr_db/10) overflows at 3100 dB and is 0.0 at -3300 dB; at -3200 dB the noise
+    # variance overflows instead. kappa 1e200 overflows the spectrum's sum of squares, and
+    # at 1e16 the drawn condition number is no longer kappa. The bounds of snr_db
+    # (+-300 dB) and kappa (1e14) refuse each by name before any draw
     def no_draw(*args):
         raise AssertionError("an instance was drawn")
 
@@ -373,6 +375,35 @@ def test_run_and_gen_refuse_what_float64_cannot_draw_at_load(tmp_path, capsys, m
     for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: {field} must "), argv
+        assert not out.exists(), argv
+
+
+class _NoRoom:
+    """A generator whose every draw numpy could index but not allocate."""
+
+    def standard_normal(self, shape):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+
+@pytest.mark.parametrize("m, n, kappa, no_room", [
+    (10**10, 10**10, None, False),  # numpy refuses the size before it allocates anything
+    (20, 40, None, True),  # the i.i.d. draw, and the Haar factor below, cannot be allocated
+    (20, 40, 10.0, True),
+])
+def test_run_and_gen_refuse_a_matrix_numpy_cannot_draw(tmp_path, capsys, monkeypatch,
+                                                       m, n, kappa, no_room):
+    # a MemoryError is only simulated: no test asks numpy for an array it might really commit
+    if no_room:
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoRoom())
+    recipe = {"m": m, "n": n, "k": 1, "rho": 0.25, "snr_db": 10.0}
+    if kappa is not None:
+        recipe["kappa"] = kappa
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(recipe))
+    scenario = _scenario_file(tmp_path, **recipe)
+    for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: cannot draw a {m} x {n} matrix: "), argv
         assert not out.exists(), argv
 
 
