@@ -56,7 +56,7 @@ def test_kappa_and_snr_db_bounds_are_inclusive_edges():
         MatrixSpec("conditioned", 20, 40, kappa=float(np.nextafter(1e14, np.inf)))
     # +-300 dB give a finite positive ratio and noise variance; 0.1 dB beyond is refused
     H = gen_matrix(MatrixSpec("iid", 20, 40), np.random.default_rng(0))
-    for snr_db, ratio in ((300, 1e30), (-300, 1e-30), (300.0, 1e30), (-300.0, 1e-30)):
+    for snr_db, ratio in ((300, 1e30), (-300.0, 1e-30)):
         assert snr_ratio(snr_db) == ratio
         assert 0 < snr_to_noise_var(H, 0.25, 1.0, snr_db) < np.inf
     for snr_db in (300.1, -300.1):
