@@ -8,7 +8,7 @@ import numpy as np
 
 from .types import Channel, GroupStructure, InvalidParameter, _check_numbers
 
-KAPPA_MAX = 1e14  # the drawn cond(H) is kappa to 0.2% here, and off by 2% at 1e15
+KAPPA_MAX = 1e14  # the drawn cond(H) is kappa to 0.22% here, off by up to 1.7% at 1e15
 SNR_DB_MAX = 300.0  # past it the engine's v_min/v_max clamps already hide the noise level
 
 
