@@ -183,10 +183,8 @@ def _unique_keys(pairs: list) -> dict:
 def load_json(path: str) -> dict:
     """The JSON object in a scenario or instance-spec file."""
     try:
-        with open(path) as fh:
+        with _open(path, "r") as fh:
             d = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(d, dict):
@@ -332,27 +330,27 @@ def _format_cell(value) -> str:
 
 
 @contextmanager
-def _output(path: str | None):
-    # the file at path, or stdout when no path is given
+def _open(path: str | None, mode: str = "w"):
+    # the file at path opened in mode, or stdout for None: the package opens every file here
     if path is None:
         yield sys.stdout
         return
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             yield fh
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
 
 def write_csv(rows: list[dict], path: str | None) -> None:
-    with _output(path) as fh:
+    with _open(path) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
 def write_json(rows: list[dict], summary: list[dict], path: str | None) -> None:
-    with _output(path) as fh:
+    with _open(path) as fh:
         json.dump({"rows": rows, "summary": summary}, fh, indent=1)
         fh.write("\n")
 
@@ -381,11 +379,8 @@ def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -
     payload = {"schema_version": SCHEMA_VERSION, **_entries(inst)}
     if seed is not None:
         payload["seed"] = seed
-    try:
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with _open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def _from_entries(cls, data: dict, **given):
@@ -400,10 +395,10 @@ def _from_entries(cls, data: dict, **given):
 def import_instance(path: str) -> ProblemInstance:
     try:
         # opened here so the file is closed even when np.load fails on a truncated archive
-        with open(path, "rb") as fh, np.load(fh) as archive:
+        with _open(path, "rb") as fh, np.load(fh) as archive:
             data = {key: archive[key] for key in archive.files}
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    except IoError:
+        raise
     except Exception as exc:  # zipfile, zlib and numpy each have their own errors for bad bytes
         raise SchemaMismatch(f"{path}: not an instance file ({exc})") from exc
     try:
