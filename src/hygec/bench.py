@@ -4,6 +4,7 @@ parameter sweeps, and serializes results and instances."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -274,8 +275,9 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, not {threads}")
     args = list(_trial_args(scenario))
-    # a fork pool starts all its workers at the first submit: no more than trials
-    workers = min(threads, len(args))
+    # a fork pool starts all its workers at the first submit: no more than trials or cores
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(args), cores or 1)
     if workers <= 1:
         batches = [run_trial(*a) for a in args]
     else:

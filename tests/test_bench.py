@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pkgutil
 import re
 from pathlib import Path
@@ -477,12 +478,17 @@ def test_run_scenario_pool_has_no_more_workers_than_trials(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     sc = _scenario(seeds=(0, 1))
     rows = run_scenario(sc, threads=64)
-    assert sizes == [2]
+    assert sizes == ([2] if cores > 1 else [])
     assert [r["seed"] for r in rows] == [r["seed"] for r in run_scenario(sc, threads=1)]
+    sizes.clear()
     run_scenario(_scenario(), threads=64)  # one trial runs in this process
-    assert sizes == [2]
+    assert sizes == []
+    # nor more than the usable cores, however many threads are asked for
+    run_scenario(_scenario(seeds=tuple(range(cores + 1))), threads=10**6)
+    assert sizes == ([cores] if cores > 1 else [])
 
 
 def test_empty_sweep_is_refused_at_load():
