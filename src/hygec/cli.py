@@ -23,6 +23,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
                 seeds.extend(range(lo, hi + 1))
             elif part:
                 seeds.append(int(part))
+            elif text.replace(",", "").strip():  # "0,,3" would drop a seed without a word
+                raise InvalidParameter(f"bad seed list {text!r}: an empty item")
         except ValueError as exc:
             raise InvalidParameter(f"bad seed list {text!r}: {exc}") from exc
     return tuple(seeds)

@@ -122,6 +122,16 @@ def test_run_descending_seed_range_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_run_empty_seed_item_exits_two(tmp_path, capsys):
+    # an empty item in a list that holds a seed is a typo: refused by name, not skipped
+    sc = _scenario_file(tmp_path)
+    for text in ("0,,3", "0,", ",5"):
+        assert main(["run", sc, f"--seeds={text}"]) == 2, repr(text)
+        captured = capsys.readouterr()
+        assert f"error: bad seed list {text!r}: an empty item" in captured.err
+        assert captured.out == ""
+
+
 def test_run_repeated_seeds_exit_two(tmp_path, capsys):
     # a repeated seed, algorithm or sweep value would run its trials twice and count
     # them once in the summary
