@@ -95,8 +95,8 @@ def apply_channel(
 
     Noise is drawn even when noise_var == 0 so streams match across noise levels.
     Hx is a numpy einsum, as in the engine's LMMSE step: its own C loops call
-    no BLAS routine, so building an instance does not wake numpy's BLAS thread
-    pool right before a solve.
+    no BLAS routine, so an i.i.d. instance does not wake numpy's BLAS thread pool
+    right before a solve. A conditioned one does, by gen_matrix's QR and product.
     """
     z = np.einsum("ij,j->i", H, x)
     w = rng.standard_normal(z.shape[0]) * np.sqrt(channel.noise_var)
