@@ -147,9 +147,7 @@ def z_posterior_cell(lower, upper, m, v, noise_var) -> Moments:
 
 
 def channel_posterior(channel, y, m, v) -> Moments:
-    """Vector z-denoiser for a whole observation under either channel kind."""
-    if channel.kind == "linear":
-        return z_posterior_awgn(y, m, v, channel.noise_var)
+    """Vector z-denoiser for a whole quantized observation, y its cell indices."""
     return z_posterior_cell(*channel.cell_bounds(y), m, v, channel.noise_var)
 
 

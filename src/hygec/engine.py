@@ -31,10 +31,6 @@ class NonFinite(HygecError):
     pass
 
 
-class AllZeroTruth(HygecError):
-    pass
-
-
 @dataclass(frozen=True)
 class HygecConfig:
     max_iter: int = 200
@@ -187,11 +183,12 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     return state
 
 
-def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    """Normalized squared error in dB, floored at -300, of two float64 arrays as given."""
+def nmse(x_hat: np.ndarray, x_true: np.ndarray) -> float | None:
+    """Normalized squared error in dB, floored at -300, of two float64 arrays as given;
+    None, undefined, for an all-zero truth."""
     denom = float(np.dot(x_true, x_true))
     if denom == 0.0:
-        raise AllZeroTruth("NMSE is undefined for an all-zero truth")
+        return None
     diff = x_hat - x_true
     ratio = float(np.dot(diff, diff)) / denom
     if ratio <= 1e-30:
@@ -220,7 +217,6 @@ def hygec_run(
         raise InvalidParameter("rho must lie in (0, 1)")
     state = init_state(inst, rho, cfg)
     report = RecoveryReport(rho_trace=[rho])
-    track_nmse = inst.x_true is not None and np.any(inst.x_true != 0)
     for _ in range(cfg.max_iter):
         x_prev = state.x_post.mean
         try:
@@ -229,8 +225,8 @@ def hygec_run(
             report.termination = NUMERICAL_FAILURE
             report.failure = f"{type(exc).__name__} in sweep {state.t + 1}: {exc}"
             break
-        if track_nmse:
-            report.nmse_trace.append(nmse(state.x_post.mean, inst.x_true))
+        if inst.x_true is not None and (err := nmse(state.x_post.mean, inst.x_true)) is not None:
+            report.nmse_trace.append(err)
         if float(np.sum((state.x_post.mean - x_prev) ** 2)) < cfg.tol * inst.n:
             report.termination = CONVERGED
             break

@@ -211,15 +211,6 @@ def test_noiseless_cell_truncates_the_prior():
         assert abs(got.var - v * var) < 1e-12
 
 
-def test_channel_posterior_linear_matches_awgn():
-    ch = Channel.linear_awgn(0.3)
-    y = np.array([0.5, -2.0])
-    a = channel_posterior(ch, y, 0.1, 1.5)
-    b = z_posterior_awgn(y, 0.1, 1.5, 0.3)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(np.broadcast_to(a.var, (2,)), np.broadcast_to(b.var, (2,)))
-
-
 def test_channel_posterior_quantized_matches_cellwise():
     ch = Channel.quantized(0.2, 3, 2.5)
     y = np.array([0, 3, 5, 7])

@@ -13,9 +13,9 @@ from hygec import denoisers, engine
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import (
     LLR_CAP,
-    channel_posterior,
     llr_messages,
     x_posterior_spike_slab,
+    z_posterior_awgn,
 )
 from hygec.engine import (
     FactorizationFailure,
@@ -369,11 +369,11 @@ def test_sweeps_match_explicit_inverse_reference(monkeypatch, bits):
 
 
 def _two_solve_sweep(state, inst, rho, cfg):
-    # the sweep as it runs on every channel kind: z-channel denoise, x-side
-    # solve, spike-slab denoise, z-side solve, activity refresh; `state.gram`
-    # is not read
+    # the full sweep of the quantized channel, run on a linear one with the
+    # AWGN z-denoiser: z-channel denoise, x-side solve, spike-slab denoise,
+    # z-side solve, activity refresh; `state.gram` is not read
     damp = cfg.damping if state.t > 0 else 1.0
-    z_channel = channel_posterior(inst.channel, inst.y, *state.z_pri)
+    z_channel = z_posterior_awgn(inst.y, *state.z_pri, inst.channel.noise_var)
     state.z_lik = _refresh(z_channel, state.z_pri, state.z_lik, damp, cfg)
     gram = lmmse_gram(inst.H, state.z_lik.var)
     x_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "x")
