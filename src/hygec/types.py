@@ -134,13 +134,15 @@ class Channel:
 
     @property
     def n_cells(self) -> int:
+        if self.bits is None:
+            raise InvalidParameter("a linear channel has no quantizer cells")
         return 1 << self.bits
 
     @cached_property
     def edges(self) -> np.ndarray:
         """Cell edges, length 2^B + 1; edges[0] = -inf, edges[-1] = +inf."""
-        c = self.clip_range
-        inner = np.linspace(-c, c, self.n_cells + 1)[1:-1]
+        cells, c = self.n_cells, self.clip_range
+        inner = np.linspace(-c, c, cells + 1)[1:-1]
         return np.concatenate(([-np.inf], inner, [np.inf]))
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
@@ -152,7 +154,7 @@ class Channel:
 
     def cell_bounds(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper edges of the cells indexed by the integer array y."""
-        if np.any(y < 0) or np.any(y >= self.n_cells):
+        if np.any((y < 0) | (y >= self.n_cells)):
             raise InvalidParameter("cell index out of range")
         return self.edges[y], self.edges[y + 1]
 

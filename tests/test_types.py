@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hygec.denoisers import channel_posterior
 from hygec.ensembles import MatrixSpec
 from hygec.types import (
     Channel,
@@ -141,6 +142,20 @@ def test_cell_bounds_rejects_bad_indices():
     q = Channel.quantized(0.1, 1, 1.0)
     with pytest.raises(InvalidParameter):
         q.cell_bounds(np.array([2]))
+
+
+@pytest.mark.parametrize("member", [
+    lambda ch: ch.n_cells,
+    lambda ch: ch.edges,
+    lambda ch: ch.quantize(np.array([0.3, -1.2])),
+    lambda ch: ch.cell_bounds(np.array([0, 1])),
+    lambda ch: ch.cell_bounds(np.array([-1, 1])),
+    lambda ch: channel_posterior(ch, np.array([0, 1]), 0.0, 1.0),
+], ids=["n_cells", "edges", "quantize", "cell_bounds", "cell_bounds_negative",
+        "channel_posterior"])
+def test_cell_members_refuse_a_linear_channel_by_name(member):
+    with pytest.raises(InvalidParameter, match="a linear channel has no quantizer cells"):
+        member(Channel.linear_awgn(0.3))
 
 
 def test_quantize_rejects_nan():
