@@ -10,6 +10,8 @@ from . import bench
 from .oracle import denoiser_parity, enumeration_parity
 from .types import NUMERICAL_FAILURE, HygecError, InvalidParameter
 
+MAX_SEEDS = 10**6  # the most seeds a --seeds list holds, checked before a range is built
+
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds: list[int] = []
@@ -20,6 +22,9 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
                 lo, hi = map(int, part.rsplit("-", 1))
                 if hi < lo:  # an empty range, which would drop its seeds without a word
                     raise InvalidParameter(f"bad seed list {text!r}: {part!r} runs downward")
+                if len(seeds) + hi - lo >= MAX_SEEDS:
+                    raise InvalidParameter(f"bad seed list {text!r}: {part!r} would take the list "
+                                           f"past {MAX_SEEDS} seeds")
                 seeds.extend(range(lo, hi + 1))
             elif part:
                 seeds.append(int(part))

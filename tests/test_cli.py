@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from hygec.bench import RECIPE, build_instance, import_instance, Scenario
-from hygec.cli import _parse_seeds, main
+from hygec import cli
+from hygec.cli import MAX_SEEDS, _parse_seeds, main
 from hygec.engine import hygec_run
-from hygec.types import NUMERICAL_FAILURE
+from hygec.types import NUMERICAL_FAILURE, InvalidParameter
 
 
 def test_parse_seeds_forms():
@@ -17,6 +18,18 @@ def test_parse_seeds_forms():
     assert _parse_seeds("7") == (7,)
     assert _parse_seeds("-4") == (-4,)
     assert _parse_seeds("0-2, 9") == (0, 1, 2, 9)
+
+
+def test_parse_seeds_bounds_the_list_before_a_range_is_built():
+    # the edge: a list of MAX_SEEDS seeds passes, one seed more is refused by name,
+    # whether one range or a range after a single seed carries it over
+    assert len(_parse_seeds(f"0-{MAX_SEEDS - 1}")) == MAX_SEEDS
+    assert len(_parse_seeds(f"{MAX_SEEDS},0-{MAX_SEEDS - 2}")) == MAX_SEEDS
+    for text, part in ((f"0-{MAX_SEEDS}", f"0-{MAX_SEEDS}"),
+                       (f"{MAX_SEEDS},0-{MAX_SEEDS - 1}", f"0-{MAX_SEEDS - 1}")):
+        with pytest.raises(InvalidParameter, match=f"{part!r} would take the list past "
+                                                   f"{MAX_SEEDS} seeds"):
+            _parse_seeds(text)
 
 
 def _scenario_file(tmp_path, **overrides):
@@ -130,6 +143,24 @@ def test_run_empty_seed_item_exits_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"error: bad seed list {text!r}: an empty item" in captured.err
         assert captured.out == ""
+
+
+def test_run_huge_seed_range_exits_two_without_building_it(tmp_path, capsys, monkeypatch):
+    # 10^10 seeds would ask for about 80 GB; a stand-in range refuses any span past
+    # the bound, so a missing or late check fails here instead of allocating
+    def bounded_range(lo, hi):
+        assert hi - lo <= MAX_SEEDS, f"range of {hi - lo} seeds built"
+        return range(lo, hi)
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    sc = _scenario_file(tmp_path)
+    out = tmp_path / "rows.csv"
+    assert main(["run", sc, "--seeds", "0-10000000000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (f"error: bad seed list '0-10000000000': '0-10000000000' would take the list "
+            f"past {MAX_SEEDS} seeds") in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_run_repeated_seeds_exit_two(tmp_path, capsys):
