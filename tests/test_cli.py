@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hygec.bench import RECIPE, build_instance, import_instance, Scenario
-from hygec import cli
 from hygec.cli import MAX_SEEDS, _parse_seeds, main
 from hygec.engine import hygec_run
 from hygec.types import NUMERICAL_FAILURE, InvalidParameter
@@ -152,7 +151,7 @@ def test_run_huge_seed_range_exits_two_without_building_it(tmp_path, capsys, mon
         assert hi - lo <= MAX_SEEDS, f"range of {hi - lo} seeds built"
         return range(lo, hi)
 
-    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    monkeypatch.setattr("hygec.cli.range", bounded_range, raising=False)
     sc = _scenario_file(tmp_path)
     out = tmp_path / "rows.csv"
     assert main(["run", sc, "--seeds", "0-10000000000", "--out", str(out)]) == 2
