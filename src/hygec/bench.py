@@ -201,11 +201,15 @@ def build_instance(scenario: Scenario, seed: int, sweep_value: float | None) -> 
     by the seed, so every sweep point sees the same underlying draws. On the
     mean sweep the noise level is calibrated on the zero-mean base matrix, so
     changing the mean changes only the matrix, not the noise."""
-    spec, mean = scenario.matrix_at(sweep_value)
-    rng_matrix = np.random.default_rng([seed, _ROLE_MATRIX])
-    rng_signal = np.random.default_rng([seed, _ROLE_SIGNAL])
-    rng_noise = np.random.default_rng([seed, _ROLE_NOISE])
+    return draw_instance(scenario, sweep_value, *(
+        np.random.default_rng([seed, role]) for role in (_ROLE_MATRIX, _ROLE_SIGNAL, _ROLE_NOISE)))
 
+
+def draw_instance(scenario: Scenario, sweep_value: float | None, rng_matrix: np.random.Generator,
+                  rng_signal: np.random.Generator, rng_noise: np.random.Generator) -> ProblemInstance:
+    """The instance recipe: draw the matrix, the signal and the noise, in that order, from
+    the three generators. One generator passed three times draws from a single stream."""
+    spec, mean = scenario.matrix_at(sweep_value)
     H = gen_matrix(spec, rng_matrix)
     noise_var = snr_to_noise_var(H, scenario.rho, scenario.sigma_x_sq, scenario.snr_db)
     if mean != 0.0:  # only an iid matrix takes a mean; shift the base in place

@@ -15,11 +15,10 @@ import itertools
 
 import numpy as np
 
+from .bench import Scenario, draw_instance
 from .denoisers import indicator_beliefs, x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
 from .engine import HygecConfig, hygec_run
-from .ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix, snr_to_noise_var
-from .types import (CONVERGED, Channel, GroupStructure, HygecError, InvalidParameter, Moments,
-                    ProblemInstance)
+from .types import CONVERGED, HygecError, InvalidParameter, Moments, ProblemInstance
 
 
 class ZeroMass(HygecError):
@@ -138,38 +137,32 @@ def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
 def enumeration_parity(seeds) -> tuple[float, float, float, int]:
     """The engine against exhaustive enumeration on one tiny instance per seed.
 
-    Each instance (m=10, n=12, six groups of two, rate 0.1, 15 dB) is drawn
-    from the single stream `default_rng(seed)`. Returns the pooled RMS error
-    of the converged posterior means, the worst per-seed RMS, the mean
-    absolute error of the group activities, and the number of seeds whose
-    run did not converge (left out of the three errors, which are NaN when
-    no seed converged).
+    Each instance (m=10, n=12, six groups of two, rate 0.1, 15 dB) is drawn by
+    `bench.draw_instance` from the single stream `default_rng(seed)`; `Scenario`
+    refuses a negative, repeated or missing seed. Returns the pooled RMS error
+    of the converged posterior means, the worst per-seed RMS, the mean absolute
+    error of the group activities, and the number of seeds whose run did not
+    converge (left out of the three errors, which are NaN only when no seed
+    converged).
     """
-    rho, sigma_x_sq = 0.1, 1.0
     # tiny instances rail extrinsic variances at the default ceiling;
     # a lower ceiling keeps the sweep inside its contraction region
-    cfg = HygecConfig(v_max=1e4)
+    tiny = Scenario(name="custom", m=10, n=12, k=6, rho=0.1, snr_db=15.0, seeds=tuple(seeds),
+                    engine=HygecConfig(v_max=1e4))
     se_sum = mae_sum = worst = 0.0
     n_el = n_grp = nonconv = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        groups = GroupStructure.even(12, 6)
-        H = gen_matrix(MatrixSpec("iid", 10, 12), rng)
-        x, xi = gen_group_sparse_signal(groups, rho, sigma_x_sq, rng)
-        noise_var = snr_to_noise_var(H, rho, sigma_x_sq, 15.0)
-        channel = Channel.linear_awgn(noise_var)
-        y = apply_channel(H, x, channel, rng)
-        inst = ProblemInstance(H, y, groups, channel, sigma_x_sq, x, xi, rho)
-        m_x_lik, v_x_lik, _, x_pos, report = hygec_run(inst, rho, cfg)
+    for seed in tiny.seeds:
+        inst = draw_instance(tiny, None, *[np.random.default_rng(seed)] * 3)
+        m_x_lik, v_x_lik, _, x_pos, report = hygec_run(inst, tiny.rho, tiny.engine)
         if report.termination != CONVERGED:
             nonconv += 1
             continue
-        x_ref, _, xi_ref = exact_posterior_small(inst, rho, sigma_x_sq)
+        x_ref, _, xi_ref = exact_posterior_small(inst, tiny.rho, tiny.sigma_x_sq)
         se_sum += float(np.sum((x_pos - x_ref) ** 2))
         n_el += inst.n
-        beliefs = indicator_beliefs(m_x_lik, v_x_lik, rho, sigma_x_sq, groups)
+        beliefs = indicator_beliefs(m_x_lik, v_x_lik, tiny.rho, tiny.sigma_x_sq, inst.groups)
         mae_sum += float(np.sum(np.abs(beliefs - xi_ref)))
-        n_grp += groups.k
+        n_grp += inst.groups.k
         worst = max(worst, float(np.sqrt(np.mean((x_pos - x_ref) ** 2))))
     if not n_el:  # no seed converged: there is no error to pool
         return np.nan, np.nan, np.nan, nonconv
