@@ -4,7 +4,8 @@ from scipy.stats import norm, truncnorm
 
 from hygec.engine import nmse
 from hygec.ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix
-from hygec.oracle import Unsupported, ZeroMass, exact_posterior_small, quad_z_posterior
+from hygec.oracle import (Unsupported, ZeroMass, enumeration_parity, exact_posterior_small,
+                          quad_z_posterior)
 from hygec.types import Channel, GroupStructure, InvalidParameter, ProblemInstance
 
 
@@ -175,3 +176,15 @@ def test_nmse_values_and_floor():
         10.0 * np.log10((1.0 + 4.5**2 + 4.0) / 25.0)
     )
     assert nmse(x, np.zeros(3)) is None
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([-1], "seeds must be nonnegative"),
+    ([2, 2], "seeds must not repeat"),
+    ([], "needs at least one seed"),
+])
+def test_enumeration_parity_refuses_a_bad_seed_list_by_name(seeds, message):
+    # a negative seed used to reach numpy's bare ValueError, a repeated one was pooled
+    # twice and an empty list returned NaNs; now NaN means only that no seed converged
+    with pytest.raises(InvalidParameter, match=message):
+        enumeration_parity(seeds)
