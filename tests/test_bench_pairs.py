@@ -1,9 +1,11 @@
-"""The revision stamp tools/bench_pairs.py writes for each side of a record, and the
-gated, ungated, per-run and traced metrics and the solve counts it prints."""
+"""The revision stamp tools/bench_pairs.py writes for each side of a record, the
+bytecode cache its runs get, and the gated, ungated, per-run and traced metrics and the
+solve counts it prints."""
 
 import importlib.util
 import json
 import math
+import os
 import subprocess
 from pathlib import Path
 
@@ -129,3 +131,43 @@ def test_solves_line_lists_each_run_in_pair_order():
         "full-linear solves parent runs: 4 5")
     assert bench_pairs.solves_line("full-linear", "change", pairs) == (
         "full-linear solves change runs: 4 3")
+
+
+def test_both_sides_compile_from_source_under_one_empty_bytecode_prefix(tmp_path, monkeypatch):
+    # a checkout's __pycache__ is read even when no bytecode is written, so each run
+    # must point its bytecode cache at a prefix that holds nothing, whatever the caller set
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "caller_cache"))
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    metrics = {"setup_s": 0.1, "ms_per_sweep": 4.0, "peak_rss_mb": 74.0}
+    report = {"setup_s_wall": 0.1, "ms_per_sweep_wall": 4.0}
+    stdout = "\n".join([
+        "machine " + json.dumps({"nproc": 2, "cholesky400_ms": 20.0}),
+        "report " + json.dumps({k: {"value": v} for k, v in report.items()}),
+        json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                    "metrics": {k: {"value": v} for k, v in metrics.items()}}),
+    ])
+    seen = []
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 1, "", "")
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((Path(cwd).name, env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]), "--change",
+                             str(checkouts["change"]), "--label", "x", "--pairs", "2",
+                             "--workloads", "desk-linear", "--out", str(out)]) == 0
+    assert sorted({side for side, *_ in seen}) == ["change", "parent"]
+    assert len(seen) == 2 * 2 + 2  # the pairs, then one traced run per side
+    prefixes = {prefix for _, _, prefix, _ in seen}
+    assert len(prefixes) == 1
+    prefix = Path(prefixes.pop())
+    assert all(flag == "1" and listing == [] for _, flag, _, listing in seen)
+    assert prefix != tmp_path / "caller_cache"
+    assert not any(prefix.is_relative_to(path) for path in checkouts.values())
+    assert not prefix.exists()  # removed once the runs are done
+    assert "dont_write_bytecode" not in json.loads(out.read_text())["machine"]

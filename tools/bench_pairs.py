@@ -13,10 +13,11 @@ Each gated metric of ``BENCHMARK.json`` gets the per-side median and quartiles
 over the pairs and the number of pairs the change won (ties count for
 neither). After the pairs, each side runs every workload once more with
 ``--trace 1`` at run seed ``--seed + pairs`` for the per-layer split. The
-machine facts come from the first run, plus this process's
-``sys.dont_write_bytecode``. The runs inherit it through
-``PYTHONDONTWRITEBYTECODE``; when it is set, each import probe compiles the
-package from source, and ``setup_s`` includes that.
+machine facts come from the first run. Every run gets
+``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX`` naming one fresh,
+empty temporary directory, the same for both sides, so each side's import
+probe compiles the package from source whatever ``__pycache__`` its checkout
+holds, and ``setup_s`` includes that.
 
 The file reports, for each gated metric, whether the change shows a gain by
 the benchmark's rule (it wins at least 9 in 10 pairs and the medians differ by
@@ -43,8 +44,10 @@ import argparse
 import json
 import math
 import statistics
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,11 +72,14 @@ def parse_args(argv):
     return args
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in ``checkout``; its result line, report, checks and machine facts."""
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+                  env: dict) -> dict:
+    """One perfbench run in ``checkout`` under ``env``; its result line, report, checks and
+    machine facts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=3600)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=3600,
+                         env=env)
     if out.returncode not in (0, 1):  # 1 is a failed output check, still a result
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {out.returncode}:\n{out.stderr}")
     lines = out.stdout.strip().splitlines()
@@ -218,28 +224,31 @@ def main(argv=None) -> int:
 
     pairs: dict[str, list[dict]] = {w: [] for w in workloads}
     machine = None
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for workload in workloads:
-            pair = {"pair": i, "seed": seed, "first": order[0]}
-            for side in order:
-                run = run_perfbench(checkouts[side], workload, seed, seconds, trace=0)
-                machine = machine or run["machine"]
-                run["cholesky400_ms"] = run.pop("machine")["cholesky400_ms"]
-                pair[side] = run
-                print(f"pair {i} {workload} {side}: "
-                      + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
-                      file=sys.stderr, flush=True)
-            pairs[workload].append(pair)
-
     trace_seed = args.seed + args.pairs
     trace = {}
-    for workload in workloads:
-        trace[workload] = {"seed": trace_seed}
-        for side in SIDES:
-            run = run_perfbench(checkouts[side], workload, trace_seed, seconds, trace=1)
-            trace[workload][side] = {k: run[k] for k in ("correct", "failed", "metrics")}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
+        # an empty bytecode cache that stays empty: neither side reads its __pycache__
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for workload in workloads:
+                pair = {"pair": i, "seed": seed, "first": order[0]}
+                for side in order:
+                    run = run_perfbench(checkouts[side], workload, seed, seconds, 0, env)
+                    machine = machine or run["machine"]
+                    run["cholesky400_ms"] = run.pop("machine")["cholesky400_ms"]
+                    pair[side] = run
+                    print(f"pair {i} {workload} {side}: "
+                          + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
+                          file=sys.stderr, flush=True)
+                pairs[workload].append(pair)
+
+        for workload in workloads:
+            trace[workload] = {"seed": trace_seed}
+            for side in SIDES:
+                run = run_perfbench(checkouts[side], workload, trace_seed, seconds, 1, env)
+                trace[workload][side] = {k: run[k] for k in ("correct", "failed", "metrics")}
 
     doc = {
         "label": args.label,
@@ -247,7 +256,7 @@ def main(argv=None) -> int:
         "settings": {"pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
                      "workloads": workloads},
         "revisions": {side: git_rev(path) for side, path in checkouts.items()},
-        "machine": {**machine, "dont_write_bytecode": sys.dont_write_bytecode},
+        "machine": machine,
         "workloads": {
             w: {
                 "metrics": {name: compare(pairs[w], name, spec) for name, spec in gated.items()},
