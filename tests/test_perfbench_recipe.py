@@ -6,30 +6,19 @@ draw, and the one-stream draw to the explicit steps it stands for, so that the
 copy can give way to a call of `draw_instance` without moving any benchmark input.
 """
 
-import importlib.util
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
+from test_perfbench_view import _load
 
 from hygec.bench import Scenario, draw_instance
 from hygec.ensembles import (MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix,
                              snr_to_noise_var)
 from hygec.types import Channel, GroupStructure, ProblemInstance
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the tiny scenario of `oracle.enumeration_parity`
 TINY = Scenario(name="custom", m=10, n=12, k=6, rho=0.1, snr_db=15.0, seeds=(0,))
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def _one_stream(seed):

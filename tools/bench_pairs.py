@@ -43,8 +43,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
             for workload in workloads:
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    run = run_perfbench(checkouts[side], workload, seed, seconds, 0, env)
+                    run = run_perfbench(checkouts[side], workload, seed, seconds, trace=0, env=env)
                     machine = machine or run["machine"]
                     run["cholesky400_ms"] = run.pop("machine")["cholesky400_ms"]
                     pair[side] = run
@@ -247,7 +247,8 @@ def main(argv=None) -> int:
         for workload in workloads:
             trace[workload] = {"seed": trace_seed}
             for side in SIDES:
-                run = run_perfbench(checkouts[side], workload, trace_seed, seconds, 1, env)
+                run = run_perfbench(checkouts[side], workload, trace_seed, seconds, trace=1,
+                                    env=env)
                 trace[workload][side] = {k: run[k] for k in ("correct", "failed", "metrics")}
 
     doc = {
