@@ -184,7 +184,6 @@ def test_nmse_values_and_floor():
     ([], "needs at least one seed"),
 ])
 def test_enumeration_parity_refuses_a_bad_seed_list_by_name(seeds, message):
-    # a negative seed used to reach numpy's bare ValueError, a repeated one was pooled
-    # twice and an empty list returned NaNs; now NaN means only that no seed converged
+    # refused before any draw, so a NaN result means only that no seed converged
     with pytest.raises(InvalidParameter, match=message):
         enumeration_parity(seeds)
