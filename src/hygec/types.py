@@ -179,6 +179,9 @@ class ProblemInstance:
             raise DimensionMismatch("H must be a 2-d numpy array")
         m, n = self.H.shape
         y, x, xi = map(np.asarray, (self.y, self.x_true, self.xi_true))
+        for name, value in (("H", self.H), ("y", y), ("x_true", x), ("xi_true", xi)):
+            if getattr(self, name) is not None and value.dtype.kind not in "biuf":
+                raise DimensionMismatch(f"{name} must hold real numbers, not {value.dtype}")
         if y.shape != (m,):
             raise DimensionMismatch(f"y must have length {m}")
         if self.groups.n != n:

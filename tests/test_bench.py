@@ -658,6 +658,19 @@ def test_import_refuses_a_bool_sigma_x_sq_by_name(tmp_path):
         import_instance(path)
 
 
+@pytest.mark.parametrize("name, kind", [("H", complex), ("H", str), ("y", str)])
+def test_import_refuses_an_array_that_holds_no_real_numbers(tmp_path, name, kind):
+    # a complex H once loaded without its imaginary part, and text loaded as parsed floats
+    path = str(tmp_path / "inst.npz")
+    export_instance(build_instance(_scenario(), 7, None), path)
+    with np.load(path) as archive:
+        members = dict(archive)
+    members[name] = members[name].astype(kind)
+    np.savez(path, **members)
+    with pytest.raises(DimensionMismatch, match=f"^{name} must hold real numbers, not "):
+        import_instance(path)
+
+
 # fields of an exported instance replaced by a value of the wrong shape or type
 _MALFORMED_FIELDS = {
     "schema_version_array": {"schema_version": np.array([1, 1])},

@@ -267,6 +267,16 @@ def test_instance_fixes_its_array_dtypes():
     assert all(getattr(same, f) is getattr(inst, f) for f in ("H", "y", "x_true", "xi_true"))
 
 
+def test_instance_refuses_an_array_that_holds_no_real_numbers():
+    # a complex H would lose its imaginary part to the float64 cast, and digit strings
+    # would be parsed as numbers; each is refused by the field's name instead
+    inst = _consistent_instance()
+    for name, value in (("H", inst.H.astype(complex)), ("H", inst.H.astype(str)),
+                        ("y", inst.y.astype(str))):
+        with pytest.raises(DimensionMismatch, match=f"^{name} must hold real numbers, not "):
+            dataclasses.replace(inst, **{name: value})
+
+
 def test_instances_and_states_compare_and_hash_by_identity():
     # array fields make a field-wise == ambiguous and a field-wise hash impossible
     inst, twin = _consistent_instance(), _consistent_instance()
