@@ -182,10 +182,10 @@ def extrinsic(pos: Moments, cav: Moments, v_min: float, v_max: float) -> Moments
     of failing.
     """
     (pos_mean, pos_var), (cav_mean, cav_var) = pos, cav
-    prec = 1.0 / pos_var - 1.0 / cav_var
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        prec = 1.0 / pos_var - 1.0 / cav_var
         var = np.where(prec > 0.0, np.clip(1.0 / np.where(prec > 0, prec, 1.0), v_min, v_max), v_max)
-    mean = var * (pos_mean / pos_var - cav_mean / cav_var)
+        mean = var * (pos_mean / pos_var - cav_mean / cav_var)
     return Moments(mean, var)
 
 
