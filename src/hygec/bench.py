@@ -218,11 +218,15 @@ def draw_instance(scenario: Scenario, sweep_value: float | None, rng_matrix: np.
     groups = GroupStructure.even(scenario.n, scenario.k)
     x, xi = gen_group_sparse_signal(groups, scenario.rho, scenario.sigma_x_sq, rng_signal)
 
-    if scenario.bits is None:
-        channel = Channel.linear_awgn(noise_var)
-    else:
-        clip = default_clip_range(H, scenario.rho, scenario.sigma_x_sq, noise_var)
-        channel = Channel.quantized(noise_var, scenario.bits, clip)
+    try:  # the noise variance and clip range are derived: name the fields that were written
+        if scenario.bits is None:
+            channel = Channel.linear_awgn(noise_var)
+        else:
+            clip = default_clip_range(H, scenario.rho, scenario.sigma_x_sq, noise_var)
+            channel = Channel.quantized(noise_var, scenario.bits, clip)
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"sigma_x_sq {scenario.sigma_x_sq:g} and matrix_mean {mean:g} "
+                               f"give a channel float64 cannot hold ({exc})") from exc
 
     y = apply_channel(H, x, channel, rng_noise)
     return ProblemInstance(

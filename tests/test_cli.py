@@ -447,6 +447,27 @@ def test_run_and_gen_refuse_a_matrix_numpy_cannot_draw(tmp_path, capsys, monkeyp
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("written, derived", [
+    ({"sigma_x_sq": 1e308}, "noise_var must be a finite float, not inf"),
+    ({"bits": 2, "matrix_mean": 1e160}, "clip_range must be a finite float, not inf"),
+], ids=["sigma_x_sq", "matrix_mean"])
+def test_run_and_gen_name_the_fields_of_a_channel_float64_cannot_hold(tmp_path, capsys,
+                                                                       written, derived):
+    # the draw derives the noise variance and the clip range; when either overflows, the
+    # refusal names the fields the user wrote, not only the derived one
+    recipe = {"m": 20, "n": 40, "k": 4, "rho": 0.25, "snr_db": 15.0, **written}
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(recipe))
+    scenario = _scenario_file(tmp_path, **recipe)
+    sigma_x_sq, mean = written.get("sigma_x_sq", 1.0), written.get("matrix_mean", 0.0)
+    message = (f"error: sigma_x_sq {sigma_x_sq:g} and matrix_mean {mean:g} give a channel "
+               f"float64 cannot hold ({derived})\n")
+    for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == message, argv
+        assert not out.exists(), argv
+
+
 def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):
     bad_row = {
         "scenario": "custom", "seed": 0, "sweep_value": None,
