@@ -531,9 +531,9 @@ def test_run_records_overflow_as_numerical_failure():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_run_records_a_zero_posterior_variance_as_numerical_failure(seed):
-    # at a matrix mean of 1e160 a posterior variance reaches zero in sweep 1; the
-    # extrinsic division then warns nowhere, and the run records the failure instead
-    # of raising the suite's warnings-as-errors
+    # at a matrix mean of 1e160 a posterior variance reaches zero in sweep 1; extrinsic
+    # divides by it under its errstate, so the run records the failure instead of
+    # raising the warning under the suite's warnings-as-errors
     sc = Scenario(name="custom", m=20, n=40, k=4, rho=0.25, snr_db=15.0, seeds=(0,),
                   matrix_mean=1e160)
     _, _, _, _, report = hygec_run(build_instance(sc, seed, None), 0.25)
