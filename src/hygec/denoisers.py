@@ -175,16 +175,16 @@ def x_posterior_spike_slab(m, v, prior_llr, sigma_x_sq) -> tuple[Moments, np.nda
     return Moments(mean, var), pi
 
 
-def extrinsic(pos: Moments, cav: Moments, v_min: float, v_max: float) -> Moments:
-    """Divide the posterior Gaussian by the cavity Gaussian, with variance clamps.
+def extrinsic(pos: Moments, cav: Moments, lo: float, hi: float) -> Moments:
+    """Divide the posterior Gaussian by the cavity Gaussian, variances clamped to [lo, hi].
 
-    A nonpositive precision difference saturates the variance at v_max instead
-    of failing.
+    A nonpositive precision difference saturates the variance at hi instead of
+    failing.
     """
     (pos_mean, pos_var), (cav_mean, cav_var) = pos, cav
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         prec = 1.0 / pos_var - 1.0 / cav_var
-        var = np.where(prec > 0.0, np.clip(1.0 / np.where(prec > 0, prec, 1.0), v_min, v_max), v_max)
+        var = np.where(prec > 0.0, np.clip(1.0 / np.where(prec > 0, prec, 1.0), lo, hi), hi)
         mean = var * (pos_mean / pos_var - cav_mean / cav_var)
     return Moments(mean, var)
 

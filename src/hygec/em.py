@@ -20,19 +20,17 @@ from .types import (
 )
 
 RHO_FLOOR = 1e-6
+RATE_TOL = 1e-6  # the stop rule's bound on the rate's last move
 
 
 @dataclass(frozen=True)
 class EmConfig:
     max_outer: int = 20
-    tol: float = 1e-6  # on the rate's last move
 
     def __post_init__(self):
         _check_numbers(self)
         if self.max_outer < 1:
             raise InvalidParameter("max_outer must be positive")
-        if not self.tol > 0:
-            raise InvalidParameter("tol must be positive")
 
 
 def em_update_rho(
@@ -57,8 +55,8 @@ def em_hygec_run(
 
     Each outer iteration runs the inner engine cold, to its own convergence,
     at the current rate, then re-estimates the rate. A cold inner run depends
-    only on the rate, so once the M-step moves the rate by at most `tol` the
-    next inner run would repeat the last one, and the loop stops there; it
+    only on the rate, so once the M-step moves the rate by at most `RATE_TOL`
+    the next inner run would repeat the last one, and the loop stops there; it
     also stops when the outer budget is exhausted. Returns (x_pos, rho_final,
     report): the last inner run's posterior mean and the last M-step's rate.
     """
@@ -77,7 +75,7 @@ def em_hygec_run(
             break
         rho = em_update_rho(m_x_lik, v_x_lik, rho, inst.groups, inst.sigma_x_sq)
         report.rho_trace.append(rho)
-        if abs(rho - report.rho_trace[-2]) <= em_cfg.tol:
+        if abs(rho - report.rho_trace[-2]) <= RATE_TOL:
             report.termination = CONVERGED
             break
 

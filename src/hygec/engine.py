@@ -22,6 +22,9 @@ from .types import (
     _check_numbers,
 )
 
+DAMPING = 0.7  # the weight of the new message in every damped refresh
+V_MIN = 1e-11  # the floor of every message variance
+
 
 class FactorizationFailure(HygecError):
     pass
@@ -35,8 +38,6 @@ class NonFinite(HygecError):
 class HygecConfig:
     max_iter: int = 200
     tol: float = 1e-8
-    damping: float = 0.7
-    v_min: float = 1e-11
     v_max: float = 1e11
 
     def __post_init__(self):
@@ -45,10 +46,8 @@ class HygecConfig:
             raise InvalidParameter("max_iter must be positive")
         if not self.tol > 0:
             raise InvalidParameter("tol must be positive")
-        if not 0 < self.damping <= 1:
-            raise InvalidParameter("damping must lie in (0, 1]")
-        if not 0 < self.v_min < self.v_max:
-            raise InvalidParameter("v_min must lie in (0, v_max)")
+        if not self.v_max > V_MIN:
+            raise InvalidParameter(f"v_max must exceed V_MIN = {V_MIN:g}")
 
 
 def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
@@ -67,11 +66,11 @@ def init_state(inst: ProblemInstance, rho: float, cfg: HygecConfig) -> GecState:
     """
     m, n = inst.m, inst.n
     p_z = signal_power(inst.H, rho, inst.sigma_x_sq) + inst.channel.noise_var
-    v_x0 = np.clip(rho * inst.sigma_x_sq, cfg.v_min, cfg.v_max)
+    v_x0 = np.clip(rho * inst.sigma_x_sq, V_MIN, cfg.v_max)
     linear = inst.channel.kind == "linear"
-    v_z_lik = np.clip(inst.channel.noise_var, cfg.v_min, cfg.v_max) if linear else cfg.v_max
+    v_z_lik = np.clip(inst.channel.noise_var, V_MIN, cfg.v_max) if linear else cfg.v_max
     return GecState(
-        z_pri=Moments(np.zeros(m), np.full(m, np.clip(p_z, cfg.v_min, cfg.v_max))),
+        z_pri=Moments(np.zeros(m), np.full(m, np.clip(p_z, V_MIN, cfg.v_max))),
         z_lik=Moments(inst.y if linear else np.zeros(m), np.full(m, v_z_lik)),
         x_pri=Moments(np.zeros(n), np.full(n, v_x0)),
         x_lik=Moments(np.zeros(n), np.full(n, cfg.v_max)),
@@ -131,9 +130,9 @@ def lmmse_block(H, gram, z_lik: Moments, x_pri: Moments, side) -> Moments:
 def _refresh(post: Moments, cavity: Moments, old: Moments, damp: float,
              cfg: HygecConfig) -> Moments:
     """The one refresh rule of the sweep: the new outgoing message is `post`
-    divided by `cavity` (`extrinsic`, variances clamped to [v_min, v_max]),
+    divided by `cavity` (`extrinsic`, variances clamped to [V_MIN, v_max]),
     blended linearly with the `old` one, weight `damp` on the new."""
-    new = extrinsic(post, cavity, cfg.v_min, cfg.v_max)
+    new = extrinsic(post, cavity, V_MIN, cfg.v_max)
     return Moments(damp * new.mean + (1.0 - damp) * old.mean,
                    damp * new.var + (1.0 - damp) * old.var)
 
@@ -143,9 +142,9 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
 
     Order: z-channel denoise, joint solve to the x side, spike-slab denoise,
     joint solve back to the z side, activity-message refresh. Each of the
-    four Gaussian messages it updates is replaced by `_refresh`, the one
-    refresh rule; `x_post` is the spike-slab posterior itself. The first sweep
-    runs undamped because the stale sides of the state are placeholders.
+    four Gaussian messages it updates is replaced by `_refresh`, weight `DAMPING`
+    on the new; `x_post` is the spike-slab posterior floored at `V_MIN`. The first
+    sweep runs undamped because the stale sides of the state are placeholders.
 
     On the linear channel the z-likelihood message is the channel itself,
     N(y, noise_var), whatever the z-prior message is; `init_state` sets it and
@@ -155,7 +154,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
     both solves read it. `state.t` counts the sweeps that completed with a
     finite state; a sweep that raises leaves it as it was.
     """
-    damp = cfg.damping if state.t > 0 else 1.0
+    damp = DAMPING if state.t > 0 else 1.0
     linear = inst.channel.kind == "linear"
 
     if not linear:
@@ -168,7 +167,7 @@ def hygec_sweep(state: GecState, inst: ProblemInstance, rho: float, cfg: HygecCo
 
     (x_mean, x_var), _pi = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
     # spike-heavy elements hit zero variance
-    state.x_post = Moments(x_mean, np.maximum(x_var, cfg.v_min))
+    state.x_post = Moments(x_mean, np.maximum(x_var, V_MIN))
     state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
 
     if not linear:

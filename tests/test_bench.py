@@ -126,18 +126,21 @@ def test_scenario_validation():
         ("engine.max_iter", dict(max_iter=True)),
         ("engine.max_iter", dict(max_iter="200")),
         ("engine.tol", dict(tol=math.nan)),
-        ("engine.damping", dict(damping=True)),
         ("engine.v_max", dict(v_max=math.inf)),
         ("em.max_outer", dict(max_outer=2.5)),
         ("em.max_outer", dict(max_outer=True)),
-        ("em.tol", dict(tol=math.inf)),
-        ("em.tol", dict(tol=math.nan)),
     ):
         block, field_name = name.split(".")
         with pytest.raises(InvalidParameter, match=f"^{field_name} must be a finite "):
             (HygecConfig if block == "engine" else EmConfig)(**bad)
         with pytest.raises(InvalidParameter, match=f"^{name} must be a finite "):
             Scenario.from_dict({**base, block: bad})
+    # damping, v_min and EM's tol are the constants DAMPING, V_MIN and RATE_TOL:
+    # a block that writes one is refused by name, whatever the value
+    for block, name, value in (("engine", "damping", True), ("engine", "v_min", 1e-11),
+                               ("em", "tol", math.inf), ("em", "tol", math.nan)):
+        with pytest.raises(InvalidParameter, match=rf"^unknown {block} fields: \['{name}'\]$"):
+            Scenario.from_dict({**base, block: {name: value}})
 
 
 # a valid example of each input dataclass, which the tests below vary one field at a time

@@ -220,14 +220,13 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
     for key, text in (("engine.max_iter", '"engine": {"max_iter": 1.5}'),
                       ("engine.max_iter", '"engine": {"max_iter": 1e400}'),
                       ("engine.max_iter", '"engine": {"max_iter": true}'),
-                      ("engine.damping", '"engine": {"damping": true}'),
+                      ("engine.v_max", '"engine": {"v_max": Infinity}'),
                       ("em.max_outer", '"em": {"max_outer": 2.5}'),
                       ("em.max_outer", '"em": {"max_outer": true}'),
-                      ("em.tol", '"em": {"tol": Infinity}'),
                       # a block's own range checks must not fire first
                       ("engine.max_iter", '"engine": {"max_iter": "200"}'),
                       ("engine.tol", '"engine": {"tol": NaN}'),
-                      ("em.tol", '"em": {"tol": NaN}')):
+                      ("em.max_outer", '"em": {"max_outer": NaN}')):
         bad.write_text(json.dumps({**base, "algorithms": ["em-hygec"]})[:-1] + ", " + text + "}")
         assert main(["run", str(bad), "--threads", "1"]) == 2, text
         assert f"error: {key} must be " in capsys.readouterr().err
@@ -235,10 +234,13 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
 
 def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
     # p_z_init, x_var_init and EM's warm_start (every inner run now starts
-    # cold) are gone; a scenario that still sets one must fail and name it,
-    # never run with the option silently ignored
+    # cold) are gone, and so are damping, v_min and EM's tol (now the constants
+    # DAMPING, V_MIN and RATE_TOL); a scenario that still sets one must fail and
+    # name it, never run with the option silently ignored
     for block, knob, value in (("engine", "p_z_init", 7.0), ("engine", "x_var_init", "literal"),
-                               ("em", "warm_start", True)):
+                               ("em", "warm_start", True), ("engine", "damping", 0.7),
+                               ("engine", "damping", True), ("engine", "v_min", 1e-11),
+                               ("em", "tol", 1e-6), ("em", "tol", math.inf)):
         sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **{block: {knob: value}})
         assert main(["run", sc]) == 2, knob
         assert f"error: unknown {block} fields: ['{knob}']" in capsys.readouterr().err
@@ -252,7 +254,7 @@ def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
     ("em", {"nope": 1}, "unknown em fields: ['nope']"),
     ("engine", [1, 2], "engine must be an object, not [1, 2]"),
     ("engine", None, "engine must be an object, not None"),
-    ("engine", {"v_min": 1e-3, "v_max": 1e-4}, "engine.v_min must lie in (0, v_max)"),
+    ("engine", {"v_max": 1e-12}, "engine.v_max must exceed V_MIN = 1e-11"),
     # a written kappa or a kappa sweep is what makes a matrix conditioned
     ("matrix_kind", "conditioned", "unknown scenario fields: ['matrix_kind']"),
 ], ids=["algorithms_text", "seeds_text", "sweep_values_number", "engine_unknown_key",
@@ -352,7 +354,7 @@ def test_a_repeated_key_exits_two(tmp_path, capsys):
     for command, text, key in (
         ("run", scenario + ', "rho": 0.5}', "rho"),
         ("run", scenario + ', "engine": {"max_iter": 3, "tol": 1e-6, "max_iter": 4}}', "max_iter"),
-        ("run", scenario + ', "em": {"tol": 1e-4, "tol": 1e-5}}', "tol"),
+        ("run", scenario + ', "em": {"max_outer": 3, "max_outer": 4}}', "max_outer"),
         ("gen", head + ', "rho": 0.5}', "rho"),
         ("gen", head + ', "engine": {"max_iter": 3, "max_iter": 4}}', "max_iter"),
     ):

@@ -5,7 +5,7 @@ from scipy.stats import norm
 
 from hygec.bench import Scenario, build_instance
 from hygec.denoisers import indicator_beliefs, llr_messages
-from hygec.em import RHO_FLOOR, EmConfig, em_hygec_run, em_update_rho
+from hygec.em import RATE_TOL, RHO_FLOOR, EmConfig, em_hygec_run, em_update_rho
 from hygec.engine import HygecConfig, hygec_run
 from hygec.oracle import exact_posterior_small
 from hygec.types import (
@@ -26,8 +26,6 @@ def _instance(seed, m, n, k, rho, snr_db):
 def test_em_config_validation():
     with pytest.raises(InvalidParameter):
         EmConfig(max_outer=0)
-    with pytest.raises(InvalidParameter):
-        EmConfig(tol=0.0)
 
 
 def _group_activity(m, v, rho, sigma_x_sq):
@@ -146,12 +144,12 @@ def test_em_run_learns_rate_from_cold_start():
 
 def test_em_run_stops_once_the_rate_stops_moving():
     # the first M-step lands on the planted rate and the second hands it back
-    # within tol; a cold inner run at that rate would repeat the second one
+    # within RATE_TOL; a cold inner run at that rate would repeat the second one
     inst = _instance(4, 200, 400, 20, 0.1, 10.0)
     _, _, report = em_hygec_run(inst, 0.01)
     assert report.termination == CONVERGED
     assert len(report.inner_counts) == 2
-    assert abs(report.rho_trace[-1] - report.rho_trace[-2]) <= EmConfig().tol
+    assert abs(report.rho_trace[-1] - report.rho_trace[-2]) <= RATE_TOL
 
 
 def test_em_run_propagates_numerical_failure():

@@ -18,6 +18,8 @@ from hygec.denoisers import (
     z_posterior_awgn,
 )
 from hygec.engine import (
+    DAMPING,
+    V_MIN,
     FactorizationFailure,
     HygecConfig,
     NonFinite,
@@ -50,13 +52,10 @@ def _instance(seed, m, n, k, rho, snr_db, **options):
 
 
 def test_config_validation():
-    HygecConfig(damping=1.0)  # undamped is allowed
     for bad in (
         dict(max_iter=0),
         dict(tol=0.0),
-        dict(damping=0.0),
-        dict(damping=1.5),
-        dict(v_min=1.0, v_max=1.0),
+        dict(v_max=V_MIN),
     ):
         with pytest.raises(InvalidParameter):
             HygecConfig(**bad)
@@ -372,14 +371,14 @@ def _two_solve_sweep(state, inst, rho, cfg):
     # the full sweep of the quantized channel, run on a linear one with the
     # AWGN z-denoiser: z-channel denoise, x-side solve, spike-slab denoise,
     # z-side solve, activity refresh; `state.gram` is not read
-    damp = cfg.damping if state.t > 0 else 1.0
+    damp = DAMPING if state.t > 0 else 1.0
     z_channel = z_posterior_awgn(inst.y, *state.z_pri, inst.channel.noise_var)
     state.z_lik = _refresh(z_channel, state.z_pri, state.z_lik, damp, cfg)
     gram = lmmse_gram(inst.H, state.z_lik.var)
     x_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "x")
     state.x_lik = _refresh(x_joint, state.x_pri, state.x_lik, damp, cfg)
     (x_mean, x_var), _ = x_posterior_spike_slab(*state.x_lik, state.llr_hat, inst.sigma_x_sq)
-    state.x_post = Moments(x_mean, np.maximum(x_var, cfg.v_min))
+    state.x_post = Moments(x_mean, np.maximum(x_var, V_MIN))
     state.x_pri = _refresh(state.x_post, state.x_lik, state.x_pri, damp, cfg)
     z_joint = lmmse_block(inst.H, gram, state.z_lik, state.x_pri, "z")
     state.z_pri = _refresh(z_joint, state.z_lik, state.z_pri, damp, cfg)
@@ -416,7 +415,7 @@ def test_linear_sweep_matches_two_solve_sweep(monkeypatch):
         err = rel_err(expit(fast.llr_hat), expit(ref.llr_hat))
         assert err < 1e-9, f"sweep {t + 1}, activity: relative error {err:.1e}"
         # the x-likelihood message divides the x posterior by a prior that
-        # pins inactive elements near v_min, which amplifies rounding by up to
+        # pins inactive elements near V_MIN, which amplifies rounding by up to
         # x_lik.var / x_pri.var ~ 1e9: there a one-ulp change of y moves the
         # reference itself by ~1e-6, and the bound is ten times that move
         for half, a, b, b_nudged in zip(Moments._fields, fast.x_lik, ref.x_lik, ref_nudged.x_lik):
@@ -461,7 +460,7 @@ def test_one_sweep_identity_sensing_matches_scalar_denoiser():
     hygec_sweep(st, inst, rho, cfg)
     (ref_mean, ref_var), _ = x_posterior_spike_slab(y, nv, logit(rho), 1.0)
     assert np.max(np.abs(st.x_post.mean - ref_mean)) < 1e-8
-    assert np.max(np.abs(st.x_post.var - np.maximum(ref_var, cfg.v_min))) < 1e-8
+    assert np.max(np.abs(st.x_post.var - np.maximum(ref_var, V_MIN))) < 1e-8
 
 
 def test_sweep_keeps_state_sane():
@@ -473,7 +472,7 @@ def test_sweep_keeps_state_sane():
         assert st.t == t + 1
         assert st.all_finite()
         for v in (st.z_pri.var, st.z_lik.var, st.x_pri.var, st.x_lik.var, st.x_post.var):
-            assert np.all(v >= cfg.v_min) and np.all(v <= cfg.v_max)
+            assert np.all(v >= V_MIN) and np.all(v <= cfg.v_max)
         assert np.all(np.abs(st.llr_hat) <= LLR_CAP)
 
 
