@@ -262,6 +262,7 @@ def run_trial(scenario: Scenario, seed: int, sweep_value: float | None, algorith
             "terminated": report.termination,
             "wall_ms": wall_ms,
             "failure": report.failure,  # JSON output only; not a CSV column
+            "rho_final": report.rho_trace[-1],  # the returned or known rate; JSON only
         }
         for i, rho in enumerate(rho_per_iter)
     ]
@@ -278,10 +279,14 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     """All trials of a scenario, serially or in a process pool.
 
     Row order is fixed (sweep value, then algorithm, then seed, then iteration)
-    regardless of thread count.
+    regardless of thread count. The first seed's instance is drawn at each sweep
+    point first, so a point whose channel float64 cannot hold is refused before
+    any trial runs.
     """
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, not {threads}")
+    for value in scenario.sweep_values or (None,):  # a point's derived channel, before any trial
+        build_instance(scenario, scenario.seeds[0], value)
     args = list(_trial_args(scenario))
     # a fork pool starts all its workers at the first submit: no more than trials or cores
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

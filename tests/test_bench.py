@@ -33,6 +33,7 @@ from hygec.engine import HygecConfig
 from hygec.ensembles import MatrixSpec
 from hygec.types import (
     CONVERGED,
+    MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     Channel,
     DimensionMismatch,
@@ -417,6 +418,19 @@ def test_run_trial_zero_truth_leaves_nmse_blank():
     rows = run_trial(sc, 3, None, "hygec-known-rho")
     assert len(rows) > 0
     assert all(r["nmse_db"] is None for r in rows)
+
+
+def test_rows_carry_the_rate_the_trial_returns():
+    # rho_est is the rate each sweep ran at, rho_final the rate the trial returns:
+    # EM's last M-step, one step past the final row's rate in this run, which ends
+    # at max_outer; a known-rate trial's is the known rate
+    sc = _scenario(m=100, n=200, k=20, rho=0.3, snr_db=0.0)
+    _, rho, report = em_hygec_run(build_instance(sc, 0, None), sc.rho_init, sc.engine, sc.em)
+    assert report.termination == MAX_ITERATIONS
+    rows = run_trial(sc, 0, None, "em-hygec")
+    assert all(row["rho_final"] == rho for row in rows)
+    assert rows[-1]["rho_est"] != rho
+    assert all(row["rho_final"] == 0.3 for row in run_trial(sc, 0, None, "hygec-known-rho"))
 
 
 def test_run_trial_records_immediate_failure(monkeypatch):

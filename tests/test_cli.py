@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hygec.bench import RECIPE, build_instance, import_instance, Scenario
+from hygec.bench import RECIPE, build_instance, import_instance, run_trial, Scenario
 from hygec.cli import MAX_SEEDS, _parse_seeds, main
 from hygec.engine import hygec_run
 from hygec.types import NUMERICAL_FAILURE, InvalidParameter
@@ -111,6 +111,20 @@ def test_run_json_rows_name_the_numerical_failure(tmp_path, capsys, monkeypatch)
     assert row["terminated"] == NUMERICAL_FAILURE
     assert row["failure"].startswith(("FactorizationFailure in sweep 1: ",
                                       "NonFinite in sweep 1: ")), row["failure"]
+
+
+def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the last point's mean gives a channel float64 cannot hold; every point's
+    # first-seed instance is drawn before the first trial, so none runs
+    calls = []
+    monkeypatch.setattr("hygec.bench.run_trial", lambda *args: calls.append(args) or run_trial(*args))
+    sc = _scenario_file(tmp_path, m=20, n=40, k=4, bits=2, seeds=[0, 1], sweep_param="mean",
+                        sweep_values=[0.0, 0.1, 1e160])
+    out = tmp_path / "out.json"
+    assert main(["run", sc, "--format", "json", "--out", str(out)]) == 2
+    assert "matrix_mean 1e+160 give a channel float64 cannot hold" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
 
 
 def test_run_missing_scenario_exits_two(tmp_path, capsys):

@@ -36,6 +36,21 @@ def test_figures_of_paired_rows(tmp_path, capsys):
     assert "paired rows 5" in capsys.readouterr().out
 
 
+def test_learned_rate_gap_needs_the_field_on_both_sides(tmp_path, capsys):
+    # rows written before rho_final existed give "n/a", never a zero gap
+    old = _trial(0, [-1.0, -5.0], 0.1)
+    new = [{**row, "rho_final": 0.12} for row in old]
+    moved = [{**row, "rho_final": 0.125} for row in old]
+    assert compare_runs.compare(old, new)[0]["rho_final"] is None
+    assert compare_runs.compare(new, moved)[0]["rho_final"] == abs(0.125 - 0.12)
+    assert compare_runs.main([_write(tmp_path / "p.json", old),
+                              _write(tmp_path / "c.json", new)]) == 0
+    assert "max |drho_final| n/a" in capsys.readouterr().out
+    assert compare_runs.main([_write(tmp_path / "p.json", new),
+                              _write(tmp_path / "c.json", moved)]) == 0
+    assert "max |drho_final| 0.005" in capsys.readouterr().out
+
+
 def test_unpaired_rows_and_termination_mismatches_fail(tmp_path):
     parent = _trial(0, [-1.0, -5.0], 0.1)
     longer = _trial(0, [-1.0, -5.0, -6.0], 0.1)

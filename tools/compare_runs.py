@@ -4,11 +4,12 @@
 
 Rows are paired by scenario, seed, sweep value, algorithm and iteration. The
 script prints the number of paired rows, the largest |ΔNMSE| (dB) over all
-paired rows and over each trial's final row, and the largest |Δrho_est|. It
-lists every row without a partner and every pair whose terminations differ,
-and then exits 1; otherwise it exits 0. A blank NMSE (a zero true signal, or a
-sweep that failed) pairs only with a blank one; a blank against a number
-counts as an infinite difference.
+paired rows and over each trial's final row, the largest |Δrho_est|, and the
+largest |Δrho_final| (the rate each trial returns), or "n/a" when a side's
+rows predate that field. It lists every row without a partner and every pair
+whose terminations differ, and then exits 1; otherwise it exits 0. A blank
+NMSE (a zero true signal, or a sweep that failed) pairs only with a blank one;
+a blank against a number counts as an infinite difference.
 """
 
 from __future__ import annotations
@@ -48,12 +49,15 @@ def compare(parent_rows: list[dict], change_rows: list[dict]) -> tuple[dict, lis
         if parent[key]["terminated"] != change[key]["terminated"]:
             problems.append(f"termination {parent[key]['terminated']} -> "
                             f"{change[key]['terminated']}: {key}")
+    learned = all("rho_final" in side[k] for side in (parent, change) for k in paired)
     figures = {
         "rows": len(paired),
         "nmse_db": max(nmse.values(), default=0.0),
         "final_nmse_db": max((nmse[k] for k in paired if k[-1] == last[k[:-1]]), default=0.0),
         "rho_est": max((_gap(parent[k]["rho_est"], change[k]["rho_est"]) for k in paired),
                        default=0.0),
+        "rho_final": max((_gap(parent[k]["rho_final"], change[k]["rho_final"]) for k in paired),
+                         default=0.0) if learned else None,
     }
     return figures, problems
 
@@ -74,6 +78,8 @@ def main(argv=None) -> int:
     print(f"max |dNMSE| all rows {figures['nmse_db']:.3g} dB")
     print(f"max |dNMSE| final rows {figures['final_nmse_db']:.3g} dB")
     print(f"max |drho_est| {figures['rho_est']:.3g}")
+    rho_final = figures["rho_final"]
+    print(f"max |drho_final| {'n/a' if rho_final is None else f'{rho_final:.3g}'}")
     return 1 if problems else 0
 
 
