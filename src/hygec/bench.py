@@ -279,13 +279,12 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     """All trials of a scenario, serially or in a process pool.
 
     Row order is fixed (sweep value, then algorithm, then seed, then iteration)
-    regardless of thread count. The first seed's instance is drawn at each sweep
-    point first, so a point whose channel float64 cannot hold is refused before
-    any trial runs.
+    regardless of thread count.
     """
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, not {threads}")
-    for value in scenario.sweep_values or (None,):  # a point's derived channel, before any trial
+    # one draw per sweep point, so a channel float64 cannot hold is refused before any trial
+    for value in scenario.sweep_values or (None,):
         build_instance(scenario, scenario.seeds[0], value)
     args = list(_trial_args(scenario))
     # a fork pool starts all its workers at the first submit: no more than trials or cores
