@@ -56,10 +56,6 @@ _ROLE_SIGNAL = 1
 _ROLE_NOISE = 2
 
 
-class SchemaMismatch(HygecError):
-    pass
-
-
 class IoError(HygecError):
     pass
 
@@ -177,7 +173,7 @@ def _unique_keys(pairs: list) -> dict:
     # json.load alone keeps the last copy of a repeated key without a word
     keys = [key for key, _ in pairs]
     if repeated := sorted({key for key in keys if keys.count(key) > 1}):
-        raise SchemaMismatch(f"repeated key(s) {', '.join(repeated)}")
+        raise InvalidParameter(f"repeated key(s) {', '.join(repeated)}")
     return dict(pairs)
 
 
@@ -187,9 +183,9 @@ def load_json(path: str) -> dict:
         with _open(path, "r") as fh:
             d = json.load(fh, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from exc
+        raise InvalidParameter(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(d, dict):
-        raise SchemaMismatch(f"{path}: expected a JSON object, found {type(d).__name__}")
+        raise InvalidParameter(f"{path}: expected a JSON object, found {type(d).__name__}")
     return d
 
 
@@ -414,15 +410,15 @@ def import_instance(path: str) -> ProblemInstance:
     except IoError:
         raise
     except Exception as exc:  # zipfile, zlib and numpy each have their own errors for bad bytes
-        raise SchemaMismatch(f"{path}: not an instance file ({exc})") from exc
+        raise InvalidParameter(f"{path}: not an instance file ({exc})") from exc
     try:
         if "schema_version" not in data or data["schema_version"].item() != SCHEMA_VERSION:
-            raise SchemaMismatch(f"expected schema version {SCHEMA_VERSION}")
+            raise InvalidParameter(f"expected schema version {SCHEMA_VERSION}")
         unknown = sorted(set(data) - _ARCHIVE_MEMBERS)
         if unknown:  # a misspelt member would otherwise load as a missing optional field
-            raise SchemaMismatch(f"{path}: unknown member(s) {', '.join(unknown)}")
+            raise InvalidParameter(f"{path}: unknown member(s) {', '.join(unknown)}")
         groups = GroupStructure(data["group_sizes"].astype(np.int64, casting="safe"))
         channel = _from_entries(Channel, data, kind=data["channel_kind"].item())
         return _from_entries(ProblemInstance, data, groups=groups, channel=channel)
     except (KeyError, TypeError, ValueError) as exc:  # a field missing or malformed
-        raise SchemaMismatch(f"{path}: missing or malformed field: {exc!r}") from exc
+        raise InvalidParameter(f"{path}: missing or malformed field: {exc!r}") from exc

@@ -18,15 +18,7 @@ import numpy as np
 from .bench import Scenario, draw_instance
 from .denoisers import indicator_beliefs, x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
 from .engine import HygecConfig, hygec_run
-from .types import CONVERGED, HygecError, InvalidParameter, Moments, ProblemInstance
-
-
-class ZeroMass(HygecError):
-    pass
-
-
-class Unsupported(HygecError):
-    pass
+from .types import CONVERGED, InvalidParameter, Moments, ProblemInstance
 
 
 # the quadrature grid spans the prior mean +- this many prior standard deviations
@@ -59,7 +51,7 @@ def quad_z_posterior(likelihood, m: float, v: float, points: int = 200_001) -> M
     f = np.asarray(likelihood(m + sigma * t), dtype=float) * w
     mass = np.sum(f)
     if not sigma * mass > 1e-300:
-        raise ZeroMass("posterior normalizer underflowed on the quadrature grid")
+        raise InvalidParameter("posterior normalizer underflowed on the quadrature grid")
     mean_t = np.dot(t, f) / mass
     var = v * np.dot((t - mean_t) ** 2, f) / mass
     return Moments(m + sigma * mean_t, var)
@@ -181,10 +173,10 @@ def exact_posterior_small(
     from scipy.special import logsumexp
 
     if inst.channel.kind != "linear":
-        raise Unsupported("exact enumeration handles the linear channel only")
+        raise InvalidParameter("exact enumeration handles the linear channel only")
     k = inst.groups.k
     if k > 12:
-        raise Unsupported(f"2^{k} patterns is past the exactness budget (K <= 12)")
+        raise InvalidParameter(f"2^{k} patterns is past the exactness budget (K <= 12)")
     if not 0 < rho < 1:
         raise InvalidParameter("rho must lie in (0, 1)")
     H, y = inst.H, inst.y

@@ -19,18 +19,6 @@ class HygecError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(HygecError):
-    pass
-
-
-class GroupCoverage(HygecError):
-    pass
-
-
-class SupportViolation(HygecError):
-    pass
-
-
 class InvalidParameter(HygecError):
     pass
 
@@ -60,14 +48,11 @@ class GroupStructure:
     group_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            _check_numbers(self)
-        except InvalidParameter as exc:  # a size that is no whole number covers nothing
-            raise GroupCoverage(str(exc)) from exc
+        _check_numbers(self)
         if len(self.group_sizes) < 1:
-            raise GroupCoverage("need at least one group")
+            raise InvalidParameter("need at least one group")
         if any(s < 1 for s in self.group_sizes):
-            raise GroupCoverage("every group must have at least one element")
+            raise InvalidParameter("every group must have at least one element")
 
     @property
     def k(self) -> int:
@@ -91,7 +76,7 @@ class GroupStructure:
     def even(n: int, k: int) -> "GroupStructure":
         """Split 0..n into k groups as evenly as possible (first n % k groups get one extra)."""
         if k < 1 or n < k:
-            raise GroupCoverage(f"cannot split {n} indices into {k} nonempty groups")
+            raise InvalidParameter(f"cannot split {n} indices into {k} nonempty groups")
         base, extra = divmod(n, k)
         return GroupStructure(tuple(base + (1 if i < extra else 0) for i in range(k)))
 
@@ -176,31 +161,31 @@ class ProblemInstance:
     def __post_init__(self):  # the first violated invariant raises its named error
         _check_numbers(self)
         if not isinstance(self.H, np.ndarray) or self.H.ndim != 2:
-            raise DimensionMismatch("H must be a 2-d numpy array")
+            raise InvalidParameter("H must be a 2-d numpy array")
         m, n = self.H.shape
         y, x, xi = map(np.asarray, (self.y, self.x_true, self.xi_true))
         for name, value in (("H", self.H), ("y", y), ("x_true", x), ("xi_true", xi)):
             if getattr(self, name) is not None and value.dtype.kind not in "biuf":
-                raise DimensionMismatch(f"{name} must hold real numbers, not {value.dtype}")
+                raise InvalidParameter(f"{name} must hold real numbers, not {value.dtype}")
         if y.shape != (m,):
-            raise DimensionMismatch(f"y must have length {m}")
+            raise InvalidParameter(f"y must have length {m}")
         if self.groups.n != n:
-            raise GroupCoverage(f"group sizes sum to {self.groups.n}, expected {n}")
+            raise InvalidParameter(f"group sizes sum to {self.groups.n}, expected {n}")
         if self.x_true is not None and x.shape != (n,):
-            raise DimensionMismatch(f"x_true must have length {n}")
+            raise InvalidParameter(f"x_true must have length {n}")
         if self.xi_true is not None:
             if xi.shape != (self.groups.k,):
-                raise DimensionMismatch(f"xi_true must have length {self.groups.k}")
+                raise InvalidParameter(f"xi_true must have length {self.groups.k}")
             if np.any((xi != 0) & (xi != 1)):
-                raise DimensionMismatch("xi_true must hold 0/1 group indicators")
+                raise InvalidParameter("xi_true must hold 0/1 group indicators")
             if self.x_true is not None:
                 bad = (x != 0) & (xi[self.groups.group_of] == 0)
                 if np.any(bad):  # name the first such group
                     k = self.groups.group_of[np.argmax(bad)]
-                    raise SupportViolation(f"group {k} is inactive but x_true is nonzero there")
+                    raise InvalidParameter(f"group {k} is inactive but x_true is nonzero there")
         quantized = self.channel.kind == "quantized"
         if quantized and np.any((y % 1 != 0) | (y < 0) | (y >= self.channel.n_cells)):
-            raise DimensionMismatch("quantized observations must be valid cell indices")
+            raise InvalidParameter("quantized observations must be valid cell indices")
         if self.true_rho is not None and not 0 < self.true_rho < 1:
             raise InvalidParameter("true_rho must lie in (0, 1)")
         if not self.sigma_x_sq > 0:

@@ -38,7 +38,6 @@ from hygec.types import (
     MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     Channel,
-    DimensionMismatch,
     GroupStructure,
     InvalidParameter,
     Moments,
@@ -482,7 +481,8 @@ def test_run_validates_inputs():
         hygec_run(inst, 0.0)
     with pytest.raises(InvalidParameter):
         hygec_run(inst, 1.0)
-    with pytest.raises(DimensionMismatch):  # an inconsistent instance never reaches a run
+    # an inconsistent instance never reaches a run
+    with pytest.raises(InvalidParameter, match="^y must have length 6$"):
         ProblemInstance(
             inst.H, inst.y[:-1], inst.groups, inst.channel, 1.0, inst.x_true, inst.xi_true, 0.2
         )

@@ -4,8 +4,7 @@ from scipy.stats import norm, truncnorm
 
 from hygec.engine import nmse
 from hygec.ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix
-from hygec.oracle import (Unsupported, ZeroMass, enumeration_parity, exact_posterior_small,
-                          quad_z_posterior)
+from hygec.oracle import enumeration_parity, exact_posterior_small, quad_z_posterior
 from hygec.types import Channel, GroupStructure, InvalidParameter, ProblemInstance
 
 
@@ -54,7 +53,8 @@ def test_quad_grid_doubling_is_converged():
 def test_quad_rejects_bad_variance_and_zero_mass():
     with pytest.raises(InvalidParameter):
         quad_z_posterior(lambda z: np.ones_like(z), 0.0, 0.0)
-    with pytest.raises(ZeroMass):
+    with pytest.raises(InvalidParameter,
+                       match="^posterior normalizer underflowed on the quadrature grid$"):
         quad_z_posterior(lambda z: (z > 100.0).astype(float), 0.0, 1.0)
 
 
@@ -79,7 +79,8 @@ def test_exact_posterior_rejects_unsupported_inputs():
         inst.xi_true,
         0.4,
     )
-    with pytest.raises(Unsupported):
+    with pytest.raises(InvalidParameter,
+                       match="^exact enumeration handles the linear channel only$"):
         exact_posterior_small(quant, 0.4, 1.0)
     wide = GroupStructure((1,) * 13)
     rng = np.random.default_rng(0)
@@ -90,7 +91,8 @@ def test_exact_posterior_rejects_unsupported_inputs():
         Channel.linear_awgn(0.1),
         1.0,
     )
-    with pytest.raises(Unsupported):
+    with pytest.raises(InvalidParameter,
+                       match=r"^2\^13 patterns is past the exactness budget \(K <= 12\)$"):
         exact_posterior_small(big, 0.4, 1.0)
     with pytest.raises(InvalidParameter):
         exact_posterior_small(inst, 0.0, 1.0)
