@@ -182,7 +182,7 @@ def load_json(path: str) -> dict:
     try:
         with _open(path, "r") as fh:
             d = json.load(fh, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, non-text bytes, deep nesting
         raise InvalidParameter(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(d, dict):
         raise InvalidParameter(f"{path}: expected a JSON object, found {type(d).__name__}")

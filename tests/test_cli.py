@@ -379,6 +379,18 @@ def test_a_repeated_key_exits_two(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text", [("run", "[" * 100_000), ("gen", '{"a": ' * 100_000)],
+                         ids=["run", "gen"])
+def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys, command, text):
+    # the decoder's RecursionError once ended in a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+    assert not out.exists()
+
+
 def test_an_output_path_in_a_missing_directory_exits_two(tmp_path, capsys):
     missing = tmp_path / "no-such-dir"
     assert main(["run", _scenario_file(tmp_path), "--out", str(missing / "rows.csv")]) == 2
