@@ -388,6 +388,8 @@ def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -
     Writes to `path` as given: np.savez would add ".npz" to a bare name."""
     payload = {"schema_version": SCHEMA_VERSION, **_entries(inst)}
     if seed is not None:
+        if not -2**63 <= seed < 2**64:  # np.savez would pickle it, which no load reads
+            raise InvalidParameter(f"seed must fit in 64 bits, not {seed}")
         payload["seed"] = seed
     with _open(path, "wb") as fh:
         np.savez(fh, **payload)

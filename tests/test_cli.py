@@ -305,6 +305,22 @@ def test_gen_takes_its_seed_from_the_option_alone(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_refuses_a_seed_its_archive_cannot_store(tmp_path, capsys):
+    # np.savez stores a seed of 2**64 or more as a pickled object array, which
+    # import_instance refuses; such a seed once wrote that file and exited 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}))
+    edge = tmp_path / "edge.npz"
+    assert main(["gen", str(spec), "--seed", str(2**64 - 1), "--out", str(edge)]) == 0
+    import_instance(str(edge))
+    capsys.readouterr()
+    for seed in (2**64, 10**20):
+        out = tmp_path / f"{seed}.npz"
+        assert main(["gen", str(spec), "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: seed must fit in 64 bits, not {seed}\n"
+        assert not out.exists()
+
+
 def test_gen_refuses_a_sweep_spec(tmp_path, capsys):
     # one instance cannot hold a sweep's points
     spec = tmp_path / "spec.json"
