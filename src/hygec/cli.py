@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import bench
@@ -39,6 +40,9 @@ def _cmd_run(args) -> int:
     scenario = bench.Scenario.from_json(args.scenario)
     if args.seeds is not None:
         scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
+    # refused before the first trial, whose rows would be thrown away, and no file is made
+    if args.out and not os.path.isdir(directory := os.path.dirname(args.out) or "."):
+        raise InvalidParameter(f"--out {args.out}: {directory} is not a directory")
     rows = bench.run_scenario(scenario, threads=args.threads)
     summary = bench.summarize(rows)
     if args.format == "csv":

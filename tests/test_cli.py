@@ -127,6 +127,18 @@ def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
+def test_run_refuses_an_out_path_in_a_missing_directory_before_any_trial(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the rows of every trial were once computed and then thrown away at the write
+    calls = []
+    monkeypatch.setattr("hygec.bench.run_trial", lambda *args: calls.append(args) or run_trial(*args))
+    out = tmp_path / "no-such-dir" / "rows.csv"
+    assert main(["run", _scenario_file(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {out.parent} is not a directory\n"
+    assert not out.parent.exists()
+    assert calls == []
+
+
 def test_run_missing_scenario_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
