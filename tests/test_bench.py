@@ -37,6 +37,7 @@ from hygec.types import (
     Channel,
     GecState,
     GroupStructure,
+    HygecError,
     InvalidParameter,
     ProblemInstance,
     RecoveryReport,
@@ -235,6 +236,19 @@ def test_readme_scenario_table_names_the_dataclass_fields():
     assert sorted(written) == sorted(f.name for f in dataclasses.fields(Scenario))
     for block, cls in (("engine", HygecConfig), ("em", EmConfig)):
         assert set(names[f"`{block}`"]) == {f.name for f in dataclasses.fields(cls)}, block
+
+
+def test_readme_error_table_names_every_error_class():
+    # one row per HygecError subclass the package defines, each with its handling
+    modules = [importlib.import_module(f"hygec.{m.name}")
+               for m in pkgutil.iter_modules(hygec.__path__)]
+    defined = {f"{obj.__module__}.{obj.__name__}" for mod in modules for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, HygecError)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| hygec.")]
+    assert sorted(cls.strip() for cls, _ in rows) == sorted(defined)
+    assert all(handling.strip() for _, handling in rows)
 
 
 def test_full_scenarios_scale_their_desk_twins():
