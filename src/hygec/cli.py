@@ -41,8 +41,10 @@ def _cmd_run(args) -> int:
     if args.seeds is not None:
         scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
     # refused before the first trial, whose rows would be thrown away, and no file is made
-    if args.out and not os.path.isdir(directory := os.path.dirname(args.out) or "."):
-        raise InvalidParameter(f"--out {args.out}: {directory} is not a directory")
+    if args.out is not None:
+        directory, name = os.path.split(args.out)
+        if not name or os.path.isdir(args.out) or not os.path.isdir(directory or "."):
+            raise InvalidParameter(f"--out {args.out!r} is not a file in an existing directory")
     rows = bench.run_scenario(scenario, threads=args.threads)
     summary = bench.summarize(rows)
     if args.format == "csv":

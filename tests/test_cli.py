@@ -129,13 +129,17 @@ def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatc
 
 def test_run_refuses_an_out_path_in_a_missing_directory_before_any_trial(tmp_path, capsys,
                                                                          monkeypatch):
-    # the rows of every trial were once computed and then thrown away at the write
+    # the rows of every trial were once computed and then thrown away at the write;
+    # an empty path or a directory is no file to write either
     calls = []
     monkeypatch.setattr("hygec.bench.run_trial", lambda *args: calls.append(args) or run_trial(*args))
-    out = tmp_path / "no-such-dir" / "rows.csv"
-    assert main(["run", _scenario_file(tmp_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: --out {out}: {out.parent} is not a directory\n"
-    assert not out.parent.exists()
+    sc = _scenario_file(tmp_path)
+    missing = tmp_path / "no-such-dir"
+    for out in (str(missing / "rows.csv"), "", str(tmp_path), f"{tmp_path}/"):
+        assert main(["run", sc, "--out", out]) == 2, out
+        assert capsys.readouterr().err == (
+            f"error: --out {out!r} is not a file in an existing directory\n")
+    assert not missing.exists()
     assert calls == []
 
 
