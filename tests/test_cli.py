@@ -127,10 +127,10 @@ def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
-def test_run_refuses_an_out_path_in_a_missing_directory_before_any_trial(tmp_path, capsys,
-                                                                         monkeypatch):
-    # the rows of every trial were once computed and then thrown away at the write;
-    # an empty path or a directory is no file to write either
+def test_run_refuses_an_out_path_that_holds_no_file_before_any_trial(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a path that can hold no file (in a missing directory, empty, a directory) is
+    # refused before any trial, so no trial's rows are thrown away at the write
     calls = []
     monkeypatch.setattr("hygec.bench.run_trial", lambda *args: calls.append(args) or run_trial(*args))
     sc = _scenario_file(tmp_path)
@@ -322,8 +322,8 @@ def test_gen_takes_its_seed_from_the_option_alone(tmp_path, capsys):
 
 
 def test_gen_refuses_a_seed_its_archive_cannot_store(tmp_path, capsys):
-    # np.savez stores a seed of 2**64 or more as a pickled object array, which
-    # import_instance refuses; such a seed once wrote that file and exited 0
+    # np.savez would store a seed of 2**64 or more as a pickled object array, which
+    # import_instance refuses, so gen refuses the seed and writes no file
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}))
     edge = tmp_path / "edge.npz"
@@ -414,7 +414,7 @@ def test_a_repeated_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("command, text", [("run", "[" * 100_000), ("gen", '{"a": ' * 100_000)],
                          ids=["run", "gen"])
 def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys, command, text):
-    # the decoder's RecursionError once ended in a traceback and exit 1
+    # the decoder's RecursionError is refused as invalid JSON, not left as a traceback
     path = tmp_path / "deep.json"
     path.write_text(text)
     out = tmp_path / "out"
