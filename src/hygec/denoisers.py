@@ -167,9 +167,7 @@ def x_posterior_spike_slab(m, v, prior_llr, sigma_x_sq) -> tuple[Moments, np.nda
     if np.any(v <= 0):
         raise InvalidParameter("v must be positive")
     pi = _expit(prior_llr + _element_llr(m, v, sigma_x_sq))  # plus the slab-vs-spike evidence
-    total = sigma_x_sq + v
-    mu_slab = m * sigma_x_sq / total
-    v_slab = sigma_x_sq * v / total
+    mu_slab, v_slab = z_posterior_awgn(m, 0.0, sigma_x_sq, v)
     mean = pi * mu_slab
     var = pi * v_slab + pi * (1.0 - pi) * mu_slab * mu_slab
     return Moments(mean, var), pi
