@@ -40,11 +40,6 @@ def _cmd_run(args) -> int:
     scenario = bench.Scenario.from_json(args.scenario)
     if args.seeds is not None:
         scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
-    # refused before the first trial, whose rows would be thrown away, and no file is made
-    if args.out is not None:
-        directory, name = os.path.split(args.out)
-        if not name or os.path.isdir(args.out) or not os.path.isdir(directory or "."):
-            raise InvalidParameter(f"--out {args.out!r} is not a file in an existing directory")
     rows = bench.run_scenario(scenario, threads=args.threads)
     summary = bench.summarize(rows)
     if args.format == "csv":
@@ -137,6 +132,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # refused before any draw or trial, whose work would be thrown away, and no file is made
+        if (out := getattr(args, "out", None)) is not None:
+            directory, name = os.path.split(out)
+            if not name or os.path.isdir(out) or not os.path.isdir(directory or "."):
+                raise InvalidParameter(f"--out {out!r} is not a file in an existing directory")
         return args.func(args)
     except HygecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,6 +143,24 @@ def test_run_refuses_an_out_path_that_holds_no_file_before_any_trial(tmp_path, c
     assert calls == []
 
 
+def test_gen_refuses_an_out_path_that_holds_no_file_before_any_draw(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the same paths as for run are refused before the instance is drawn
+    calls = []
+    monkeypatch.setattr("hygec.bench.build_instance",
+                        lambda *args: calls.append(args) or build_instance(*args))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}))
+    missing = tmp_path / "no-such-dir"
+    for out in (str(missing / "x.npz"), "", str(tmp_path), f"{tmp_path}/"):
+        assert main(["gen", str(spec), "--out", out]) == 2, out
+        assert capsys.readouterr().err == (
+            f"error: --out {out!r} is not a file in an existing directory\n")
+    assert not missing.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+    assert calls == []
+
+
 def test_run_missing_scenario_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
