@@ -8,7 +8,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -395,12 +395,21 @@ def export_instance(inst: ProblemInstance, path: str, seed: int | None = None) -
         np.savez(fh, **payload)
 
 
+def _entry(data: dict, name: str, read=np.ndarray.item):
+    # the archive entry `name` as `read` takes it; one missing or unfit is refused by name
+    try:
+        return read(data[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name!r} ({exc!r})") from exc
+
+
 def _from_entries(cls, data: dict, **given):
     """A dataclass from the archive entries named after its fields, and `given`.
     An entry for a field not annotated as an array is read as a scalar."""
     for f in fields(cls):
-        if f.name in data and f.name not in given:
-            given[f.name] = data[f.name] if "ndarray" in f.type else data[f.name].item()
+        if f.name not in given and (f.name in data or f.default is MISSING):
+            array = "ndarray" in f.type
+            given[f.name] = _entry(data, f.name, np.asarray if array else np.ndarray.item)
     return cls(**given)
 
 
@@ -414,13 +423,14 @@ def import_instance(path: str) -> ProblemInstance:
     except Exception as exc:  # zipfile, zlib and numpy each have their own errors for bad bytes
         raise InvalidParameter(f"{path}: not an instance file ({exc})") from exc
     try:
-        if "schema_version" not in data or data["schema_version"].item() != SCHEMA_VERSION:
+        if "schema_version" not in data or _entry(data, "schema_version") != SCHEMA_VERSION:
             raise InvalidParameter(f"expected schema version {SCHEMA_VERSION}")
         unknown = sorted(set(data) - _ARCHIVE_MEMBERS)
         if unknown:  # a misspelt member would otherwise load as a missing optional field
             raise InvalidParameter(f"{path}: unknown member(s) {', '.join(unknown)}")
-        groups = GroupStructure(data["group_sizes"].astype(np.int64, casting="safe"))
-        channel = _from_entries(Channel, data, kind=data["channel_kind"].item())
+        groups = GroupStructure(_entry(data, "group_sizes",
+                                       lambda a: a.astype(np.int64, casting="safe")))
+        channel = _from_entries(Channel, data, kind=_entry(data, "channel_kind"))
         return _from_entries(ProblemInstance, data, groups=groups, channel=channel)
     except (KeyError, TypeError, ValueError) as exc:  # a field missing or malformed
-        raise InvalidParameter(f"{path}: missing or malformed field: {exc!r}") from exc
+        raise InvalidParameter(f"{path}: missing or malformed field: {exc}") from exc

@@ -728,6 +728,30 @@ def test_import_raises_schema_mismatch_for_a_malformed_file(tmp_path, name):
         import_instance(str(path))
 
 
+# a member numpy reads but cannot take as its field, by name
+_UNREADABLE = {
+    "noise_var": np.array([0.1, 0.2]),
+    "sigma_x_sq": np.array([1.0, 2.0]),
+    "schema_version": np.array([1, 1]),
+    "channel_kind": np.array(["linear", "quantized"]),
+    "group_sizes": np.full(6, 5.5),
+}
+
+
+@pytest.mark.parametrize("name", _UNREADABLE)
+def test_import_names_the_member_it_cannot_read(tmp_path, name):
+    # numpy's own message ("can only convert an array of size 1", "Cannot cast
+    # array data") names no member, so the refusal puts the member's name first
+    path = tmp_path / "inst.npz"
+    export_instance(build_instance(_scenario(), 7, None), str(path))
+    with np.load(path) as archive:
+        members = {**archive, name: _UNREADABLE[name]}
+    np.savez(path, **members)
+    with pytest.raises(InvalidParameter,
+                       match=rf"^{re.escape(str(path))}: missing or malformed field: '{name}' \("):
+        import_instance(str(path))
+
+
 def test_import_rejects_tampered_instance(tmp_path):
     # a file with every field present but inconsistent fails at load, not in a later run
     inst = build_instance(_scenario(), 7, None)
