@@ -306,6 +306,16 @@ def test_spike_slab_degenerate_rates_short_circuit():
     assert mom1.var == pytest.approx(0.5 / 1.5, rel=1e-15)
 
 
+def test_spike_slab_slab_moments_are_the_awgn_product():
+    # at prior log-odds +inf pi is exactly 1, so the moments are the slab's alone:
+    # the slab prior N(0, sigma_x_sq) observed as m through noise of variance v
+    m, v, sx = np.meshgrid([-3.0, -0.0, 0.0, 2.5, 1e6], [1e-11, 0.3, 1e11], [1e-2, 1.0, 1e2])
+    mom, pi = x_posterior_spike_slab(m, v, np.inf, sx)
+    slab = z_posterior_awgn(m, 0.0, sx, v)
+    assert np.all(pi == 1.0)
+    assert np.array_equal(mom.mean, slab.mean) and np.array_equal(mom.var, slab.var)
+
+
 def _two_branch_reference(m, v, rho, sigma_x_sq):
     log_slab = np.log(rho) + norm.logpdf(m, scale=np.sqrt(sigma_x_sq + v))
     log_spike = np.log1p(-rho) + norm.logpdf(m, scale=np.sqrt(v))
