@@ -162,7 +162,8 @@ def x_posterior_spike_slab(m, v, prior_llr, sigma_x_sq) -> tuple[Moments, np.nda
     as the prior log-odds log(rho / (1 - rho)).
 
     Returns the moments and the posterior activity probability pi. Prior
-    log-odds of -inf or +inf give pi exactly 0 or 1.
+    log-odds of -inf or +inf give pi exactly 0 or 1. The slab moments are
+    z_posterior_awgn's: N(0, sigma_x_sq) observed as m through noise of variance v.
     """
     if np.any(v <= 0):
         raise InvalidParameter("v must be positive")

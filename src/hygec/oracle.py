@@ -62,9 +62,9 @@ def denoiser_parity(draws: int) -> tuple[float, float, float, float, float]:
 
     The linear and quantized-cell denoisers are checked against
     `quad_z_posterior` on a 50 001-point grid (absolute mean error, relative
-    variance error); the spike-slab denoiser against a direct two-branch
-    mixture computed in log space. Returns (linear mean, linear var,
-    quantized mean, quantized var, spike-slab).
+    variance error); the spike-slab denoiser, whose slab moments are the linear
+    one's, against a direct two-branch mixture computed in log space. Returns
+    (linear mean, linear var, quantized mean, quantized var, spike-slab).
     """
     from scipy.special import logsumexp, ndtr
 
