@@ -24,6 +24,8 @@ from .types import (
 
 DAMPING = 0.7  # the weight of the new message in every damped refresh
 V_MIN = 1e-11  # the floor of every message variance
+MAX_ITER = 200  # the sweep budget of one run
+TOL = 1e-8  # a run stops once sum((delta x_hat)^2) < TOL * n
 
 
 class FactorizationFailure(HygecError):
@@ -36,16 +38,10 @@ class NonFinite(HygecError):
 
 @dataclass(frozen=True)
 class HygecConfig:
-    max_iter: int = 200
-    tol: float = 1e-8
     v_max: float = 1e11
 
     def __post_init__(self):
         _check_numbers(self)
-        if self.max_iter < 1:
-            raise InvalidParameter("max_iter must be positive")
-        if not self.tol > 0:
-            raise InvalidParameter("tol must be positive")
         if not self.v_max > V_MIN:
             raise InvalidParameter(f"v_max must exceed V_MIN = {V_MIN:g}")
 
@@ -201,8 +197,8 @@ def hygec_run(
     cfg: HygecConfig = HygecConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RecoveryReport]:
     """Run sweeps from a fresh state of five `Moments` messages, each updated by
-    the one refresh rule `_refresh`, until the posterior mean stops moving or
-    the budget runs out.
+    the one refresh rule `_refresh`, until a sweep's squared step of the posterior
+    mean falls below `TOL` * n, or for `MAX_ITER` sweeps.
 
     Returns (m_x_lik, v_x_lik, llr_hat, x_hat, report): the halves of the
     x-likelihood message, the per-element prior activity log-odds of the last
@@ -216,7 +212,7 @@ def hygec_run(
         raise InvalidParameter("rho must lie in (0, 1)")
     state = init_state(inst, rho, cfg)
     report = RecoveryReport(rho_trace=[rho])
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         x_prev = state.x_post.mean
         try:
             hygec_sweep(state, inst, rho, cfg)
@@ -226,7 +222,7 @@ def hygec_run(
             break
         if inst.x_true is not None and (err := nmse(state.x_post.mean, inst.x_true)) is not None:
             report.nmse_trace.append(err)
-        if float(np.sum((state.x_post.mean - x_prev) ** 2)) < cfg.tol * inst.n:
+        if float(np.sum((state.x_post.mean - x_prev) ** 2)) < TOL * inst.n:
             report.termination = CONVERGED
             break
 

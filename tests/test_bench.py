@@ -119,12 +119,10 @@ def test_scenario_validation():
     # refuses a wrong-typed value itself, and a scenario file's error names the block
     base = dict(name="iteration-trace", m=20, n=30, k=6, rho=0.2, snr_db=15.0, seeds=[0])
     for name, bad in (
-        ("engine.max_iter", dict(max_iter=1.5)),
-        ("engine.max_iter", dict(max_iter=math.inf)),
-        ("engine.max_iter", dict(max_iter=True)),
-        ("engine.max_iter", dict(max_iter="200")),
-        ("engine.tol", dict(tol=math.nan)),
         ("engine.v_max", dict(v_max=math.inf)),
+        ("engine.v_max", dict(v_max=True)),
+        ("engine.v_max", dict(v_max="1e11")),
+        ("engine.v_max", dict(v_max=math.nan)),
         ("em.max_outer", dict(max_outer=2.5)),
         ("em.max_outer", dict(max_outer=True)),
     ):
@@ -133,9 +131,12 @@ def test_scenario_validation():
             (HygecConfig if block == "engine" else EmConfig)(**bad)
         with pytest.raises(InvalidParameter, match=f"^{name} must be a finite "):
             Scenario.from_dict({**base, block: bad})
-    # damping, v_min and EM's tol are the constants DAMPING, V_MIN and RATE_TOL:
-    # a block that writes one is refused by name, whatever the value
+    # damping, v_min, max_iter, tol and EM's tol are the constants DAMPING, V_MIN,
+    # MAX_ITER, TOL and RATE_TOL: a block that writes one is refused by name, whatever
+    # the value
     for block, name, value in (("engine", "damping", True), ("engine", "v_min", 1e-11),
+                               ("engine", "max_iter", 500), ("engine", "max_iter", 1.5),
+                               ("engine", "tol", 1e-6), ("engine", "tol", math.nan),
                                ("em", "tol", math.inf), ("em", "tol", math.nan)):
         with pytest.raises(InvalidParameter, match=rf"^unknown {block} fields: \['{name}'\]$"):
             Scenario.from_dict({**base, block: {name: value}})
@@ -278,13 +279,13 @@ def test_scenario_from_dict():
             "algorithms": ["em-hygec"],
             "sweep_param": "kappa",
             "sweep_values": [1.0, 10.0],
-            "engine": {"max_iter": 7},
+            "engine": {"v_max": 1e4},
             "em": {"max_outer": 3},
         }
     )
     assert sc.seeds == (0, 1)
     assert sc.sweep_values == (1.0, 10.0)
-    assert sc.engine.max_iter == 7
+    assert sc.engine.v_max == 1e4
     assert sc.em.max_outer == 3
     with pytest.raises(InvalidParameter):
         Scenario.from_dict({"name": "custom", "m": 4, "n": 8, "k": 2, "rho": 0.1,
@@ -371,7 +372,7 @@ def test_recipe_is_what_build_instance_reads():
               "algorithms": dict(algorithms=("em-hygec",)),
               "sweep_param": dict(sweep_param="mean", sweep_values=(0.5,)),
               "sweep_values": dict(sweep_param="kappa", sweep_values=(10.0,)),
-              "rho_init": dict(rho_init=0.05), "engine": dict(engine=HygecConfig(max_iter=3)),
+              "rho_init": dict(rho_init=0.05), "engine": dict(engine=HygecConfig(v_max=1e4)),
               "em": dict(em=EmConfig(max_outer=2))}
     assert sorted(recipe) == sorted(RECIPE)
     assert set(others) == {f.name for f in dataclasses.fields(Scenario)} - set(RECIPE)

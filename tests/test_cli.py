@@ -7,7 +7,8 @@ import pytest
 
 from hygec.bench import RECIPE, build_instance, import_instance, run_trial, Scenario
 from hygec.cli import MAX_SEEDS, _parse_seeds, main
-from hygec.engine import hygec_run
+from hygec.em import EmConfig, em_hygec_run
+from hygec.engine import HygecConfig
 from hygec.types import NUMERICAL_FAILURE, InvalidParameter
 
 
@@ -79,13 +80,21 @@ def test_run_seeds_override(tmp_path):
     assert seeds == {"0", "1"}
 
 
-def test_run_seeds_override_keeps_nested_options(tmp_path):
-    sc = _scenario_file(tmp_path, seeds=[5], engine={"max_iter": 1})
+def test_run_seeds_override_keeps_nested_options(tmp_path, monkeypatch):
+    sc = _scenario_file(tmp_path, seeds=[5], algorithms=["em-hygec"],
+                        engine={"v_max": 1e4}, em={"max_outer": 1})
     out = tmp_path / "rows.csv"
+    blocks = []
+
+    def spy(inst, rho_init, cfg, em_cfg):
+        blocks.append((cfg, em_cfg))
+        return em_hygec_run(inst, rho_init, cfg, em_cfg)
+
+    monkeypatch.setattr("hygec.bench.em_hygec_run", spy)
     assert main(["run", sc, "--seeds", "0", "--out", str(out)]) == 0
+    assert blocks == [(HygecConfig(v_max=1e4), EmConfig(max_outer=1))]  # one trial
     rows = out.read_text().splitlines()[1:]
-    assert len(rows) == 1  # one trial of one sweep
-    assert rows[0].split(",")[1] == "0"
+    assert {row.split(",")[1] for row in rows} == {"0"}
 
 
 def test_run_emits_json_to_stdout(tmp_path, capsys):
@@ -265,15 +274,14 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         assert main(["run", str(bad), "--threads", "1"]) == 2, key
         assert f"error: {key} must be " in capsys.readouterr().err
     # the nested engine and EM options are typed the same way; 1e400 reads as inf
-    for key, text in (("engine.max_iter", '"engine": {"max_iter": 1.5}'),
-                      ("engine.max_iter", '"engine": {"max_iter": 1e400}'),
-                      ("engine.max_iter", '"engine": {"max_iter": true}'),
+    for key, text in (("engine.v_max", '"engine": {"v_max": 1e400}'),
+                      ("engine.v_max", '"engine": {"v_max": true}'),
                       ("engine.v_max", '"engine": {"v_max": Infinity}'),
                       ("em.max_outer", '"em": {"max_outer": 2.5}'),
                       ("em.max_outer", '"em": {"max_outer": true}'),
                       # a block's own range checks must not fire first
-                      ("engine.max_iter", '"engine": {"max_iter": "200"}'),
-                      ("engine.tol", '"engine": {"tol": NaN}'),
+                      ("engine.v_max", '"engine": {"v_max": "1e11"}'),
+                      ("engine.v_max", '"engine": {"v_max": NaN}'),
                       ("em.max_outer", '"em": {"max_outer": NaN}')):
         bad.write_text(json.dumps({**base, "algorithms": ["em-hygec"]})[:-1] + ", " + text + "}")
         assert main(["run", str(bad), "--threads", "1"]) == 2, text
@@ -282,16 +290,20 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
 
 def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
     # p_z_init, x_var_init and EM's warm_start (every inner run now starts
-    # cold) are gone, and so are damping, v_min and EM's tol (now the constants
-    # DAMPING, V_MIN and RATE_TOL); a scenario that still sets one must fail and
-    # name it, never run with the option silently ignored
+    # cold) are gone, and so are damping, v_min, max_iter, tol and EM's tol (now
+    # the constants DAMPING, V_MIN, MAX_ITER, TOL and RATE_TOL); a scenario that
+    # still sets one must fail and name it, never run with the option silently
+    # ignored, and write no output
+    out = tmp_path / "rows.csv"
     for block, knob, value in (("engine", "p_z_init", 7.0), ("engine", "x_var_init", "literal"),
                                ("em", "warm_start", True), ("engine", "damping", 0.7),
                                ("engine", "damping", True), ("engine", "v_min", 1e-11),
+                               ("engine", "max_iter", 500), ("engine", "tol", 1e-6),
                                ("em", "tol", 1e-6), ("em", "tol", math.inf)):
         sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **{block: {knob: value}})
-        assert main(["run", sc]) == 2, knob
+        assert main(["run", sc, "--out", str(out)]) == 2, knob
         assert f"error: unknown {block} fields: ['{knob}']" in capsys.readouterr().err
+        assert not out.exists(), knob
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -377,7 +389,7 @@ def test_gen_refuses_every_field_outside_the_recipe_before_any_draw(tmp_path, ca
     monkeypatch.setattr("hygec.bench.build_instance", no_draw)
     written = {"name": "custom", "seeds": [3], "algorithms": ["em-hygec"],
                "sweep_param": None, "sweep_values": [], "rho_init": 0.05,
-               "engine": {"max_iter": 3}, "em": {"max_outer": 2}}
+               "engine": {"v_max": 1e4}, "em": {"max_outer": 2}}
     others = {f.name for f in dataclasses.fields(Scenario)} - set(RECIPE)
     assert set(written) == others
     spec, out = tmp_path / "spec.json", tmp_path / "x.npz"
@@ -417,10 +429,10 @@ def test_a_repeated_key_exits_two(tmp_path, capsys):
     scenario = head + ', "name": "custom", "seeds": [0], "algorithms": ["em-hygec"]'
     for command, text, key in (
         ("run", scenario + ', "rho": 0.5}', "rho"),
-        ("run", scenario + ', "engine": {"max_iter": 3, "tol": 1e-6, "max_iter": 4}}', "max_iter"),
+        ("run", scenario + ', "engine": {"v_max": 1e4, "v_max": 1e5}}', "v_max"),
         ("run", scenario + ', "em": {"max_outer": 3, "max_outer": 4}}', "max_outer"),
         ("gen", head + ', "rho": 0.5}', "rho"),
-        ("gen", head + ', "engine": {"max_iter": 3, "max_iter": 4}}', "max_iter"),
+        ("gen", head + ', "engine": {"v_max": 1e4, "v_max": 1e5}}', "v_max"),
     ):
         path.write_text(text)
         argv = [command, str(path)] + (["--out", str(out)] if command == "gen" else [])
@@ -644,12 +656,7 @@ def test_check_fails_the_enumeration_check_on_a_nonconverged_seed(capsys, monkey
 def test_check_fails_when_no_enumeration_seed_converges(capsys, monkeypatch):
     # every run capped at one sweep: no seed converges, so there is no error to
     # pool, and the check prints FAIL rather than dividing by zero
-    real_run = hygec_run
-
-    def one_sweep(inst, rho, cfg):
-        return real_run(inst, rho, dataclasses.replace(cfg, max_iter=1))
-
-    monkeypatch.setattr("hygec.oracle.hygec_run", one_sweep)
+    monkeypatch.setattr("hygec.engine.MAX_ITER", 1)
     monkeypatch.setattr("hygec.cli.denoiser_parity", lambda draws: (0.0,) * 5)
     assert main(["check"]) == 1
     *_, last = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

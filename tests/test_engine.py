@@ -51,13 +51,8 @@ def _instance(seed, m, n, k, rho, snr_db, **options):
 
 
 def test_config_validation():
-    for bad in (
-        dict(max_iter=0),
-        dict(tol=0.0),
-        dict(v_max=V_MIN),
-    ):
-        with pytest.raises(InvalidParameter):
-            HygecConfig(**bad)
+    with pytest.raises(InvalidParameter):
+        HygecConfig(v_max=V_MIN)
 
 
 def test_init_state_z_prior_variance():
@@ -440,7 +435,8 @@ def test_lmmse_solves_per_sweep(monkeypatch, bits, per_sweep):
         return lmmse_block(*args)
 
     monkeypatch.setattr("hygec.engine.lmmse_block", counted)
-    _, _, _, _, report = hygec_run(inst, 0.2, HygecConfig(max_iter=4))
+    monkeypatch.setattr("hygec.engine.MAX_ITER", 4)
+    _, _, _, _, report = hygec_run(inst, 0.2)
     assert report.inner_iterations == 4
     assert len(calls) == per_sweep * 4
     assert calls[:per_sweep] == ["x", "z"][:per_sweep]
@@ -508,9 +504,10 @@ def test_run_skips_nmse_trace_for_all_zero_truth():
     assert report.termination == CONVERGED
 
 
-def test_run_honors_iteration_cap():
+def test_run_honors_iteration_cap(monkeypatch):
     inst = _instance(1, 40, 60, 6, 0.2, 18.0)
-    _, _, _, _, report = hygec_run(inst, 0.2, HygecConfig(max_iter=2))
+    monkeypatch.setattr("hygec.engine.MAX_ITER", 2)
+    _, _, _, _, report = hygec_run(inst, 0.2)
     assert report.termination == MAX_ITERATIONS
     assert report.inner_iterations == 2
 
@@ -558,17 +555,39 @@ def test_failed_sweep_is_not_counted():
 
 
 @pytest.mark.parametrize("bits", [None, 2])
-def test_direct_sweeps_and_run_take_one_path(bits):
+def test_direct_sweeps_and_run_take_one_path(monkeypatch, bits):
     # k sweeps from init_state are bitwise the run capped at k sweeps
     inst = _instance(6, 30, 60, 10, 0.2, 15.0, bits=bits)
     k = 7
-    cfg = HygecConfig(max_iter=k, tol=np.finfo(float).tiny)  # a tolerance no sweep meets
+    monkeypatch.setattr("hygec.engine.MAX_ITER", k)
+    monkeypatch.setattr("hygec.engine.TOL", np.finfo(float).tiny)  # a tolerance no sweep meets
+    cfg = HygecConfig()
     st = init_state(inst, 0.2, cfg)
     for _ in range(k):
         hygec_sweep(st, inst, 0.2, cfg)
     _, _, _, x_pos, report = hygec_run(inst, 0.2, cfg)
     assert report.termination == MAX_ITERATIONS
     assert report.inner_counts == [k] == [st.t]
+    assert np.array_equal(x_pos, st.x_post.mean)
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_run_stops_at_the_first_step_below_tol(bits):
+    # the stop rule: a run ends, converged, after the first sweep whose squared
+    # step of the posterior mean, summed over x, is below TOL * n
+    inst = _instance(6, 30, 60, 10, 0.2, 15.0, bits=bits)
+    cfg = HygecConfig()
+    st = init_state(inst, 0.2, cfg)
+    steps = []
+    while not steps or steps[-1] >= engine.TOL * inst.n:
+        assert st.t < engine.MAX_ITER, "no sweep within the budget meets the tolerance"
+        x_prev = st.x_post.mean
+        hygec_sweep(st, inst, 0.2, cfg)
+        steps.append(float(np.sum((st.x_post.mean - x_prev) ** 2)))
+    assert len(steps) > 1  # a stop that an earlier sweep did not already make
+    _, _, _, x_pos, report = hygec_run(inst, 0.2, cfg)
+    assert report.termination == CONVERGED
+    assert report.inner_counts == [len(steps)] == [st.t]
     assert np.array_equal(x_pos, st.x_post.mean)
 
 
@@ -607,7 +626,7 @@ def test_run_matches_exact_posterior_on_tiny_instances():
 
 def test_reproduction_residuals_vanish_at_fixed_point(reproduction_residuals):
     inst = _instance(1, 60, 100, 10, 0.15, 15.0)
-    cfg = HygecConfig(max_iter=120, tol=1e-30)
+    cfg = HygecConfig()
     st = init_state(inst, 0.15, cfg)
     for _ in range(120):
         hygec_sweep(st, inst, 0.15, cfg)
