@@ -37,7 +37,7 @@ SCENARIO_NAMES = ("iteration-trace", "condition-sweep", "mean-sweep", "rho-learn
 ALGORITHMS = ("hygec-known-rho", "em-hygec")
 SWEEP_PARAMS = (None, "kappa", "mean")
 # the fields that build_instance and Scenario.matrix_at read at no sweep point
-RECIPE = ("m", "n", "k", "rho", "snr_db", "bits", "matrix_mean", "kappa", "sigma_x_sq")
+RECIPE = ("m", "n", "k", "rho", "snr_db", "bits", "sigma_x_sq")
 
 CSV_COLUMNS = (
     "scenario", "seed", "sweep_value", "algorithm", "iteration",
@@ -71,9 +71,7 @@ class Scenario:
     seeds: tuple[int, ...]
     algorithms: tuple[str, ...] = ("hygec-known-rho",)
     bits: int | None = None  # None: plain linear-noise channel
-    matrix_mean: float = 0.0
-    kappa: float | None = None  # None: an i.i.d. matrix; a value or a kappa sweep: conditioned
-    sweep_param: str | None = None
+    sweep_param: str | None = None  # kappa: a conditioned matrix; mean: a shifted i.i.d. one
     sweep_values: tuple[float, ...] = ()
     sigma_x_sq: float = 1.0
     rho_init: float = 0.01
@@ -113,27 +111,16 @@ class Scenario:
             raise InvalidParameter("sweep_values needs a sweep_param")
         if self.sweep_param is not None and not self.sweep_values:  # it would run no trial
             raise InvalidParameter(f"sweep_param {self.sweep_param!r} needs sweep_values")
-        # a sweep sets its own parameter at every point
-        if self.sweep_param == "kappa" and self.kappa is not None:
-            raise InvalidParameter("a kappa sweep sets kappa at every point; drop kappa")
-        if self.sweep_param == "mean" and self.matrix_mean != 0.0:
-            raise InvalidParameter("a mean sweep sets matrix_mean at every point; drop matrix_mean")
         for value in self.sweep_values or (None,):  # each point's matrix, before any trial
             self.matrix_at(value)
 
     def matrix_at(self, sweep_value: float | None) -> tuple[MatrixSpec, float]:
         """The matrix a trial draws at one sweep point (None: no sweep): its `MatrixSpec`,
         which checks the shape and kappa, and the constant added to an i.i.d. draw."""
-        kappa, mean = self.kappa, self.matrix_mean
         if self.sweep_param == "kappa" and sweep_value is not None:
-            kappa = float(sweep_value)
-        if self.sweep_param == "mean" and sweep_value is not None:
-            mean = float(sweep_value)
-        if kappa is None:
-            return MatrixSpec("iid", self.m, self.n), mean
-        if self.sweep_param == "mean" or mean != 0.0:
-            raise InvalidParameter("a conditioned matrix takes no matrix mean")
-        return MatrixSpec("conditioned", self.m, self.n, kappa), mean
+            return MatrixSpec("conditioned", self.m, self.n, float(sweep_value)), 0.0
+        mean = float(sweep_value) if self.sweep_param == "mean" and sweep_value is not None else 0.0
+        return MatrixSpec("iid", self.m, self.n), mean
 
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
@@ -214,14 +201,14 @@ def draw_instance(scenario: Scenario, sweep_value: float | None, rng_matrix: np.
     groups = GroupStructure.even(scenario.n, scenario.k)
     x, xi = gen_group_sparse_signal(groups, scenario.rho, scenario.sigma_x_sq, rng_signal)
 
-    try:  # the noise variance and clip range are derived: name the fields that were written
+    try:  # the noise variance and clip range are derived: name what sets them
         if scenario.bits is None:
             channel = Channel.linear_awgn(noise_var)
         else:
             clip = default_clip_range(H, scenario.rho, scenario.sigma_x_sq, noise_var)
             channel = Channel.quantized(noise_var, scenario.bits, clip)
     except InvalidParameter as exc:
-        raise InvalidParameter(f"sigma_x_sq {scenario.sigma_x_sq:g} and matrix_mean {mean:g} "
+        raise InvalidParameter(f"sigma_x_sq {scenario.sigma_x_sq:g} and matrix mean {mean:g} "
                                f"give a channel float64 cannot hold ({exc})") from exc
 
     y = apply_channel(H, x, channel, rng_noise)

@@ -60,7 +60,7 @@ def _scenario(**overrides):
 
 def test_scenario_validation():
     _scenario()  # baseline is valid
-    _scenario(kappa=10.0)  # a written kappa draws a conditioned matrix
+    _scenario(sweep_param="kappa", sweep_values=(10.0,))  # a one-point sweep sets one kappa
     _scenario(sweep_param="kappa", sweep_values=(1.0, 10.0))
     for bad in (
         dict(name="made-up"),
@@ -76,13 +76,6 @@ def test_scenario_validation():
         dict(sweep_values=(1.0, 10.0)),  # no sweep_param
         dict(sweep_param="kappa"),  # no sweep_values: no trial would run
         dict(sweep_param="mean"),
-        dict(kappa=10.0, sweep_param="mean", sweep_values=(0.0, 0.1)),
-        dict(kappa=10.0, matrix_mean=0.1),
-        dict(sweep_param="kappa", sweep_values=(1.0, 10.0), matrix_mean=0.1),
-        # a sweep overrides the scenario's own value at every point
-        dict(sweep_param="mean", sweep_values=(0.0, 0.1), matrix_mean=0.05),
-        dict(sweep_param="kappa", sweep_values=(1.0, 10.0), kappa=50.0),
-        dict(sweep_param="kappa", sweep_values=(1.0, 10.0), kappa=1.0),
         # values of the wrong type, as a JSON file can hold them
         dict(seeds="ab"),
         dict(seeds=(0.5,)),
@@ -93,9 +86,9 @@ def test_scenario_validation():
         dict(sweep_param="mean", sweep_values=("x",)),
         dict(bits=2.5),
         # refused at load, though a later layer owns the rule
-        dict(kappa=0.5),
+        dict(sweep_param="kappa", sweep_values=(0.5,)),
         dict(sweep_param="kappa", sweep_values=(1.0, 10.0, 0.5)),  # the last point
-        dict(m=1, kappa=2.0),
+        dict(m=1, sweep_param="kappa", sweep_values=(2.0,)),
         dict(bits=0),
         dict(bits=20),
         dict(sigma_x_sq=-1.0),
@@ -106,11 +99,10 @@ def test_scenario_validation():
     # JSON reads NaN and Infinity as floats; each must be refused by name
     for name, bad in (
         ("snr_db", dict(snr_db=-float("inf"))),
-        ("matrix_mean", dict(matrix_mean=float("nan"))),
         ("sigma_x_sq", dict(sigma_x_sq=float("inf"))),
         ("rho", dict(rho=float("nan"))),
         ("rho_init", dict(rho_init=float("nan"))),
-        ("kappa", dict(kappa=float("inf"))),
+        ("sweep_values", dict(sweep_param="kappa", sweep_values=(float("inf"),))),
         ("sweep_values", dict(sweep_param="mean", sweep_values=(0.0, float("nan")))),
     ):
         with pytest.raises(InvalidParameter, match=name):
@@ -239,6 +231,13 @@ def test_readme_scenario_table_names_the_dataclass_fields():
         assert set(names[f"`{block}`"]) == {f.name for f in dataclasses.fields(cls)}, block
 
 
+def test_readme_gen_sentence_names_the_recipe_fields():
+    # README lists by hand the fields a gen spec takes; they are RECIPE's, in its order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("(`hygec.bench.RECIPE`):", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(RECIPE)
+
+
 def test_readme_error_table_names_every_error_class():
     # one row per HygecError subclass the package defines, each with its handling
     modules = [importlib.import_module(f"hygec.{m.name}")
@@ -310,14 +309,16 @@ def test_scenario_from_json(tmp_path):
 
 
 def test_matrix_at_resolves_each_sweep_point():
+    # a kappa sweep conditions the matrix at every point, kappa 1 included; a mean sweep
+    # shifts an i.i.d. one; with no sweep point the matrix is i.i.d. with zero mean
     assert _scenario().matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
-    assert _scenario(kappa=10.0).matrix_at(None) == (
-        MatrixSpec("conditioned", 20, 30, 10.0), 0.0)
-    assert _scenario(kappa=1.0).matrix_at(None) == (MatrixSpec("conditioned", 20, 30, 1.0), 0.0)
     kappa_sweep = _scenario(sweep_param="kappa", sweep_values=(1, 100))
+    assert kappa_sweep.matrix_at(1) == (MatrixSpec("conditioned", 20, 30, 1.0), 0.0)
     assert kappa_sweep.matrix_at(100) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
     mean_sweep = _scenario(sweep_param="mean", sweep_values=(0.0, 0.2))
     assert mean_sweep.matrix_at(0.2) == (MatrixSpec("iid", 20, 30), 0.2)
+    for sweep in (kappa_sweep, mean_sweep):
+        assert sweep.matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
 
 
 def test_build_instance_is_deterministic():
@@ -365,9 +366,7 @@ def test_recipe_is_what_build_instance_reads():
     # each recipe field, changed to another valid value, changes the drawn instance;
     # any other Scenario field leaves it bitwise equal
     recipe = {"m": dict(m=24), "n": dict(n=36), "k": dict(k=5), "rho": dict(rho=0.3),
-              "snr_db": dict(snr_db=20.0), "bits": dict(bits=2),
-              "matrix_mean": dict(matrix_mean=0.5), "kappa": dict(kappa=10.0),
-              "sigma_x_sq": dict(sigma_x_sq=2.0)}
+              "snr_db": dict(snr_db=20.0), "bits": dict(bits=2), "sigma_x_sq": dict(sigma_x_sq=2.0)}
     others = {"name": dict(name="custom"), "seeds": dict(seeds=(7, 8)),
               "algorithms": dict(algorithms=("em-hygec",)),
               "sweep_param": dict(sweep_param="mean", sweep_values=(0.5,)),

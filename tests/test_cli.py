@@ -131,7 +131,7 @@ def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatc
                         sweep_values=[0.0, 0.1, 1e160])
     out = tmp_path / "out.json"
     assert main(["run", sc, "--format", "json", "--out", str(out)]) == 2
-    assert "matrix_mean 1e+160 give a channel float64 cannot hold" in capsys.readouterr().err
+    assert "matrix mean 1e+160 give a channel float64 cannot hold" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
 
@@ -267,7 +267,7 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     # Python's json reads NaN and Infinity; the run must refuse them by name
     base = {"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2, "snr_db": 18.0, "seeds": [0]}
-    for key, value in (("snr_db", -math.inf), ("matrix_mean", math.nan), ("sigma_x_sq", math.inf),
+    for key, value in (("snr_db", -math.inf), ("rho", math.nan), ("sigma_x_sq", math.inf),
                        ("sweep_values", [0.0, math.nan])):
         extra = {"sweep_param": "mean"} if key == "sweep_values" else {}
         bad.write_text(json.dumps({**base, **extra, key: value}))
@@ -315,7 +315,7 @@ def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
     ("engine", [1, 2], "engine must be an object, not [1, 2]"),
     ("engine", None, "engine must be an object, not None"),
     ("engine", {"v_max": 1e-12}, "engine.v_max must exceed V_MIN = 1e-11"),
-    # a written kappa or a kappa sweep is what makes a matrix conditioned
+    # a kappa sweep is what makes a matrix conditioned
     ("matrix_kind", "conditioned", "unknown scenario fields: ['matrix_kind']"),
 ], ids=["algorithms_text", "seeds_text", "sweep_values_number", "engine_unknown_key",
         "em_unknown_key", "engine_list", "engine_null", "engine_v_range", "matrix_kind"])
@@ -325,6 +325,22 @@ def test_run_names_a_wrong_shaped_field(tmp_path, capsys, field, value, message)
     extra = {"sweep_param": "mean"} if field == "sweep_values" else {}
     assert main(["run", _scenario_file(tmp_path, **extra, **{field: value})]) == 2
     assert capsys.readouterr().err.strip().endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("field, value", [("kappa", 10), ("matrix_mean", 0.1)])
+def test_run_and_gen_refuse_a_fixed_kappa_or_matrix_mean(tmp_path, capsys, field, value):
+    # a kappa or mean sweep is what sets either; a file that writes one as a field is
+    # refused by name and writes no file, never run on an i.i.d. zero-mean matrix
+    recipe = {"m": 20, "n": 40, "k": 4, "rho": 0.25, "snr_db": 15.0, field: value}
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(recipe))
+    for argv, message in (
+            (["run", _scenario_file(tmp_path, **recipe), "--out", str(out)],
+             f"unknown scenario fields: ['{field}']"),
+            (["gen", str(spec), "--out", str(out)], f"gen draws at --seed; a spec takes no {field}")):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+        assert not out.exists(), argv
 
 
 def test_gen_missing_spec_exits_two(tmp_path, capsys):
@@ -410,7 +426,7 @@ def test_gen_refuses_every_field_outside_the_recipe_before_any_draw(tmp_path, ca
 
 def test_gen_reads_every_recipe_field(tmp_path, capsys):
     recipe = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0, "bits": 2,
-              "matrix_mean": 0.0, "kappa": 10.0, "sigma_x_sq": 2.0}
+              "sigma_x_sq": 2.0}
     assert sorted(recipe) == sorted(RECIPE)
     spec, out = tmp_path / "spec.json", tmp_path / "x.npz"
     spec.write_text(json.dumps(recipe))
@@ -473,9 +489,7 @@ def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkey
     monkeypatch.setattr("hygec.bench.run_trial", no_trial)
     for message, overrides in (
         ("kappa must lie in [1, 1e+14], not 0.5", dict(sweep_param="kappa", sweep_values=[1, 10, 0.5])),
-        ("a 1-row matrix cannot have kappa > 1", dict(m=1, kappa=2)),
-        ("a kappa sweep sets kappa at every point; drop kappa",
-         dict(sweep_param="kappa", sweep_values=[1, 10], kappa=1)),
+        ("a 1-row matrix cannot have kappa > 1", dict(m=1, sweep_param="kappa", sweep_values=[2])),
         ("need m <= n", dict(m=40)),
         ("matrix dimensions must be positive", dict(m=0)),
         ("quantized channel needs 1 <= bits <= 16", dict(bits=20)),
@@ -493,16 +507,23 @@ def test_run_and_gen_refuse_what_float64_cannot_draw_at_load(tmp_path, capsys, m
     # 10^(snr_db/10) overflows at 3100 dB and is 0.0 at -3300 dB; at -3200 dB the noise
     # variance overflows instead. kappa 1e200 overflows the spectrum's sum of squares, and
     # at 1e16 the drawn condition number is no longer kappa. The bounds of snr_db
-    # (+-300 dB) and kappa (1e14) refuse each by name before any draw
+    # (+-300 dB) and kappa (1e14) refuse each by name before any draw. A kappa sweep
+    # sets kappa, so kappa runs as a one-point sweep, which gen does not draw
     def no_draw(*args):
         raise AssertionError("an instance was drawn")
 
     monkeypatch.setattr("hygec.bench.build_instance", no_draw)
-    recipe = {"m": 20, "n": 40, "k": 8, "rho": 0.25, "snr_db": 10.0, field: value}
+    recipe = {"m": 20, "n": 40, "k": 8, "rho": 0.25, "snr_db": 10.0}
     spec, out = tmp_path / "spec.json", tmp_path / "out"
-    spec.write_text(json.dumps(recipe))
-    scenario = _scenario_file(tmp_path, **recipe)
-    for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
+    if field == "kappa":
+        argvs = [["run", _scenario_file(tmp_path, **recipe, sweep_param="kappa",
+                                        sweep_values=[value]), "--out", str(out)]]
+    else:
+        recipe[field] = value
+        spec.write_text(json.dumps(recipe))
+        argvs = [["gen", str(spec), "--out", str(out)],
+                 ["run", _scenario_file(tmp_path, **recipe), "--out", str(out)]]
+    for argv in argvs:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: {field} must "), argv
         assert not out.exists(), argv
@@ -522,16 +543,19 @@ class _NoRoom:
 ])
 def test_run_and_gen_refuse_a_matrix_numpy_cannot_draw(tmp_path, capsys, monkeypatch,
                                                        m, n, kappa, no_room):
-    # a MemoryError is only simulated: no test asks numpy for an array it might really commit
+    # a MemoryError is only simulated: no test asks numpy for an array it might really commit.
+    # A conditioned matrix is a one-point kappa sweep, which gen does not draw
     if no_room:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoRoom())
     recipe = {"m": m, "n": n, "k": 1, "rho": 0.25, "snr_db": 10.0}
-    if kappa is not None:
-        recipe["kappa"] = kappa
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(json.dumps(recipe))
-    scenario = _scenario_file(tmp_path, **recipe)
-    for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
+    argvs = [["gen", str(spec), "--out", str(out)],
+             ["run", _scenario_file(tmp_path, **recipe), "--out", str(out)]]
+    if kappa is not None:
+        argvs = [["run", _scenario_file(tmp_path, **recipe, sweep_param="kappa",
+                                        sweep_values=[kappa]), "--out", str(out)]]
+    for argv in argvs:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: cannot draw a {m} x {n} matrix: "), argv
         assert not out.exists(), argv
@@ -539,20 +563,24 @@ def test_run_and_gen_refuse_a_matrix_numpy_cannot_draw(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("written, derived", [
     ({"sigma_x_sq": 1e308}, "noise_var must be a finite float, not inf"),
-    ({"bits": 2, "matrix_mean": 1e160}, "clip_range must be a finite float, not inf"),
+    ({"bits": 2, "sweep_param": "mean", "sweep_values": [1e160]},
+     "clip_range must be a finite float, not inf"),
 ], ids=["sigma_x_sq", "matrix_mean"])
 def test_run_and_gen_name_the_fields_of_a_channel_float64_cannot_hold(tmp_path, capsys,
                                                                        written, derived):
     # the draw derives the noise variance and the clip range; when either overflows, the
-    # refusal names the fields the user wrote, not only the derived one
+    # refusal names what the user wrote, sigma_x_sq and the swept matrix mean, not only
+    # the derived value. gen draws no sweep, so the mean runs through run alone
     recipe = {"m": 20, "n": 40, "k": 4, "rho": 0.25, "snr_db": 15.0, **written}
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(json.dumps(recipe))
-    scenario = _scenario_file(tmp_path, **recipe)
-    sigma_x_sq, mean = written.get("sigma_x_sq", 1.0), written.get("matrix_mean", 0.0)
-    message = (f"error: sigma_x_sq {sigma_x_sq:g} and matrix_mean {mean:g} give a channel "
+    argvs = [["run", _scenario_file(tmp_path, **recipe), "--out", str(out)]]
+    if "sweep_param" not in written:
+        argvs.insert(0, ["gen", str(spec), "--out", str(out)])
+    sigma_x_sq, (mean,) = written.get("sigma_x_sq", 1.0), written.get("sweep_values", [0.0])
+    message = (f"error: sigma_x_sq {sigma_x_sq:g} and matrix mean {mean:g} give a channel "
                f"float64 cannot hold ({derived})\n")
-    for argv in (["gen", str(spec), "--out", str(out)], ["run", scenario, "--out", str(out)]):
+    for argv in argvs:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == message, argv
         assert not out.exists(), argv

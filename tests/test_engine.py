@@ -531,8 +531,8 @@ def test_run_records_a_zero_posterior_variance_as_numerical_failure(seed):
     # divides by it under its errstate, so the run records the failure instead of
     # raising the warning under the suite's warnings-as-errors
     sc = Scenario(name="custom", m=20, n=40, k=4, rho=0.25, snr_db=15.0, seeds=(0,),
-                  matrix_mean=1e160)
-    _, _, _, _, report = hygec_run(build_instance(sc, seed, None), 0.25)
+                  sweep_param="mean", sweep_values=(1e160,))
+    _, _, _, _, report = hygec_run(build_instance(sc, seed, 1e160), 0.25)
     assert report.termination == NUMERICAL_FAILURE
     assert report.failure.startswith("NonFinite in sweep 1: "), report.failure
 
