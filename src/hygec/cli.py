@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
         for line in _summary_lines(summary):
             print(line)
     failures = sum(s["failures"] for s in summary)
-    if failures and not args.allow_failures:
+    if failures:
         print(f"{failures} trial(s) hit {NUMERICAL_FAILURE}", file=sys.stderr)
         return 1
     return 0
@@ -115,10 +115,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="output path (default: print to stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument(
-        "--allow-failures", action="store_true",
-        help="exit 0 even when trials end in numerical_failure",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate one instance file from a spec")

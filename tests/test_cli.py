@@ -115,7 +115,7 @@ def test_run_json_rows_name_the_numerical_failure(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr("hygec.bench.build_instance", overflowing)
     sc = _scenario_file(tmp_path)
     with np.errstate(all="ignore"):
-        assert main(["run", sc, "--format", "json", "--allow-failures"]) == 0
+        assert main(["run", sc, "--format", "json"]) == 1  # the rows are still written
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert row["terminated"] == NUMERICAL_FAILURE
     assert row["failure"].startswith(("FactorizationFailure in sweep 1: ",
@@ -594,9 +594,17 @@ def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):
     }
     monkeypatch.setattr("hygec.bench.run_scenario", lambda sc, threads=1: [bad_row])
     sc = _scenario_file(tmp_path)
-    assert main(["run", sc, "--out", str(tmp_path / "a.csv")]) == 1
-    assert "numerical_failure" in capsys.readouterr().err
-    assert main(["run", sc, "--allow-failures", "--out", str(tmp_path / "b.csv")]) == 0
+    out = tmp_path / "a.csv"
+    assert main(["run", sc, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "1 trial(s) hit numerical_failure" in captured.err
+    assert "failures=1" in captured.out
+    header, row = out.read_text().splitlines()  # the failed trial's row is still written
+    assert row.split(",")[header.split(",").index("terminated")] == NUMERICAL_FAILURE
+    with pytest.raises(SystemExit) as exc:  # no flag turns the failure into exit 0
+        main(["run", sc, "--allow-failures", "--out", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_gen_round_trips_through_import(tmp_path, capsys):
