@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm, truncnorm
 
+from hygec.bench import Scenario, build_instance, draw_instance
+from hygec.denoisers import x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
 from hygec.engine import nmse
 from hygec.ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix
 from hygec.oracle import enumeration_parity, exact_posterior_small, quad_z_posterior
@@ -168,6 +172,81 @@ def test_exact_posterior_is_invariant_to_group_relabelling():
     assert np.max(np.abs(r_var - x_var[perm])) < 1e-12
     assert np.max(np.abs(r_post - xi_post[::-1])) < 1e-12
     assert 0.01 < np.min(xi_post) and np.max(xi_post) < 0.99  # the groups are not decided
+
+
+def _rel(got, want) -> float:
+    # the worst elementwise relative error
+    return float(np.max(np.abs(np.asarray(got) - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e3])
+def test_posteriors_and_draws_scale_with_the_signal(s):
+    """Scaling the signal, y and every mean by s, and every variance by s**2, scales
+    each posterior mean by s and each variance by s**2 and leaves every activity and
+    cell index alone: in the scalar denoisers, the exact enumeration and the draw.
+
+    The engine is left out: its variance clamps V_MIN and v_max and its stop bound
+    TOL are absolute, so a scaled run is not the same run until they scale too."""
+    s2 = s * s
+    rng = np.random.default_rng(5)
+    count = 2000
+    v, nv = 10.0 ** rng.uniform(-3, 3, (2, count))
+    m = rng.uniform(-5, 5, count)
+    y = m + rng.standard_normal(count) * np.sqrt(v + nv)
+    one, scaled = z_posterior_awgn(y, m, v, nv), z_posterior_awgn(s * y, s * m, s2 * v, s2 * nv)
+    assert _rel(scaled.mean, s * one.mean) < 1e-12
+    assert _rel(scaled.var, s2 * one.var) < 1e-12
+
+    # every cell of a 3-bit quantizer, the two with an infinite edge included, within
+    # reach of the prior: a cell slid to the clamp distance moves by up to 8e-12
+    edges = Channel.quantized(0.3, 3, 2.0).edges
+    cell = rng.integers(0, 8, count)
+    lower, upper = edges[cell], edges[cell + 1]
+    assert np.isinf(lower).any() and np.isinf(upper).any()
+    m = rng.uniform(-3, 3, count)
+    v = 10.0 ** rng.uniform(-2, 1, count)
+    one = z_posterior_cell(lower, upper, m, v, 0.3)
+    scaled = z_posterior_cell(s * lower, s * upper, s * m, s2 * v, s2 * 0.3)
+    assert _rel(scaled.mean, s * one.mean) < 1e-12
+    assert _rel(scaled.var, s2 * one.var) < 1e-12
+
+    v, sigma_x_sq = 10.0 ** rng.uniform(-2, 1, count), 10.0 ** rng.uniform(-1, 1, count)
+    m = rng.standard_normal(count) * np.sqrt(v + sigma_x_sq * (rng.random(count) < 0.5))
+    llr = rng.uniform(-5, 5, count)
+    one, pi = x_posterior_spike_slab(m, v, llr, sigma_x_sq)
+    scaled, pi_scaled = x_posterior_spike_slab(s * m, s2 * v, llr, s2 * sigma_x_sq)
+    assert _rel(scaled.mean, s * one.mean) < 1e-12
+    assert _rel(scaled.var, s2 * one.var) < 1e-12
+    assert _rel(pi_scaled, pi) < 1e-12
+
+    # the tiny instances of acceptance criterion 2, drawn as enumeration_parity draws them
+    tiny = Scenario(name="custom", m=10, n=12, k=6, rho=0.1, snr_db=15.0, seeds=(0,))
+    for seed in range(3):
+        inst = draw_instance(tiny, None, *[np.random.default_rng(seed)] * 3)
+        moved = ProblemInstance(inst.H, s * inst.y, inst.groups,
+                                Channel.linear_awgn(s2 * inst.channel.noise_var),
+                                s2 * inst.sigma_x_sq, s * inst.x_true, inst.xi_true, inst.true_rho)
+        x_mean, x_var, xi_post = exact_posterior_small(inst, 0.1, 1.0)
+        s_mean, s_var, s_post = exact_posterior_small(moved, 0.1, s2)
+        assert _rel(s_mean, s * x_mean) < 1e-12, seed
+        assert _rel(s_var, s2 * x_var) < 1e-12, seed
+        assert _rel(s_post, xi_post) < 1e-12, seed
+
+    # sigma_x_sq s**2 draws the same matrix and s times the signal; the noise is
+    # calibrated to the signal, so the linear y scales and a 2-bit y keeps its cells
+    base = Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=15.0, seeds=(0,))
+    for bits in (None, 2):
+        one = build_instance(dataclasses.replace(base, bits=bits), 3, None)
+        scaled = build_instance(dataclasses.replace(base, bits=bits, sigma_x_sq=s2), 3, None)
+        assert np.array_equal(scaled.H, one.H), bits
+        assert np.array_equal(scaled.x_true, s * one.x_true), bits
+        assert np.array_equal(scaled.xi_true, one.xi_true), bits
+        assert _rel(scaled.channel.noise_var, s2 * one.channel.noise_var) < 1e-12, bits
+        if bits is None:
+            assert _rel(scaled.y, s * one.y) < 1e-12
+        else:
+            assert _rel(scaled.channel.clip_range, s * one.channel.clip_range) < 1e-12
+            assert np.array_equal(scaled.y, one.y)
 
 
 def test_nmse_values_and_floor():
