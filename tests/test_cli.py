@@ -549,12 +549,13 @@ def test_run_and_gen_refuse_a_matrix_numpy_cannot_draw(tmp_path, capsys, monkeyp
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoRoom())
     recipe = {"m": m, "n": n, "k": 1, "rho": 0.25, "snr_db": 10.0}
     spec, out = tmp_path / "spec.json", tmp_path / "out"
-    spec.write_text(json.dumps(recipe))
-    argvs = [["gen", str(spec), "--out", str(out)],
-             ["run", _scenario_file(tmp_path, **recipe), "--out", str(out)]]
     if kappa is not None:
         argvs = [["run", _scenario_file(tmp_path, **recipe, sweep_param="kappa",
                                         sweep_values=[kappa]), "--out", str(out)]]
+    else:
+        spec.write_text(json.dumps(recipe))
+        argvs = [["gen", str(spec), "--out", str(out)],
+                 ["run", _scenario_file(tmp_path, **recipe), "--out", str(out)]]
     for argv in argvs:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: cannot draw a {m} x {n} matrix: "), argv
