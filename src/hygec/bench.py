@@ -33,7 +33,6 @@ from .types import (
     _check_numbers,
 )
 
-SCENARIO_NAMES = ("iteration-trace", "condition-sweep", "mean-sweep", "rho-learning", "custom")
 ALGORITHMS = ("hygec-known-rho", "em-hygec")
 SWEEP_PARAMS = (None, "kappa", "mean")
 # the fields that build_instance and Scenario.matrix_at read at no sweep point
@@ -85,8 +84,8 @@ class Scenario:
         for name in ("seeds", "algorithms", "sweep_values"):  # a trial run twice, counted once
             if len(set(values := getattr(self, name))) < len(values):
                 raise InvalidParameter(f"{name} must not repeat, not {values!r}")
-        if self.name not in SCENARIO_NAMES:
-            raise InvalidParameter(f"unknown scenario name {self.name!r}")
+        if not isinstance(self.name, str):  # only a label, but final_rows keys trials by it
+            raise InvalidParameter(f"name must be a string, not {self.name!r}")
         if not self.seeds:
             raise InvalidParameter("scenario needs at least one seed")
         if not self.algorithms:

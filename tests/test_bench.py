@@ -62,8 +62,8 @@ def test_scenario_validation():
     _scenario()  # baseline is valid
     _scenario(sweep_param="kappa", sweep_values=(10.0,))  # a one-point sweep sets one kappa
     _scenario(sweep_param="kappa", sweep_values=(1.0, 10.0))
+    assert _scenario(name="made-up").name == "made-up"  # any string is a label
     for bad in (
-        dict(name="made-up"),
         dict(seeds=()),
         dict(algorithms=()),
         dict(algorithms=("gradient-descent",)),
@@ -77,6 +77,9 @@ def test_scenario_validation():
         dict(sweep_param="kappa"),  # no sweep_values: no trial would run
         dict(sweep_param="mean"),
         # values of the wrong type, as a JSON file can hold them
+        dict(name=["x"]),
+        dict(name=5),
+        dict(name=None),
         dict(seeds="ab"),
         dict(seeds=(0.5,)),
         dict(seeds=(-1,)),
