@@ -114,11 +114,13 @@ class Scenario:
             self.matrix_at(value)
 
     def matrix_at(self, sweep_value: float | None) -> tuple[MatrixSpec, float]:
-        """The matrix a trial draws at one sweep point (None: no sweep): its `MatrixSpec`,
-        which checks the shape and kappa, and the constant added to an i.i.d. draw."""
-        if self.sweep_param == "kappa" and sweep_value is not None:
+        """The matrix a trial draws at one of the scenario's points (None: no sweep; any
+        other is refused): its `MatrixSpec`, which checks the shape and kappa, and the mean."""
+        if sweep_value not in (points := self.sweep_values or (None,)):
+            raise InvalidParameter(f"sweep value {sweep_value!r} is not one of the points {points}")
+        if self.sweep_param == "kappa":
             return MatrixSpec("conditioned", self.m, self.n, float(sweep_value)), 0.0
-        mean = float(sweep_value) if self.sweep_param == "mean" and sweep_value is not None else 0.0
+        mean = float(sweep_value) if self.sweep_param == "mean" else 0.0
         return MatrixSpec("iid", self.m, self.n), mean
 
     @staticmethod

@@ -317,11 +317,17 @@ def test_matrix_at_resolves_each_sweep_point():
     assert _scenario().matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
     kappa_sweep = _scenario(sweep_param="kappa", sweep_values=(1, 100))
     assert kappa_sweep.matrix_at(1) == (MatrixSpec("conditioned", 20, 30, 1.0), 0.0)
-    assert kappa_sweep.matrix_at(100) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
+    assert kappa_sweep.matrix_at(100.0) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
     mean_sweep = _scenario(sweep_param="mean", sweep_values=(0.0, 0.2))
     assert mean_sweep.matrix_at(0.2) == (MatrixSpec("iid", 20, 30), 0.2)
-    for sweep in (kappa_sweep, mean_sweep):
-        assert sweep.matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
+    # any other point is refused by the draw, never drawn as another point's matrix:
+    # None on a sweep, a value with no sweep, a value the sweep does not hold
+    for sweep, point in ((kappa_sweep, None), (mean_sweep, None), (_scenario(), 10.0),
+                         (kappa_sweep, 10.0), (mean_sweep, 0.1)):
+        points = re.escape(str(sweep.sweep_values or (None,)))
+        with pytest.raises(InvalidParameter, match=f"^sweep value {point} is not one of the "
+                                                   f"points {points}$"):
+            build_instance(sweep, 0, point)
 
 
 def test_build_instance_is_deterministic():
@@ -372,8 +378,8 @@ def test_recipe_is_what_build_instance_reads():
               "snr_db": dict(snr_db=20.0), "bits": dict(bits=2), "sigma_x_sq": dict(sigma_x_sq=2.0)}
     others = {"name": dict(name="custom"), "seeds": dict(seeds=(7, 8)),
               "algorithms": dict(algorithms=("em-hygec",)),
-              "sweep_param": dict(sweep_param="mean", sweep_values=(0.5,)),
-              "sweep_values": dict(sweep_param="kappa", sweep_values=(10.0,)),
+              "sweep_param": dict(sweep_param="mean", sweep_values=(0.0,)),
+              "sweep_values": dict(sweep_param="mean", sweep_values=(0.0, 0.5)),
               "rho_init": dict(rho_init=0.05), "engine": dict(engine=HygecConfig(v_max=1e4)),
               "em": dict(em=EmConfig(max_outer=2))}
     assert sorted(recipe) == sorted(RECIPE)
@@ -382,8 +388,9 @@ def test_recipe_is_what_build_instance_reads():
     drawn = _bits(build_instance(base, 3, None))
     for name, change in recipe.items():
         assert _bits(build_instance(dataclasses.replace(base, **change), 3, None)) != drawn, name
-    for name, change in others.items():
-        assert _bits(build_instance(dataclasses.replace(base, **change), 3, None)) == drawn, name
+    for name, change in others.items():  # a mean sweep draws its point 0.0 as no sweep does
+        point = change.get("sweep_values", (None,))[0]
+        assert _bits(build_instance(dataclasses.replace(base, **change), 3, point)) == drawn, name
 
 
 def test_run_trial_repeats_each_rate_over_its_sweeps(monkeypatch):
