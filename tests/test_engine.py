@@ -17,6 +17,7 @@ from hygec.denoisers import (
     x_posterior_spike_slab,
     z_posterior_awgn,
 )
+from hygec.em import em_hygec_run
 from hygec.engine import (
     DAMPING,
     V_MIN,
@@ -31,7 +32,7 @@ from hygec.engine import (
     lmmse_gram,
     nmse,
 )
-from hygec.ensembles import apply_channel, gen_group_sparse_signal
+from hygec.ensembles import apply_channel, gen_group_sparse_signal, haar_orthogonal
 from hygec.oracle import exact_posterior_small
 from hygec.types import (
     CONVERGED,
@@ -608,6 +609,45 @@ def test_run_is_invariant_to_group_relabelling(bits):
         assert report_moved.inner_counts == report.inner_counts, seed
         rel = np.linalg.norm(x_moved - x_pos[perm]) / np.linalg.norm(x_pos)
         assert rel < 1e-12, f"seed {seed}: {rel:.2e}"
+
+
+def test_run_is_invariant_to_a_left_rotation():
+    """(H, y) -> (QH, Qy), Q orthogonal, is the same linear problem: the likelihood
+    ||y - Hx||^2 and the white noise are unchanged. The LMMSE step sees H only through
+    H^T D H and H^T D y, so a run stops at the same sweep, with x_hat and EM's rate
+    equal to rounding; GAMP's per-entry |H_ij|^2 variances are not rotation-invariant
+    (Rangan, Schniter and Fletcher, "Vector approximate message passing", IEEE T-IT
+    2019). A trial that ends at max_iterations is compared on termination and sweep
+    counts alone: the x_hat of a run that cycles is set by rounding (ROADMAP item 11).
+    The quantized channel is left out: its quantizer acts on each entry of Hx, so a
+    rotation changes the problem."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    kappa = Scenario.from_json(str(scenarios / "condition_sweep_desk.json"))
+    trace = Scenario.from_json(str(scenarios / "iteration_trace_desk.json"))
+    trials = [(kappa, value, "hygec-known-rho") for value in kappa.sweep_values]
+    trials += [(trace, None, algorithm) for algorithm in trace.algorithms]
+    assert set(trace.algorithms) == {"hygec-known-rho", "em-hygec"}
+
+    def solve(sc, inst, algorithm):  # (x_hat, rate, report)
+        if algorithm == "em-hygec":
+            return em_hygec_run(inst, sc.rho_init, sc.engine, sc.em)
+        *_, x_hat, report = hygec_run(inst, sc.rho, sc.engine)
+        return x_hat, sc.rho, report
+
+    for seed in range(5):
+        for sc, value, algorithm in trials:
+            trial = (sc.name, value, algorithm, seed)
+            inst = build_instance(sc, seed, value)
+            Q = haar_orthogonal(inst.m, np.random.default_rng(seed))
+            x_hat, rate, report = solve(sc, inst, algorithm)
+            x_rot, rate_rot, report_rot = solve(
+                sc, dataclasses.replace(inst, H=Q @ inst.H, y=Q @ inst.y), algorithm)
+            assert report_rot.termination == report.termination, trial
+            assert report_rot.inner_counts == report.inner_counts, trial
+            if report.termination == CONVERGED:
+                gap = np.max(np.abs(x_rot - x_hat)) / np.max(np.abs(x_hat))
+                assert gap < 1e-9, f"{trial}: {gap:.2e}"
+                assert abs(rate_rot - rate) < 1e-12, trial
 
 
 def test_run_matches_exact_posterior_on_tiny_instances():
