@@ -317,7 +317,7 @@ def test_matrix_at_resolves_each_sweep_point():
     assert _scenario().matrix_at(None) == (MatrixSpec("iid", 20, 30), 0.0)
     kappa_sweep = _scenario(sweep_param="kappa", sweep_values=(1, 100))
     assert kappa_sweep.matrix_at(1) == (MatrixSpec("conditioned", 20, 30, 1.0), 0.0)
-    assert kappa_sweep.matrix_at(100.0) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
+    assert kappa_sweep.matrix_at(100) == (MatrixSpec("conditioned", 20, 30, 100.0), 0.0)
     mean_sweep = _scenario(sweep_param="mean", sweep_values=(0.0, 0.2))
     assert mean_sweep.matrix_at(0.2) == (MatrixSpec("iid", 20, 30), 0.2)
     # any other point is refused by the draw, never drawn as another point's matrix:

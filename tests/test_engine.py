@@ -618,7 +618,7 @@ def test_run_is_invariant_to_a_left_rotation():
     equal to rounding; GAMP's per-entry |H_ij|^2 variances are not rotation-invariant
     (Rangan, Schniter and Fletcher, "Vector approximate message passing", IEEE T-IT
     2019). A trial that ends at max_iterations is compared on termination and sweep
-    counts alone: the x_hat of a run that cycles is set by rounding (ROADMAP item 11).
+    counts alone: the x_hat of a run that cycles is set by rounding.
     The quantized channel is left out: its quantizer acts on each entry of Hx, so a
     rotation changes the problem."""
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
