@@ -84,8 +84,8 @@ class Scenario:
         for name in ("seeds", "algorithms", "sweep_values"):  # a trial run twice, counted once
             if len(set(values := getattr(self, name))) < len(values):
                 raise InvalidParameter(f"{name} must not repeat, not {values!r}")
-        if not isinstance(self.name, str):  # only a label, but final_rows keys trials by it
-            raise InvalidParameter(f"name must be a string, not {self.name!r}")
+        if not isinstance(name := self.name, str) or set(name) & set(',"\n\r'):  # one CSV cell
+            raise InvalidParameter(f"name must be a string with no comma, quote or newline, not {name!r}")
         if not self.seeds:
             raise InvalidParameter("scenario needs at least one seed")
         if not self.algorithms:

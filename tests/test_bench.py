@@ -62,7 +62,7 @@ def test_scenario_validation():
     _scenario()  # baseline is valid
     _scenario(sweep_param="kappa", sweep_values=(10.0,))  # a one-point sweep sets one kappa
     _scenario(sweep_param="kappa", sweep_values=(1.0, 10.0))
-    assert _scenario(name="made-up").name == "made-up"  # any string is a label
+    assert _scenario(name="made-up").name == "made-up"  # any string that fits one CSV cell is a label
     for bad in (
         dict(seeds=()),
         dict(algorithms=()),
@@ -80,6 +80,7 @@ def test_scenario_validation():
         dict(name=["x"]),
         dict(name=5),
         dict(name=None),
+        dict(name="a,b"),  # the name is one unquoted CSV cell
         dict(seeds="ab"),
         dict(seeds=(0.5,)),
         dict(seeds=(-1,)),

@@ -106,20 +106,26 @@ def test_run_emits_json_to_stdout(tmp_path, capsys):
 
 
 def test_run_labels_the_rows_with_any_name(tmp_path, capsys):
-    # a scenario's name is a label, not a choice: any string fills the rows' scenario column
+    # a scenario's name is a label, not a choice: it fills the rows' scenario column
     sc = _scenario_file(tmp_path, name="my-label", seeds=[0, 1])
     assert main(["run", sc, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows and {row["scenario"] for row in rows} == {"my-label"}
 
 
-@pytest.mark.parametrize("name", [["x"], 5, None], ids=["list", "number", "null"])
-def test_run_refuses_a_name_that_is_not_a_string(tmp_path, capsys, name):
-    # a list would load and then fail as part of a trial's key; each is refused at load
-    out = tmp_path / "rows.json"
-    argv = ["run", _scenario_file(tmp_path, name=name), "--format", "json", "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: name must be a string, not {name!r}\n"
+@pytest.mark.parametrize(
+    "name",
+    [["x"], 5, None, "cond, kappa=10", "a\nb", "a\rb", '"a'],
+    ids=["list", "number", "null", "comma", "newline", "return", "quote"],
+)
+def test_run_refuses_a_name_that_is_not_a_plain_string(tmp_path, capsys, name):
+    # a list would load and then fail as part of a trial's key; the name fills one unquoted
+    # cell of each row in the default CSV, so a comma, quote or line break would split it
+    out = tmp_path / "rows.csv"
+    assert main(["run", _scenario_file(tmp_path, name=name), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: name must be a string with no comma, quote or newline, not {name!r}\n"
+    )
     assert not out.exists()
 
 
