@@ -126,22 +126,15 @@ class Scenario:
     @staticmethod
     def from_dict(d: dict) -> "Scenario":
         d = dict(d)
-        _refuse_unknown("scenario", d, Scenario)
+        # a file writes the problem and its trials; the engine and em configs are set in Python
+        written = {f.name for f in fields(Scenario) if not is_dataclass(f.default_factory)}
+        if unknown := set(d) - written:
+            raise InvalidParameter(f"unknown scenario fields: {sorted(unknown)}")
         try:
-            for f in (f for f in fields(Scenario) if f.name in d):
-                value = d[f.name]
-                if f.type.startswith("tuple["):
-                    if not isinstance(value, (list, tuple)):  # tuple() would split a string
-                        raise InvalidParameter(f"{f.name} must be a list, not {value!r}")
-                    d[f.name] = tuple(value)
-                elif is_dataclass(f.default_factory):  # the engine and em blocks
-                    if not isinstance(value, dict):
-                        raise InvalidParameter(f"{f.name} must be an object, not {value!r}")
-                    _refuse_unknown(f.name, value, f.default_factory)
-                    try:
-                        d[f.name] = f.default_factory(**value)
-                    except InvalidParameter as exc:
-                        raise InvalidParameter(f"{f.name}.{exc}") from exc
+            for f in (f for f in fields(Scenario) if f.name in d and f.type.startswith("tuple[")):
+                if not isinstance(value := d[f.name], (list, tuple)):  # tuple() splits a string
+                    raise InvalidParameter(f"{f.name} must be a list, not {value!r}")
+                d[f.name] = tuple(value)
             return Scenario(**d)
         except TypeError as exc:  # a missing field, or a value of the wrong type
             raise InvalidParameter(f"malformed scenario: {exc}") from exc
@@ -149,12 +142,6 @@ class Scenario:
     @staticmethod
     def from_json(path: str) -> "Scenario":
         return Scenario.from_dict(load_json(path))
-
-
-def _refuse_unknown(what: str, d: dict, cls) -> None:
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise InvalidParameter(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def _unique_keys(pairs: list) -> dict:

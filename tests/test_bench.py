@@ -111,31 +111,6 @@ def test_scenario_validation():
     ):
         with pytest.raises(InvalidParameter, match=name):
             _scenario(**bad)
-    # the engine and EM options are typed like the top-level fields: each block
-    # refuses a wrong-typed value itself, and a scenario file's error names the block
-    base = dict(name="iteration-trace", m=20, n=30, k=6, rho=0.2, snr_db=15.0, seeds=[0])
-    for name, bad in (
-        ("engine.v_max", dict(v_max=math.inf)),
-        ("engine.v_max", dict(v_max=True)),
-        ("engine.v_max", dict(v_max="1e11")),
-        ("engine.v_max", dict(v_max=math.nan)),
-        ("em.max_outer", dict(max_outer=2.5)),
-        ("em.max_outer", dict(max_outer=True)),
-    ):
-        block, field_name = name.split(".")
-        with pytest.raises(InvalidParameter, match=f"^{field_name} must be a finite "):
-            (HygecConfig if block == "engine" else EmConfig)(**bad)
-        with pytest.raises(InvalidParameter, match=f"^{name} must be a finite "):
-            Scenario.from_dict({**base, block: bad})
-    # damping, v_min, max_iter, tol and EM's tol are the constants DAMPING, V_MIN,
-    # MAX_ITER, TOL and RATE_TOL: a block that writes one is refused by name, whatever
-    # the value
-    for block, name, value in (("engine", "damping", True), ("engine", "v_min", 1e-11),
-                               ("engine", "max_iter", 500), ("engine", "max_iter", 1.5),
-                               ("engine", "tol", 1e-6), ("engine", "tol", math.nan),
-                               ("em", "tol", math.inf), ("em", "tol", math.nan)):
-        with pytest.raises(InvalidParameter, match=rf"^unknown {block} fields: \['{name}'\]$"):
-            Scenario.from_dict({**base, block: {name: value}})
 
 
 # a valid example of each input dataclass, which the tests below vary one field at a time
@@ -155,54 +130,44 @@ def _is_number_field(f) -> bool:
     return re.fullmatch(r"(tuple\[)?(int|float)(, \.\.\.\])?( \| None)?", f.type) is not None
 
 
-# each number field, with the block of a scenario file it sits in ("" for the
-# scenario's own fields, the class name outside a scenario): a new field is
-# covered without editing this list
+# each number field of each input dataclass: a new field is covered without
+# editing this list
 _NUMBER_FIELDS = [
-    (block, cls, f)
-    for block, cls in (("", Scenario), ("engine", HygecConfig), ("em", EmConfig),
-                       ("GroupStructure", GroupStructure), ("Channel", Channel),
-                       ("MatrixSpec", MatrixSpec), ("ProblemInstance", ProblemInstance))
+    (cls, f)
+    for cls in (Scenario, HygecConfig, EmConfig, GroupStructure, Channel, MatrixSpec,
+                ProblemInstance)
     for f in dataclasses.fields(cls)
     if _is_number_field(f)
 ]
-_INT_FIELDS = [(block, cls, f) for block, cls, f in _NUMBER_FIELDS if "int" in f.type]
+_INT_FIELDS = [(cls, f) for cls, f in _NUMBER_FIELDS if "int" in f.type]
 
 
-def _field_id(block, cls, f) -> str:
-    return f"{block}.{f.name}".lstrip(".")
+def _field_id(cls, f) -> str:
+    return f.name if cls is Scenario else f"{cls.__name__}.{f.name}"
 
 
-_SCENARIO_DICT = dict(name="iteration-trace", m=20, n=30, k=6, rho=0.2, snr_db=15.0, seeds=[0])
-
-
-def _with_value(block, cls, name, value):
-    """`cls` with field `name` set to `value`: an engine or em block as a scenario
-    file's block, and any other dataclass as its valid example with that field replaced."""
-    if block in ("engine", "em"):
-        return getattr(Scenario.from_dict({**_SCENARIO_DICT, block: {name: value}}), block)
+def _with_value(cls, name, value):
+    """`cls`'s valid example with field `name` set to `value`."""
     return dataclasses.replace(_EXAMPLES[cls](), **{name: value})
 
 
 @pytest.mark.parametrize("bad", [True, math.nan, "1", math.inf, -math.inf],
                          ids=["true", "nan", "text", "inf", "minus_inf"])
-@pytest.mark.parametrize("block, cls, f", _NUMBER_FIELDS,
-                         ids=[_field_id(*p) for p in _NUMBER_FIELDS])
-def test_scenario_refuses_a_wrong_typed_number_by_name(block, cls, f, bad):
+@pytest.mark.parametrize("cls, f", _NUMBER_FIELDS, ids=[_field_id(*p) for p in _NUMBER_FIELDS])
+def test_scenario_refuses_a_wrong_typed_number_by_name(cls, f, bad):
     # every number field of every input dataclass refuses the value by name before
-    # any range check of its own; a scenario file's block is named in front of it
+    # any range check of its own
     value = (bad,) if f.type.startswith("tuple[") else bad
-    name = f"{block}.{f.name}" if block in ("engine", "em") else f.name
-    with pytest.raises(InvalidParameter, match=rf"^{re.escape(name)} must be a finite "):
-        _with_value(block, cls, f.name, value)
+    with pytest.raises(InvalidParameter, match=rf"^{f.name} must be a finite "):
+        _with_value(cls, f.name, value)
 
 
-@pytest.mark.parametrize("block, cls, f", _INT_FIELDS, ids=[_field_id(*p) for p in _INT_FIELDS])
-def test_a_whole_float_in_an_int_field_is_stored_as_an_int(block, cls, f):
+@pytest.mark.parametrize("cls, f", _INT_FIELDS, ids=[_field_id(*p) for p in _INT_FIELDS])
+def test_a_whole_float_in_an_int_field_is_stored_as_an_int(cls, f):
     want = getattr(_EXAMPLES[cls](), f.name)
     many = f.type.startswith("tuple[")
     value = tuple(map(float, want)) if many else float(want)
-    got = getattr(_with_value(block, cls, f.name, value), f.name)
+    got = getattr(_with_value(cls, f.name, value), f.name)
     assert got == want
     assert all(type(v) is int for v in (got if many else [got]))
 
@@ -224,15 +189,18 @@ def test_every_input_dataclass_refuses_true_in_each_number_field():
                 dataclasses.replace(_EXAMPLES[cls](), **{f.name: value})
 
 
+def _file_fields() -> set[str]:
+    """The keys a scenario file may write: every Scenario field but the solver's configs."""
+    return {f.name for f in dataclasses.fields(Scenario)
+            if not dataclasses.is_dataclass(f.default_factory)}
+
+
 def test_readme_scenario_table_names_the_dataclass_fields():
-    # README's table is a copy of the fields; the engine and em rows name their blocks' own
+    # README's table is a copy of the fields a scenario file may write
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `")]
-    names = {cell.strip(): re.findall(r"`(\w+)`", meaning) for cell, meaning in rows}
-    written = [name for cell in names for name in re.findall(r"`(\w+)`", cell)]
-    assert sorted(written) == sorted(f.name for f in dataclasses.fields(Scenario))
-    for block, cls in (("engine", HygecConfig), ("em", EmConfig)):
-        assert set(names[f"`{block}`"]) == {f.name for f in dataclasses.fields(cls)}, block
+    cells = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `")]
+    written = [name for cell in cells for name in re.findall(r"`(\w+)`", cell)]
+    assert sorted(written) == sorted(_file_fields())
 
 
 def test_readme_gen_sentence_names_the_recipe_fields():
@@ -282,14 +250,11 @@ def test_scenario_from_dict():
             "algorithms": ["em-hygec"],
             "sweep_param": "kappa",
             "sweep_values": [1.0, 10.0],
-            "engine": {"v_max": 1e4},
-            "em": {"max_outer": 3},
         }
     )
     assert sc.seeds == (0, 1)
     assert sc.sweep_values == (1.0, 10.0)
-    assert sc.engine.v_max == 1e4
-    assert sc.em.max_outer == 3
+    assert sc.engine == HygecConfig() and sc.em == EmConfig()  # a file sets neither
     with pytest.raises(InvalidParameter):
         Scenario.from_dict({"name": "custom", "m": 4, "n": 8, "k": 2, "rho": 0.1,
                             "snr_db": 10.0, "seeds": [0], "typo_field": 1})
@@ -495,6 +460,23 @@ def test_run_scenario_row_order_and_thread_parity():
             if col == "wall_ms":
                 continue
             assert a[col] == b[col], col
+
+
+def test_run_scenario_hands_its_configs_to_the_solver(monkeypatch):
+    # a scenario file sets no engine or em config; a Python Scenario does, and each
+    # trial runs with exactly the configs it holds
+    calls = []
+
+    def spy(inst, rho_init, cfg, em_cfg):
+        calls.append((cfg, em_cfg))
+        return em_hygec_run(inst, rho_init, cfg, em_cfg)
+
+    monkeypatch.setattr("hygec.bench.em_hygec_run", spy)
+    sc = _scenario(algorithms=("em-hygec",), engine=HygecConfig(v_max=1e4),
+                   em=EmConfig(max_outer=1))
+    rows = run_scenario(sc)
+    assert calls == [(HygecConfig(v_max=1e4), EmConfig(max_outer=1))]  # one trial
+    assert {row["seed"] for row in rows} == {0}
 
 
 def test_run_scenario_pool_has_no_more_workers_than_trials(monkeypatch):

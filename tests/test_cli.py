@@ -7,8 +7,6 @@ import pytest
 
 from hygec.bench import RECIPE, build_instance, import_instance, run_trial, Scenario
 from hygec.cli import MAX_SEEDS, _parse_seeds, main
-from hygec.em import EmConfig, em_hygec_run
-from hygec.engine import HygecConfig
 from hygec.types import NUMERICAL_FAILURE, InvalidParameter
 
 
@@ -78,23 +76,6 @@ def test_run_seeds_override(tmp_path):
     assert main(["run", sc, "--seeds", "0-1", "--out", str(out)]) == 0
     seeds = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
     assert seeds == {"0", "1"}
-
-
-def test_run_seeds_override_keeps_nested_options(tmp_path, monkeypatch):
-    sc = _scenario_file(tmp_path, seeds=[5], algorithms=["em-hygec"],
-                        engine={"v_max": 1e4}, em={"max_outer": 1})
-    out = tmp_path / "rows.csv"
-    blocks = []
-
-    def spy(inst, rho_init, cfg, em_cfg):
-        blocks.append((cfg, em_cfg))
-        return em_hygec_run(inst, rho_init, cfg, em_cfg)
-
-    monkeypatch.setattr("hygec.bench.em_hygec_run", spy)
-    assert main(["run", sc, "--seeds", "0", "--out", str(out)]) == 0
-    assert blocks == [(HygecConfig(v_max=1e4), EmConfig(max_outer=1))]  # one trial
-    rows = out.read_text().splitlines()[1:]
-    assert {row.split(",")[1] for row in rows} == {"0"}
 
 
 def test_run_emits_json_to_stdout(tmp_path, capsys):
@@ -279,8 +260,6 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ('{"name": "custom", "m": 20,', "[1, 2]", '{"name": "custom"}',
                  json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
-                             "snr_db": 18.0, "seeds": [0], "engine": {"bogus": 1}}),
-                 json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
                              "snr_db": 18.0, "seeds": [0.5]}),
                  json.dumps({"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2,
                              "snr_db": 18.0, "seeds": [0], "bits": 40}),
@@ -297,55 +276,31 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         bad.write_text(json.dumps({**base, **extra, key: value}))
         assert main(["run", str(bad), "--threads", "1"]) == 2, key
         assert f"error: {key} must be " in capsys.readouterr().err
-    # the nested engine and EM options are typed the same way; 1e400 reads as inf
-    for key, text in (("engine.v_max", '"engine": {"v_max": 1e400}'),
-                      ("engine.v_max", '"engine": {"v_max": true}'),
-                      ("engine.v_max", '"engine": {"v_max": Infinity}'),
-                      ("em.max_outer", '"em": {"max_outer": 2.5}'),
-                      ("em.max_outer", '"em": {"max_outer": true}'),
-                      # a block's own range checks must not fire first
-                      ("engine.v_max", '"engine": {"v_max": "1e11"}'),
-                      ("engine.v_max", '"engine": {"v_max": NaN}'),
-                      ("em.max_outer", '"em": {"max_outer": NaN}')):
-        bad.write_text(json.dumps({**base, "algorithms": ["em-hygec"]})[:-1] + ", " + text + "}")
-        assert main(["run", str(bad), "--threads", "1"]) == 2, text
-        assert f"error: {key} must be " in capsys.readouterr().err
 
 
-def test_run_rejects_removed_engine_knobs(tmp_path, capsys):
-    # p_z_init, x_var_init and EM's warm_start (every inner run now starts
-    # cold) are gone, and so are damping, v_min, max_iter, tol and EM's tol (now
-    # the constants DAMPING, V_MIN, MAX_ITER, TOL and RATE_TOL); a scenario that
-    # still sets one must fail and name it, never run with the option silently
-    # ignored, and write no output
+@pytest.mark.parametrize("block", [{"engine": {}}, {"engine": {"v_max": 1e4}},
+                                   {"em": {"max_outer": 3}}],
+                         ids=["engine_empty", "engine_v_max", "em_max_outer"])
+def test_run_refuses_an_engine_or_em_block(tmp_path, capsys, block):
+    # a scenario file writes the problem and its trials; the solver's configs are set
+    # in Python, so a file that writes either block, with any value, is refused by
+    # name and writes no output, never run with the value dropped
     out = tmp_path / "rows.csv"
-    for block, knob, value in (("engine", "p_z_init", 7.0), ("engine", "x_var_init", "literal"),
-                               ("em", "warm_start", True), ("engine", "damping", 0.7),
-                               ("engine", "damping", True), ("engine", "v_min", 1e-11),
-                               ("engine", "max_iter", 500), ("engine", "tol", 1e-6),
-                               ("em", "tol", 1e-6), ("em", "tol", math.inf)):
-        sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **{block: {knob: value}})
-        assert main(["run", sc, "--out", str(out)]) == 2, knob
-        assert f"error: unknown {block} fields: ['{knob}']" in capsys.readouterr().err
-        assert not out.exists(), knob
+    sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **block)
+    assert main(["run", sc, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown scenario fields: {list(block)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("algorithms", "em-hygec", "algorithms must be a list, not 'em-hygec'"),
     ("seeds", "0", "seeds must be a list, not '0'"),
     ("sweep_values", 5, "sweep_values must be a list, not 5"),
-    ("engine", {"nope": 1}, "unknown engine fields: ['nope']"),
-    ("em", {"nope": 1}, "unknown em fields: ['nope']"),
-    ("engine", [1, 2], "engine must be an object, not [1, 2]"),
-    ("engine", None, "engine must be an object, not None"),
-    ("engine", {"v_max": 1e-12}, "engine.v_max must exceed V_MIN = 1e-11"),
     # a kappa sweep is what makes a matrix conditioned
     ("matrix_kind", "conditioned", "unknown scenario fields: ['matrix_kind']"),
-], ids=["algorithms_text", "seeds_text", "sweep_values_number", "engine_unknown_key",
-        "em_unknown_key", "engine_list", "engine_null", "engine_v_range", "matrix_kind"])
+], ids=["algorithms_text", "seeds_text", "sweep_values_number", "matrix_kind"])
 def test_run_names_a_wrong_shaped_field(tmp_path, capsys, field, value, message):
-    # a list field takes a list, a nested block an object with known keys; each
-    # refusal names the field, as an unknown top-level key does
+    # a list field takes a list; each refusal names the field, as an unknown key does
     extra = {"sweep_param": "mean"} if field == "sweep_values" else {}
     assert main(["run", _scenario_file(tmp_path, **extra, **{field: value})]) == 2
     assert capsys.readouterr().err.strip().endswith(f"error: {message}")
@@ -428,9 +383,10 @@ def test_gen_refuses_every_field_outside_the_recipe_before_any_draw(tmp_path, ca
 
     monkeypatch.setattr("hygec.bench.build_instance", no_draw)
     written = {"name": "custom", "seeds": [3], "algorithms": ["em-hygec"],
-               "sweep_param": None, "sweep_values": [], "rho_init": 0.05,
-               "engine": {"v_max": 1e4}, "em": {"max_outer": 2}}
-    others = {f.name for f in dataclasses.fields(Scenario)} - set(RECIPE)
+               "sweep_param": None, "sweep_values": [], "rho_init": 0.05}
+    # the keys a scenario file may write: every field but the solver's configs
+    others = {f.name for f in dataclasses.fields(Scenario)
+              if not dataclasses.is_dataclass(f.default_factory)} - set(RECIPE)
     assert set(written) == others
     spec, out = tmp_path / "spec.json", tmp_path / "x.npz"
     base = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0}

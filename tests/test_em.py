@@ -26,6 +26,8 @@ def _instance(seed, m, n, k, rho, snr_db):
 def test_em_config_validation():
     with pytest.raises(InvalidParameter):
         EmConfig(max_outer=0)
+    with pytest.raises(InvalidParameter, match="^max_outer must be a finite int"):
+        EmConfig(max_outer=2.5)
 
 
 def _group_activity(m, v, rho, sigma_x_sq):
