@@ -225,16 +225,20 @@ def test_readme_error_table_names_every_error_class():
 
 def test_full_scenarios_scale_their_desk_twins():
     # every shipped scenario loads, and each _full file is its _desk twin with
-    # m, n and k five times larger
+    # m, n and k five times larger; the _desk labels differ, so the rows of all five
+    # runs put together are keyed apart
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     desk = sorted(scenarios.glob("*_desk.json"))
     full = sorted(scenarios.glob("*_full.json"))
     assert len(desk) == 5 and sorted(scenarios.glob("*.json")) == sorted(desk + full)
     assert [p.name.replace("_desk", "_full") for p in desk] == [p.name for p in full]
+    names = set()
     for small_path, big_path in zip(desk, full):
         small = Scenario.from_json(str(small_path))
         big = Scenario.from_json(str(big_path))
         assert big == dataclasses.replace(small, m=5 * small.m, n=5 * small.n, k=5 * small.k)
+        names.add(small.name)
+    assert len(names) == len(desk), names
 
 
 def test_scenario_from_dict():
