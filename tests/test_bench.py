@@ -189,18 +189,14 @@ def test_every_input_dataclass_refuses_true_in_each_number_field():
                 dataclasses.replace(_EXAMPLES[cls](), **{f.name: value})
 
 
-def _file_fields() -> set[str]:
-    """The keys a scenario file may write: every Scenario field but the solver's configs."""
-    return {f.name for f in dataclasses.fields(Scenario)
-            if not dataclasses.is_dataclass(f.default_factory)}
-
-
 def test_readme_scenario_table_names_the_dataclass_fields():
-    # README's table is a copy of the fields a scenario file may write
+    # README's table is a copy of the fields a scenario file may write: every field
+    # but the solver's configs
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cells = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `")]
     written = [name for cell in cells for name in re.findall(r"`(\w+)`", cell)]
-    assert sorted(written) == sorted(_file_fields())
+    assert sorted(written) == sorted(f.name for f in dataclasses.fields(Scenario)
+                                     if not dataclasses.is_dataclass(f.default_factory))
 
 
 def test_readme_gen_sentence_names_the_recipe_fields():
