@@ -278,32 +278,34 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         assert f"error: {key} must be " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("block", [{"engine": {}}, {"engine": {"v_max": 1e4}},
-                                   {"em": {"max_outer": 3}}],
-                         ids=["engine_empty", "engine_v_max", "em_max_outer"])
-def test_run_refuses_an_engine_or_em_block(tmp_path, capsys, block):
-    # a scenario file writes the problem and its trials; the solver's configs are set
-    # in Python, so a file that writes either block, with any value, is refused by
-    # name and writes no output, never run with the value dropped
-    out = tmp_path / "rows.csv"
-    sc = _scenario_file(tmp_path, algorithms=["em-hygec"], **block)
-    assert main(["run", sc, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: unknown scenario fields: {list(block)}\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("field, value, message", [
     ("algorithms", "em-hygec", "algorithms must be a list, not 'em-hygec'"),
     ("seeds", "0", "seeds must be a list, not '0'"),
     ("sweep_values", 5, "sweep_values must be a list, not 5"),
+    # the solver's configs are set in Python: a file that writes either block, with
+    # any value, is refused by name, never run with the value dropped
+    ("engine", {}, "unknown scenario fields: ['engine']"),
+    ("engine", {"v_max": 1e4}, "unknown scenario fields: ['engine']"),
+    ("em", {"max_outer": 3}, "unknown scenario fields: ['em']"),
+    ("engine", {"nope": 1}, "unknown scenario fields: ['engine']"),
+    ("em", {"nope": 1}, "unknown scenario fields: ['em']"),
+    ("engine", [1, 2], "unknown scenario fields: ['engine']"),
+    ("engine", None, "unknown scenario fields: ['engine']"),
+    ("engine", {"v_max": 1e-12}, "unknown scenario fields: ['engine']"),
     # a kappa sweep is what makes a matrix conditioned
     ("matrix_kind", "conditioned", "unknown scenario fields: ['matrix_kind']"),
-], ids=["algorithms_text", "seeds_text", "sweep_values_number", "matrix_kind"])
+], ids=["algorithms_text", "seeds_text", "sweep_values_number", "engine_empty", "engine_v_max",
+        "em_max_outer", "engine_unknown_key", "em_unknown_key", "engine_list", "engine_null",
+        "engine_v_range", "matrix_kind"])
 def test_run_names_a_wrong_shaped_field(tmp_path, capsys, field, value, message):
-    # a list field takes a list; each refusal names the field, as an unknown key does
+    # a list field takes a list; each refusal names the field, as an unknown key
+    # does, and writes no output
     extra = {"sweep_param": "mean"} if field == "sweep_values" else {}
-    assert main(["run", _scenario_file(tmp_path, **extra, **{field: value})]) == 2
-    assert capsys.readouterr().err.strip().endswith(f"error: {message}")
+    out = tmp_path / "rows.csv"
+    assert main(["run", _scenario_file(tmp_path, **extra, **{field: value}),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [("kappa", 10), ("matrix_mean", 0.1)])
