@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
     scenario = bench.Scenario.from_json(args.scenario)
     if args.seeds is not None:
         scenario = dataclasses.replace(scenario, seeds=_parse_seeds(args.seeds))
-    rows = bench.run_scenario(scenario, threads=args.threads)
+    rows = bench.run_scenario(scenario)
     summary = bench.summarize(rows)
     if args.format == "csv":
         bench.write_csv(rows, args.out)
@@ -114,7 +114,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seeds", help="override seeds, e.g. '0-19' or '3,5,8'")
     p_run.add_argument("--out", help="output path (default: print to stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate one instance file from a spec")

@@ -188,10 +188,7 @@ def test_message_algebra_identities_hold(capsys, reproduction_residuals):
 
 def test_fixed_seed_csv_output_is_reproducible(tmp_path, capsys):
     t0 = time.perf_counter()
-    args = [
-        "run", str(SCENARIOS / "condition_sweep_desk.json"),
-        "--seeds", "0-1", "--threads", "1",
-    ]
+    args = ["run", str(SCENARIOS / "condition_sweep_desk.json"), "--seeds", "0-1"]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0

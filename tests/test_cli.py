@@ -250,10 +250,33 @@ def test_run_empty_seed_list_exits_two(tmp_path, capsys):
         assert captured.out == ""
 
 
-def test_run_threads_below_one_exits_two(tmp_path, capsys):
-    # the serial check fires before any process pool could start
-    assert main(["run", _scenario_file(tmp_path), "--threads", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("threads", ["0", "2"])
+def test_run_refuses_threads(tmp_path, capsys, threads):
+    # trials run serially; parallel trials are separate runs over disjoint seed ranges
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", _scenario_file(tmp_path), "--threads", threads, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_over_disjoint_seed_ranges_joins_to_one_run(tmp_path, capsys):
+    # each trial depends only on its seed, sweep point and algorithm, so runs over
+    # disjoint seed ranges, joined, hold the rows of one run over all the seeds
+    sc = _scenario_file(tmp_path, algorithms=["hygec-known-rho", "em-hygec"])
+
+    def rows(seeds):
+        assert main(["run", sc, "--seeds", seeds, "--format", "json"]) == 0
+        return [{k: v for k, v in row.items() if k != "wall_ms"}
+                for row in json.loads(capsys.readouterr().out)["rows"]]
+
+    def key(row):
+        return row["algorithm"], row["seed"], row["iteration"]
+
+    whole, joined = rows("0-3"), rows("0-1") + rows("2-3")
+    assert {row["seed"] for row in whole} == {0, 1, 2, 3}
+    assert sorted(joined, key=key) == sorted(whole, key=key)
 
 
 def test_run_malformed_scenario_exits_two(tmp_path, capsys):
@@ -274,7 +297,7 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
                        ("sweep_values", [0.0, math.nan])):
         extra = {"sweep_param": "mean"} if key == "sweep_values" else {}
         bad.write_text(json.dumps({**base, **extra, key: value}))
-        assert main(["run", str(bad), "--threads", "1"]) == 2, key
+        assert main(["run", str(bad)]) == 2, key
         assert f"error: {key} must be " in capsys.readouterr().err
 
 
@@ -575,7 +598,7 @@ def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch):
         "algorithm": "hygec-known-rho", "iteration": 1, "nmse_db": None,
         "rho_est": 0.2, "terminated": NUMERICAL_FAILURE, "wall_ms": 1.0,
     }
-    monkeypatch.setattr("hygec.bench.run_scenario", lambda sc, threads=1: [bad_row])
+    monkeypatch.setattr("hygec.bench.run_scenario", lambda sc: [bad_row])
     sc = _scenario_file(tmp_path)
     out = tmp_path / "a.csv"
     assert main(["run", sc, "--out", str(out)]) == 1
