@@ -1,6 +1,6 @@
-"""The revision stamp tools/bench_pairs.py writes for each side of a record, the
-bytecode cache its runs get, and the gated, ungated, per-run and traced metrics and the
-solve counts it prints."""
+"""The revision stamp tools/bench_pairs.py writes for each side of a record, its refusal
+of a side that names no exact commit, the bytecode cache its runs get, and the gated,
+ungated, per-run and traced metrics and the solve counts it prints."""
 
 import importlib.util
 import json
@@ -38,6 +38,36 @@ def test_git_rev_marks_uncommitted_tracked_changes(tmp_path):
 
     _git(tmp_path, "commit", "-q", "-am", "second")
     assert bench_pairs.git_rev(tmp_path) == _git(tmp_path, "rev-parse", "HEAD")
+
+
+@pytest.mark.parametrize("bad_side", bench_pairs.SIDES)
+@pytest.mark.parametrize("state", ["is no git checkout", "has uncommitted changes"])
+def test_a_side_that_names_no_exact_commit_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                                    capsys, bad_side, state):
+    # a record holds two exact commits: a copy with no revision (git archive) or a
+    # checkout with uncommitted changes is refused by side and path, and nothing runs
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for side, path in checkouts.items():
+        path.mkdir()
+        if side == bad_side and state == "is no git checkout":
+            continue
+        _git(path, "init", "-q")
+        (path / "a.py").write_text("x = 1\n")
+        _git(path, "add", "a.py")
+        _git(path, "commit", "-q", "-m", "first")
+        if side == bad_side:
+            (path / "a.py").write_text("x = 2\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("perfbench ran")
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", no_run)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]), "--change",
+                             str(checkouts["change"]), "--label", "x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the {bad_side} side {checkouts[bad_side]} "
+                                       f"{state}; pair two clean git clones\n")
+    assert not out.exists()
 
 
 def test_trace_diffs_lists_each_traced_metric_that_moved():
@@ -150,8 +180,8 @@ def test_both_sides_compile_from_source_under_one_empty_bytecode_prefix(tmp_path
     seen = []
 
     def fake_run(cmd, cwd=None, env=None, **kwargs):
-        if cmd[0] == "git":
-            return subprocess.CompletedProcess(cmd, 1, "", "")
+        if cmd[0] == "git":  # a clean checkout: a HEAD, and no tracked file changed
+            return subprocess.CompletedProcess(cmd, 0, "0" * 40 if "rev-parse" in cmd else "", "")
         prefix = env["PYTHONPYCACHEPREFIX"]
         seen.append((Path(cwd).name, env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
         return subprocess.CompletedProcess(cmd, 0, stdout, "")

@@ -8,6 +8,10 @@ Give it two checkouts, the parent commit and the change, each with its own
 
 Pairing the working repository with a copy made another way once read a
 10-in-10 ``peak_rss_mb`` gain that clones of the same two commits did not show.
+So each side must be a git checkout whose tracked files match its HEAD: a side
+with no revision (a ``git archive`` copy, say) or with uncommitted changes is
+refused, by side and path, before the first run, and every record names two
+exact commits.
 
 Every run lasts BENCHMARK.json's ``run_seconds``. Pair i runs every workload
 once per side at run seed ``--seed + i``. The side that runs first alternates
@@ -224,6 +228,13 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     gated = {m["name"]: m for m in benchmark["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    revisions = {side: git_rev(path) for side, path in checkouts.items()}
+    for side, rev in revisions.items():
+        if rev is None or rev.endswith("+dirty"):
+            state = "is no git checkout" if rev is None else "has uncommitted changes"
+            print(f"error: the {side} side {checkouts[side]} {state}; pair two clean git clones",
+                  file=sys.stderr)
+            return 2
 
     pairs: dict[str, list[dict]] = {w: [] for w in workloads}
     machine = None
@@ -259,7 +270,7 @@ def main(argv=None) -> int:
         "command": benchmark["command"],
         "settings": {"pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
                      "workloads": workloads},
-        "revisions": {side: git_rev(path) for side, path in checkouts.items()},
+        "revisions": revisions,
         "machine": machine,
         "workloads": {
             w: {
