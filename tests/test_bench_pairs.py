@@ -39,6 +39,11 @@ def test_git_rev_marks_uncommitted_tracked_changes(tmp_path):
     _git(tmp_path, "commit", "-q", "-am", "second")
     assert bench_pairs.git_rev(tmp_path) == _git(tmp_path, "rev-parse", "HEAD")
 
+    # a copy inside the work tree, as `git archive` unpacks one, is no checkout of its own
+    (tmp_path / "copy").mkdir()
+    (tmp_path / "copy" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.git_rev(tmp_path / "copy") is None
+
 
 @pytest.mark.parametrize("bad_side", bench_pairs.SIDES)
 @pytest.mark.parametrize("state", ["is no git checkout", "has uncommitted changes"])
@@ -180,8 +185,9 @@ def test_both_sides_compile_from_source_under_one_empty_bytecode_prefix(tmp_path
     seen = []
 
     def fake_run(cmd, cwd=None, env=None, **kwargs):
-        if cmd[0] == "git":  # a clean checkout: a HEAD, and no tracked file changed
-            return subprocess.CompletedProcess(cmd, 0, "0" * 40 if "rev-parse" in cmd else "", "")
+        if cmd[0] == "git":  # a clean checkout: its own top, a HEAD, no tracked file changed
+            head = f"{cmd[2]}\n{'0' * 40}\n" if "rev-parse" in cmd else ""
+            return subprocess.CompletedProcess(cmd, 0, head, "")
         prefix = env["PYTHONPYCACHEPREFIX"]
         seen.append((Path(cwd).name, env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
         return subprocess.CompletedProcess(cmd, 0, stdout, "")

@@ -210,15 +210,19 @@ def trace_diffs(trace: dict) -> list[str]:
 
 
 def git_rev(checkout: Path) -> str | None:
-    """HEAD's commit, with "+dirty" if tracked files differ from it; None outside git."""
+    """HEAD's commit, with "+dirty" if tracked files differ from it; None unless `checkout`
+    is the top of a git work tree (a copy inside another checkout has no commit of its own)."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
 
-    head = git("rev-parse", "HEAD")
+    head = git("rev-parse", "--show-toplevel", "HEAD")
     if head.returncode != 0:
         return None
+    top, rev = head.stdout.splitlines()
+    if Path(top).resolve() != checkout.resolve():
+        return None
     dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
-    return head.stdout.strip() + ("+dirty" if dirty else "")
+    return rev + ("+dirty" if dirty else "")
 
 
 def main(argv=None) -> int:
