@@ -1,11 +1,10 @@
-"""The revision stamp tools/bench_pairs.py writes for each side of a record, its refusal
-of a side that names no exact commit, the bytecode cache its runs get, and the gated,
-ungated, per-run and traced metrics and the solve counts it prints."""
+"""The two clones tools/bench_pairs.py makes of the commits it is given, its refusal of a
+revision that names no commit, the environment its runs get, and the gated, ungated,
+per-run and traced metrics and the solve counts it prints."""
 
 import importlib.util
 import json
 import math
-import os
 import subprocess
 from pathlib import Path
 
@@ -22,57 +21,87 @@ def _git(repo, *args):
                            *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
-def test_git_rev_marks_uncommitted_tracked_changes(tmp_path):
-    _git(tmp_path, "init", "-q")
-    (tmp_path / "a.py").write_text("x = 1\n")
-    _git(tmp_path, "add", "a.py")
-    _git(tmp_path, "commit", "-q", "-m", "first")
-    head = _git(tmp_path, "rev-parse", "HEAD")
-    assert bench_pairs.git_rev(tmp_path) == head
+def _repo_with_two_commits(path):
+    """A repository with BENCHMARK.json and two commits of `a.py`, an uncommitted edit of
+    it and an untracked `__pycache__`; the two commits' SHAs."""
+    path.mkdir()
+    _git(path, "init", "-q")
+    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    shas = []
+    for text in ("x = 1\n", "x = 2\n"):
+        (path / "a.py").write_text(text)
+        _git(path, "add", ".")
+        _git(path, "commit", "-q", "-m", text)
+        shas.append(_git(path, "rev-parse", "HEAD"))
+    (path / "a.py").write_text("x = 3\n")
+    (path / "__pycache__").mkdir()
+    (path / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"stale")
+    return shas
 
-    (tmp_path / "untracked.txt").write_text("build output\n")
-    assert bench_pairs.git_rev(tmp_path) == head
 
-    (tmp_path / "a.py").write_text("x = 2\n")
-    assert bench_pairs.git_rev(tmp_path) == head + "+dirty"
+def test_both_sides_run_in_fresh_clones_of_their_commits(tmp_path, monkeypatch):
+    # each side is a clone detached at its commit, made under one temporary directory that
+    # goes when the tool exits; every run compiles the package from source, whatever
+    # bytecode cache the caller named, and writes none
+    repo = tmp_path / "repo"
+    parent, change = _repo_with_two_commits(repo)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "caller_cache"))
+    seen = []
 
-    _git(tmp_path, "commit", "-q", "-am", "second")
-    assert bench_pairs.git_rev(tmp_path) == _git(tmp_path, "rev-parse", "HEAD")
+    def fake_run(checkout, workload, seed, seconds, trace, env):
+        seen.append((checkout, _git(checkout, "rev-parse", "HEAD"),
+                     (checkout / "a.py").read_text(), list(checkout.rglob("__pycache__")), env))
+        return {"seed": seed, "correct": True, "attempted": 3, "failed": 0, "checks": [],
+                "metrics": {"setup_s": 0.1, "ms_per_sweep": 4.0, "peak_rss_mb": 74.0},
+                "machine": {"nproc": 2, "cholesky400_ms": 20.0},
+                "report": {"setup_s_wall": 0.1, "ms_per_sweep_wall": 4.0}}
 
-    # a copy inside the work tree, as `git archive` unpacks one, is no checkout of its own
-    (tmp_path / "copy").mkdir()
-    (tmp_path / "copy" / "a.py").write_text("x = 2\n")
-    assert bench_pairs.git_rev(tmp_path / "copy") is None
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--change", change[:7], "--label", "x",
+                             "--pairs", "2", "--workloads", "desk-linear",
+                             "--out", str(out)]) == 0
+    assert len(seen) == 2 * 2 + 2  # the pairs, then one traced run per side
+    sides = {checkout.name: (head, text) for checkout, head, text, _, _ in seen}
+    assert sides == {"parent": (parent, "x = 1\n"), "change": (change, "x = 2\n")}
+    tops = {checkout.parent for checkout, *_ in seen}
+    assert len(tops) == 1
+    top = tops.pop()
+    assert top.parent == tmp_path / "tmp"
+    assert not top.exists()  # removed once the runs are done
+    assert all(pycache == [] for _, _, _, pycache, _ in seen)
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+               for *_, env in seen)
+    doc = json.loads(out.read_text())
+    assert doc["revisions"] == {"parent": parent, "change": change}
+    assert "dont_write_bytecode" not in doc["machine"]
 
 
 @pytest.mark.parametrize("bad_side", bench_pairs.SIDES)
-@pytest.mark.parametrize("state", ["is no git checkout", "has uncommitted changes"])
-def test_a_side_that_names_no_exact_commit_is_refused_before_any_run(tmp_path, monkeypatch,
-                                                                    capsys, bad_side, state):
-    # a record holds two exact commits: a copy with no revision (git archive) or a
-    # checkout with uncommitted changes is refused by side and path, and nothing runs
-    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
-    for side, path in checkouts.items():
-        path.mkdir()
-        if side == bad_side and state == "is no git checkout":
-            continue
-        _git(path, "init", "-q")
-        (path / "a.py").write_text("x = 1\n")
-        _git(path, "add", "a.py")
-        _git(path, "commit", "-q", "-m", "first")
-        if side == bad_side:
-            (path / "a.py").write_text("x = 2\n")
+@pytest.mark.parametrize("bad_rev", ["nope", "HEAD^{tree}"])
+def test_a_revision_that_names_no_commit_exits_two_before_any_clone(tmp_path, monkeypatch,
+                                                                     capsys, bad_side, bad_rev):
+    repo = tmp_path / "repo"
+    _repo_with_two_commits(repo)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path / "tmp"))
 
     def no_run(*args, **kwargs):
         raise AssertionError("perfbench ran")
 
     monkeypatch.setattr(bench_pairs, "run_perfbench", no_run)
+    revs = {"parent": "HEAD~1", "change": "HEAD", bad_side: bad_rev}
     out = tmp_path / "BENCH_x.json"
-    assert bench_pairs.main(["--parent", str(checkouts["parent"]), "--change",
-                             str(checkouts["change"]), "--label", "x", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"error: the {bad_side} side {checkouts[bad_side]} "
-                                       f"{state}; pair two clean git clones\n")
+    assert bench_pairs.main(["--parent", revs["parent"], "--change", revs["change"],
+                             "--label", "x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the {bad_side} side names no commit: {bad_rev!r}\n"
     assert not out.exists()
+    assert list((tmp_path / "tmp").iterdir()) == []  # nothing cloned
 
 
 def test_trace_diffs_lists_each_traced_metric_that_moved():
@@ -166,44 +195,3 @@ def test_solves_line_lists_each_run_in_pair_order():
         "full-linear solves parent runs: 4 5")
     assert bench_pairs.solves_line("full-linear", "change", pairs) == (
         "full-linear solves change runs: 4 3")
-
-
-def test_both_sides_compile_from_source_under_one_empty_bytecode_prefix(tmp_path, monkeypatch):
-    # a checkout's __pycache__ is read even when no bytecode is written, so each run
-    # must point its bytecode cache at a prefix that holds nothing, whatever the caller set
-    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "caller_cache"))
-    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
-    metrics = {"setup_s": 0.1, "ms_per_sweep": 4.0, "peak_rss_mb": 74.0}
-    report = {"setup_s_wall": 0.1, "ms_per_sweep_wall": 4.0}
-    stdout = "\n".join([
-        "machine " + json.dumps({"nproc": 2, "cholesky400_ms": 20.0}),
-        "report " + json.dumps({k: {"value": v} for k, v in report.items()}),
-        json.dumps({"correct": True, "attempted": 3, "failed": 0,
-                    "metrics": {k: {"value": v} for k, v in metrics.items()}}),
-    ])
-    seen = []
-
-    def fake_run(cmd, cwd=None, env=None, **kwargs):
-        if cmd[0] == "git":  # a clean checkout: its own top, a HEAD, no tracked file changed
-            head = f"{cmd[2]}\n{'0' * 40}\n" if "rev-parse" in cmd else ""
-            return subprocess.CompletedProcess(cmd, 0, head, "")
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        seen.append((Path(cwd).name, env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
-        return subprocess.CompletedProcess(cmd, 0, stdout, "")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    out = tmp_path / "BENCH_x.json"
-    assert bench_pairs.main(["--parent", str(checkouts["parent"]), "--change",
-                             str(checkouts["change"]), "--label", "x", "--pairs", "2",
-                             "--workloads", "desk-linear", "--out", str(out)]) == 0
-    assert sorted({side for side, *_ in seen}) == ["change", "parent"]
-    assert len(seen) == 2 * 2 + 2  # the pairs, then one traced run per side
-    prefixes = {prefix for _, _, prefix, _ in seen}
-    assert len(prefixes) == 1
-    prefix = Path(prefixes.pop())
-    assert all(flag == "1" and listing == [] for _, flag, _, listing in seen)
-    assert prefix != tmp_path / "caller_cache"
-    assert not any(prefix.is_relative_to(path) for path in checkouts.values())
-    assert not prefix.exists()  # removed once the runs are done
-    assert "dont_write_bytecode" not in json.loads(out.read_text())["machine"]

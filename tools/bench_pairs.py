@@ -1,17 +1,16 @@
 """Run perfbench in alternating parent/change pairs and write BENCH_<label>.json.
 
-Give it two checkouts, the parent commit and the change, each with its own
-``perfbench/`` and ``src/``, made the same way, as two ``git clone``s:
+Give it two git revisions of the repository it lives in, the parent commit and
+the change:
 
-    python3 tools/bench_pairs.py --parent ../parent --change ../change --label one_blas \
-        --pairs 10 --seed 21
+    python3 tools/bench_pairs.py --parent REV --change REV --label L --pairs 10 --seed 21
 
-Pairing the working repository with a copy made another way once read a
-10-in-10 ``peak_rss_mb`` gain that clones of the same two commits did not show.
-So each side must be a git checkout whose tracked files match its HEAD: a side
-with no revision (a ``git archive`` copy, say) or with uncommitted changes is
-refused, by side and path, before the first run, and every record names two
-exact commits.
+It resolves each revision to its commit and makes both checkouts itself, as
+local ``git clone``s into ``parent/`` and ``change/`` under one temporary
+directory, detached at those commits and removed when it exits. So both sides
+are made the same way, hold no ``__pycache__``, and every record names two
+exact commits. A revision that names no commit exits 2 before any clone or
+run.
 
 Every run lasts BENCHMARK.json's ``run_seconds``. Pair i runs every workload
 once per side at run seed ``--seed + i``. The side that runs first alternates
@@ -20,11 +19,11 @@ Each gated metric of ``BENCHMARK.json`` gets the per-side median and quartiles
 over the pairs and the number of pairs the change won (ties count for
 neither). After the pairs, each side runs every workload once more with
 ``--trace 1`` at run seed ``--seed + pairs`` for the per-layer split. The
-machine facts come from the first run. Every run gets
-``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX`` naming one fresh,
-empty temporary directory, the same for both sides, so each side's import
-probe compiles the package from source whatever ``__pycache__`` its checkout
-holds, and ``setup_s`` includes that.
+machine facts come from the first run. Every run gets the caller's
+environment with ``PYTHONDONTWRITEBYTECODE=1`` and without
+``PYTHONPYCACHEPREFIX``: both sides compile the package from source, and
+``setup_s`` includes that, while numpy and scipy load their installed bytecode,
+as in the benchmark's own runs.
 
 The file reports, for each gated metric, whether the change shows a gain by
 the benchmark's rule (it wins at least 9 in 10 pairs and the medians differ by
@@ -66,8 +65,8 @@ UNGATED = {"setup_s_wall": "setup_s", "ms_per_sweep_wall": "ms_per_sweep"}
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--parent", required=True, help="git revision of the parent commit")
+    p.add_argument("--change", required=True, help="git revision of the change")
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=21, help="run seed of the first pair")
@@ -209,44 +208,35 @@ def trace_diffs(trace: dict) -> list[str]:
     return lines
 
 
-def git_rev(checkout: Path) -> str | None:
-    """HEAD's commit, with "+dirty" if tracked files differ from it; None unless `checkout`
-    is the top of a git work tree (a copy inside another checkout has no commit of its own)."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
-
-    head = git("rev-parse", "--show-toplevel", "HEAD")
-    if head.returncode != 0:
-        return None
-    top, rev = head.stdout.splitlines()
-    if Path(top).resolve() != checkout.resolve():
-        return None
-    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
-    return rev + ("+dirty" if dirty else "")
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     gated = {m["name"]: m for m in benchmark["end_to_end"]}
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    revisions = {side: git_rev(path) for side, path in checkouts.items()}
-    for side, rev in revisions.items():
-        if rev is None or rev.endswith("+dirty"):
-            state = "is no git checkout" if rev is None else "has uncommitted changes"
-            print(f"error: the {side} side {checkouts[side]} {state}; pair two clean git clones",
-                  file=sys.stderr)
+    revisions = {}
+    for side in SIDES:
+        rev = getattr(args, side)
+        found = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                                f"{rev}^{{commit}}"], capture_output=True, text=True)
+        if found.returncode != 0:
+            print(f"error: the {side} side names no commit: {rev!r}", file=sys.stderr)
             return 2
+        revisions[side] = found.stdout.strip()
 
     pairs: dict[str, list[dict]] = {w: [] for w in workloads}
     machine = None
     trace_seed = args.seed + args.pairs
     trace = {}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
-        # an empty bytecode cache that stays empty: neither side reads its __pycache__
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        for side, path in checkouts.items():
+            subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(ROOT), str(path)],
+                           check=True)
+            subprocess.run(["git", "-C", str(path), "checkout", "--quiet", "--detach",
+                            revisions[side]], check=True)
         for i in range(args.pairs):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
