@@ -237,6 +237,23 @@ def test_full_scenarios_scale_their_desk_twins():
     assert len(names) == len(desk), names
 
 
+@pytest.mark.parametrize("bits", [2, 3])
+def test_readme_gives_the_full_scale_mean_cost_of_the_committed_results(bits):
+    # results/ holds one `hygec run --format json` output of each full-scale mean sweep;
+    # criterion 5's paragraph cites the file and its median cost of mean 0 -> 0.2
+    root = Path(__file__).resolve().parents[1]
+    name = f"mean_sweep_b{bits}_full"
+    scenario = Scenario.from_json(str(root / "scenarios" / f"{name}.json"))
+    doc = json.loads((root / "results" / f"{name}.json").read_text())
+    assert {(r["seed"], r["sweep_value"]) for r in doc["rows"]} == {
+        (seed, mu) for seed in scenario.seeds for mu in scenario.sweep_values}
+    medians = {s["sweep_value"]: s["median_nmse_db"] for s in doc["summary"]}
+    readme = (root / "README.md").read_text()
+    criterion = " ".join(readme.split("\n5. ", 1)[1].split("\n6. ", 1)[0].split())
+    assert f"`results/{name}.json`" in criterion
+    assert f"{medians[0.2] - medians[0.0]:.1f} dB at {bits} bits" in criterion
+
+
 def test_scenario_from_dict():
     sc = Scenario.from_dict(
         {
