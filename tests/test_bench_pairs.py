@@ -21,33 +21,35 @@ def _git(repo, *args):
                            *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _repo_with_two_commits(path):
-    """A repository with BENCHMARK.json and two commits of `a.py`, an uncommitted edit of
-    it and an untracked `__pycache__`; the two commits' SHAs."""
-    path.mkdir()
-    _git(path, "init", "-q")
-    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+@pytest.fixture
+def two_commits(tmp_path, monkeypatch):
+    """`bench_pairs.ROOT` set to a repository with BENCHMARK.json, two commits of `a.py`, an
+    uncommitted edit of it and an untracked `__pycache__`, and temporary directories made
+    under `tmp_path / "tmp"`; the two commits' SHAs."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     shas = []
     for text in ("x = 1\n", "x = 2\n"):
-        (path / "a.py").write_text(text)
-        _git(path, "add", ".")
-        _git(path, "commit", "-q", "-m", text)
-        shas.append(_git(path, "rev-parse", "HEAD"))
-    (path / "a.py").write_text("x = 3\n")
-    (path / "__pycache__").mkdir()
-    (path / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"stale")
-    return shas
-
-
-def test_both_sides_run_in_fresh_clones_of_their_commits(tmp_path, monkeypatch):
-    # each side is a clone detached at its commit, made under one temporary directory that
-    # goes when the tool exits; every run compiles the package from source, whatever
-    # bytecode cache the caller named, and writes none
-    repo = tmp_path / "repo"
-    parent, change = _repo_with_two_commits(repo)
+        (repo / "a.py").write_text(text)
+        _git(repo, "add", ".")
+        _git(repo, "commit", "-q", "-m", text)
+        shas.append(_git(repo, "rev-parse", "HEAD"))
+    (repo / "a.py").write_text("x = 3\n")
+    (repo / "__pycache__").mkdir()
+    (repo / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"stale")
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path / "tmp"))
+    return shas
+
+
+def test_both_sides_run_in_fresh_clones_of_their_commits(two_commits, tmp_path, monkeypatch):
+    # each side is a clone detached at its commit, made under one temporary directory that
+    # goes when the tool exits; every run compiles the package from source, whatever
+    # bytecode cache the caller named, and writes none
+    parent, change = two_commits
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "caller_cache"))
     seen = []
@@ -78,19 +80,13 @@ def test_both_sides_run_in_fresh_clones_of_their_commits(tmp_path, monkeypatch):
                for *_, env in seen)
     doc = json.loads(out.read_text())
     assert doc["revisions"] == {"parent": parent, "change": change}
-    assert "dont_write_bytecode" not in doc["machine"]
 
 
 @pytest.mark.parametrize("bad_side", bench_pairs.SIDES)
 @pytest.mark.parametrize("bad_rev", ["nope", "HEAD^{tree}"])
-def test_a_revision_that_names_no_commit_exits_two_before_any_clone(tmp_path, monkeypatch,
-                                                                     capsys, bad_side, bad_rev):
-    repo = tmp_path / "repo"
-    _repo_with_two_commits(repo)
-    monkeypatch.setattr(bench_pairs, "ROOT", repo)
-    (tmp_path / "tmp").mkdir()
-    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path / "tmp"))
-
+def test_a_revision_that_names_no_commit_exits_two_before_any_clone(two_commits, tmp_path,
+                                                                     monkeypatch, capsys,
+                                                                     bad_side, bad_rev):
     def no_run(*args, **kwargs):
         raise AssertionError("perfbench ran")
 

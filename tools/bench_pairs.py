@@ -3,7 +3,7 @@
 Give it two git revisions of the repository it lives in, the parent commit and
 the change:
 
-    python3 tools/bench_pairs.py --parent REV --change REV --label L --pairs 10 --seed 21
+    python3 tools/bench_pairs.py --parent REV --change REV --label L
 
 It resolves each revision to its commit and makes both checkouts itself, as
 local ``git clone``s into ``parent/`` and ``change/`` under one temporary
