@@ -36,7 +36,12 @@ from .types import (
 ALGORITHMS = ("hygec-known-rho", "em-hygec")
 SWEEP_PARAMS = (None, "kappa", "mean")
 # the fields that build_instance and Scenario.matrix_at read at no sweep point
-RECIPE = ("m", "n", "k", "rho", "snr_db", "bits", "sigma_x_sq")
+RECIPE = ("m", "n", "k", "rho", "snr_db", "bits")
+SIGMA_X_SQ = 1.0  # every draw's slab variance: with snr_db setting the noise, it is the unit
+# the clip range 3 sqrt(rho ||H + mean||^2 / m + noise_var) stays finite: ||H + mean||^2 <=
+# 2||H||^2 + 2mn mean^2 < 1e220 for any m*n numpy can index (< 2**63), and noise_var,
+# calibrated on the zero-mean base, is at most about n * 1e30
+MEAN_MAX = 1e100
 
 CSV_COLUMNS = (
     "scenario", "seed", "sweep_value", "algorithm", "iteration",
@@ -72,7 +77,6 @@ class Scenario:
     bits: int | None = None  # None: plain linear-noise channel
     sweep_param: str | None = None  # kappa: a conditioned matrix; mean: a shifted i.i.d. one
     sweep_values: tuple[float, ...] = ()
-    sigma_x_sq: float = 1.0
     rho_init: float = 0.01
     engine: HygecConfig = field(default_factory=HygecConfig)
     em: EmConfig = field(default_factory=EmConfig)
@@ -95,13 +99,9 @@ class Scenario:
                 raise InvalidParameter(f"unknown algorithm {alg!r}")
         if self.sweep_param not in SWEEP_PARAMS:
             raise InvalidParameter(f"unknown sweep parameter {self.sweep_param!r}")
-        if self.k < 1 or self.k > self.n:  # m and n are MatrixSpec's to check
-            raise InvalidParameter("need 1 <= k <= n")
         for name in ("rho", "rho_init"):  # rho_init too, though only em-hygec reads it
             if not 0 < getattr(self, name) < 1:
                 raise InvalidParameter(f"{name} must lie in (0, 1)")
-        if not self.sigma_x_sq > 0:
-            raise InvalidParameter("sigma_x_sq must be positive")
         snr_ratio(self.snr_db)  # the noise calibration's divisor, refused here before any draw
         if self.bits is not None and not 1 <= self.bits <= 16:
             raise InvalidParameter("quantized channel needs 1 <= bits <= 16")
@@ -112,6 +112,7 @@ class Scenario:
             raise InvalidParameter(f"sweep_param {self.sweep_param!r} needs sweep_values")
         for value in self.sweep_values or (None,):  # each point's matrix, before any trial
             self.matrix_at(value)
+        GroupStructure.even(self.n, self.k)  # after the matrix, so a bad m or n is named first
 
     def matrix_at(self, sweep_value: float | None) -> tuple[MatrixSpec, float]:
         """The matrix a trial draws at one of the scenario's points (None: no sweep; any
@@ -121,6 +122,8 @@ class Scenario:
         if self.sweep_param == "kappa":
             return MatrixSpec("conditioned", self.m, self.n, float(sweep_value)), 0.0
         mean = float(sweep_value) if self.sweep_param == "mean" else 0.0
+        if not -MEAN_MAX <= mean <= MEAN_MAX:
+            raise InvalidParameter(f"mean must lie in [{-MEAN_MAX:g}, {MEAN_MAX:g}], not {mean!r}")
         return MatrixSpec("iid", self.m, self.n), mean
 
     @staticmethod
@@ -182,26 +185,22 @@ def draw_instance(scenario: Scenario, sweep_value: float | None, rng_matrix: np.
     the three generators. One generator passed three times draws from a single stream."""
     spec, mean = scenario.matrix_at(sweep_value)
     H = gen_matrix(spec, rng_matrix)
-    noise_var = snr_to_noise_var(H, scenario.rho, scenario.sigma_x_sq, scenario.snr_db)
+    noise_var = snr_to_noise_var(H, scenario.rho, SIGMA_X_SQ, scenario.snr_db)
     if mean != 0.0:  # only an iid matrix takes a mean; shift the base in place
         H += mean
 
     groups = GroupStructure.even(scenario.n, scenario.k)
-    x, xi = gen_group_sparse_signal(groups, scenario.rho, scenario.sigma_x_sq, rng_signal)
+    x, xi = gen_group_sparse_signal(groups, scenario.rho, SIGMA_X_SQ, rng_signal)
 
-    try:  # the noise variance and clip range are derived: name what sets them
-        if scenario.bits is None:
-            channel = Channel.linear_awgn(noise_var)
-        else:
-            clip = default_clip_range(H, scenario.rho, scenario.sigma_x_sq, noise_var)
-            channel = Channel.quantized(noise_var, scenario.bits, clip)
-    except InvalidParameter as exc:
-        raise InvalidParameter(f"sigma_x_sq {scenario.sigma_x_sq:g} and matrix mean {mean:g} "
-                               f"give a channel float64 cannot hold ({exc})") from exc
+    if scenario.bits is None:
+        channel = Channel.linear_awgn(noise_var)
+    else:
+        clip = default_clip_range(H, scenario.rho, SIGMA_X_SQ, noise_var)
+        channel = Channel.quantized(noise_var, scenario.bits, clip)
 
     y = apply_channel(H, x, channel, rng_noise)
     return ProblemInstance(
-        H=H, y=y, groups=groups, channel=channel, sigma_x_sq=scenario.sigma_x_sq,
+        H=H, y=y, groups=groups, channel=channel, sigma_x_sq=SIGMA_X_SQ,
         x_true=x, xi_true=xi, true_rho=scenario.rho,
     )
 
@@ -254,9 +253,6 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> list[dict]:
     """
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, not {threads}")
-    # one draw per sweep point, so a channel float64 cannot hold is refused before any trial
-    for value in scenario.sweep_values or (None,):
-        build_instance(scenario, scenario.seeds[0], value)
     args = list(_trial_args(scenario))
     # a fork pool starts all its workers at the first submit: no more than trials or cores
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

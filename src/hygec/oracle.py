@@ -149,10 +149,10 @@ def enumeration_parity(seeds) -> tuple[float, float, float, int]:
         if report.termination != CONVERGED:
             nonconv += 1
             continue
-        x_ref, _, xi_ref = exact_posterior_small(inst, tiny.rho, tiny.sigma_x_sq)
+        x_ref, _, xi_ref = exact_posterior_small(inst, tiny.rho, inst.sigma_x_sq)
         se_sum += float(np.sum((x_pos - x_ref) ** 2))
         n_el += inst.n
-        beliefs = indicator_beliefs(m_x_lik, v_x_lik, tiny.rho, tiny.sigma_x_sq, inst.groups)
+        beliefs = indicator_beliefs(m_x_lik, v_x_lik, tiny.rho, inst.sigma_x_sq, inst.groups)
         mae_sum += float(np.sum(np.abs(beliefs - xi_ref)))
         n_grp += inst.groups.k
         worst = max(worst, float(np.sqrt(np.mean((x_pos - x_ref) ** 2))))

@@ -95,7 +95,6 @@ def test_scenario_validation():
         dict(m=1, sweep_param="kappa", sweep_values=(2.0,)),
         dict(bits=0),
         dict(bits=20),
-        dict(sigma_x_sq=-1.0),
         dict(rho_init=5.0),  # with only hygec-known-rho, which never reads it
     ):
         with pytest.raises(InvalidParameter):
@@ -103,7 +102,6 @@ def test_scenario_validation():
     # JSON reads NaN and Infinity as floats; each must be refused by name
     for name, bad in (
         ("snr_db", dict(snr_db=-float("inf"))),
-        ("sigma_x_sq", dict(sigma_x_sq=float("inf"))),
         ("rho", dict(rho=float("nan"))),
         ("rho_init", dict(rho_init=float("nan"))),
         ("sweep_values", dict(sweep_param="kappa", sweep_values=(float("inf"),))),
@@ -358,7 +356,7 @@ def test_recipe_is_what_build_instance_reads():
     # each recipe field, changed to another valid value, changes the drawn instance;
     # any other Scenario field leaves it bitwise equal
     recipe = {"m": dict(m=24), "n": dict(n=36), "k": dict(k=5), "rho": dict(rho=0.3),
-              "snr_db": dict(snr_db=20.0), "bits": dict(bits=2), "sigma_x_sq": dict(sigma_x_sq=2.0)}
+              "snr_db": dict(snr_db=20.0), "bits": dict(bits=2)}
     others = {"name": dict(name="custom"), "seeds": dict(seeds=(7, 8)),
               "algorithms": dict(algorithms=("em-hygec",)),
               "sweep_param": dict(sweep_param="mean", sweep_values=(0.0,)),

@@ -127,20 +127,6 @@ def test_run_json_rows_name_the_numerical_failure(tmp_path, capsys, monkeypatch)
                                       "NonFinite in sweep 1: ")), row["failure"]
 
 
-def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
-    # the last point's mean gives a channel float64 cannot hold; every point's
-    # first-seed instance is drawn before the first trial, so none runs
-    calls = []
-    monkeypatch.setattr("hygec.bench.run_trial", lambda *args: calls.append(args) or run_trial(*args))
-    sc = _scenario_file(tmp_path, m=20, n=40, k=4, bits=2, seeds=[0, 1], sweep_param="mean",
-                        sweep_values=[0.0, 0.1, 1e160])
-    out = tmp_path / "out.json"
-    assert main(["run", sc, "--format", "json", "--out", str(out)]) == 2
-    assert "matrix mean 1e+160 give a channel float64 cannot hold" in capsys.readouterr().err
-    assert not out.exists()
-    assert calls == []
-
-
 def test_run_refuses_an_out_path_that_holds_no_file_before_any_trial(tmp_path, capsys,
                                                                       monkeypatch):
     # a path that can hold no file (in a missing directory, empty, a directory) is
@@ -293,8 +279,7 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     # Python's json reads NaN and Infinity; the run must refuse them by name
     base = {"name": "custom", "m": 20, "n": 30, "k": 6, "rho": 0.2, "snr_db": 18.0, "seeds": [0]}
-    for key, value in (("snr_db", -math.inf), ("rho", math.nan), ("sigma_x_sq", math.inf),
-                       ("sweep_values", [0.0, math.nan])):
+    for key, value in (("snr_db", -math.inf), ("rho", math.nan), ("sweep_values", [0.0, math.nan])):
         extra = {"sweep_param": "mean"} if key == "sweep_values" else {}
         bad.write_text(json.dumps({**base, **extra, key: value}))
         assert main(["run", str(bad)]) == 2, key
@@ -331,10 +316,11 @@ def test_run_names_a_wrong_shaped_field(tmp_path, capsys, field, value, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value", [("kappa", 10), ("matrix_mean", 0.1)])
-def test_run_and_gen_refuse_a_fixed_kappa_or_matrix_mean(tmp_path, capsys, field, value):
-    # a kappa or mean sweep is what sets either; a file that writes one as a field is
-    # refused by name and writes no file, never run on an i.i.d. zero-mean matrix
+@pytest.mark.parametrize("field, value", [("kappa", 10), ("matrix_mean", 0.1), ("sigma_x_sq", 2.0)])
+def test_run_and_gen_refuse_a_removed_field(tmp_path, capsys, field, value):
+    # a kappa or mean sweep is what sets either; every draw's slab variance is 1, the
+    # unit. A file that writes one as a field is refused by name and writes no file,
+    # never run on an i.i.d. zero-mean matrix or at a unit slab variance
     recipe = {"m": 20, "n": 40, "k": 4, "rho": 0.25, "snr_db": 15.0, field: value}
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(json.dumps(recipe))
@@ -430,15 +416,14 @@ def test_gen_refuses_every_field_outside_the_recipe_before_any_draw(tmp_path, ca
 
 
 def test_gen_reads_every_recipe_field(tmp_path, capsys):
-    recipe = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0, "bits": 2,
-              "sigma_x_sq": 2.0}
+    recipe = {"m": 10, "n": 20, "k": 4, "rho": 0.25, "snr_db": 15.0, "bits": 2}
     assert sorted(recipe) == sorted(RECIPE)
     spec, out = tmp_path / "spec.json", tmp_path / "x.npz"
     spec.write_text(json.dumps(recipe))
     assert main(["gen", str(spec), "--seed", "3", "--out", str(out)]) == 0
     inst = import_instance(str(out))
     ref = build_instance(Scenario(name="custom", seeds=(3,), **recipe), 3, None)
-    assert inst.channel == ref.channel and inst.sigma_x_sq == 2.0
+    assert inst.channel == ref.channel and inst.sigma_x_sq == 1.0  # every draw's unit
     assert np.array_equal(inst.H, ref.H)
     assert np.array_equal(inst.y, ref.y)
 
@@ -487,22 +472,45 @@ def test_an_output_path_in_a_missing_directory_exits_two(tmp_path, capsys):
 
 def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
     # each is refused at load with the message of the layer that owns the rule,
-    # so no trial runs
-    def no_trial(*args):
-        raise AssertionError("a trial ran")
+    # so no instance is drawn, no trial runs and no file is written
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
 
-    monkeypatch.setattr("hygec.bench.run_trial", no_trial)
+    monkeypatch.setattr("hygec.bench.build_instance", no_draw)
+    out = tmp_path / "out.json"
     for message, overrides in (
         ("kappa must lie in [1, 1e+14], not 0.5", dict(sweep_param="kappa", sweep_values=[1, 10, 0.5])),
         ("a 1-row matrix cannot have kappa > 1", dict(m=1, sweep_param="kappa", sweep_values=[2])),
         ("need m <= n", dict(m=40)),
         ("matrix dimensions must be positive", dict(m=0)),
         ("quantized channel needs 1 <= bits <= 16", dict(bits=20)),
-        ("sigma_x_sq must be positive", dict(sigma_x_sq=-1)),
         ("rho_init must lie in (0, 1)", dict(rho_init=5)),
+        ("cannot split 30 indices into 31 nonempty groups", dict(k=31)),
+        # the last point's mean would take a 2-bit clip range out of float64
+        ("mean must lie in [-1e+100, 1e+100], not 1e+160",
+         dict(m=20, n=40, k=4, bits=2, seeds=[0, 1], sweep_param="mean",
+              sweep_values=[0.0, 0.1, 1e160])),
     ):
-        assert main(["run", _scenario_file(tmp_path, **overrides)]) == 2, message
+        argv = ["run", _scenario_file(tmp_path, **overrides), "--format", "json", "--out", str(out)]
+        assert main(argv) == 2, message
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists(), message
+
+
+def test_run_draws_each_instance_once_per_trial(tmp_path, capsys, monkeypatch):
+    # every sweep point is checked at load, so the run draws no instance before its
+    # trials: one draw per (sweep point, algorithm, seed)
+    calls = []
+    monkeypatch.setattr("hygec.bench.build_instance",
+                        lambda *args: calls.append(args[1:]) or build_instance(*args))
+    sc = _scenario_file(tmp_path, m=20, n=40, k=4, bits=2, seeds=[0, 1],
+                        algorithms=["hygec-known-rho", "em-hygec"], sweep_param="mean",
+                        sweep_values=[0.0, 0.1])
+    assert main(["run", sc, "--format", "json"]) == 0
+    trials = {(row["seed"], row["sweep_value"], row["algorithm"])
+              for row in json.loads(capsys.readouterr().out)["rows"]}
+    assert len(trials) == len(calls) == 8
+    assert sorted(calls) == sorted((seed, value) for seed, value, _ in trials)
 
 
 @pytest.mark.parametrize("field, value", [("snr_db", 3100), ("snr_db", -3300), ("snr_db", -3200),
@@ -564,31 +572,6 @@ def test_run_and_gen_refuse_a_matrix_numpy_cannot_draw(tmp_path, capsys, monkeyp
     for argv in argvs:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: cannot draw a {m} x {n} matrix: "), argv
-        assert not out.exists(), argv
-
-
-@pytest.mark.parametrize("written, derived", [
-    ({"sigma_x_sq": 1e308}, "noise_var must be a finite float, not inf"),
-    ({"bits": 2, "sweep_param": "mean", "sweep_values": [1e160]},
-     "clip_range must be a finite float, not inf"),
-], ids=["sigma_x_sq", "matrix_mean"])
-def test_run_and_gen_name_the_fields_of_a_channel_float64_cannot_hold(tmp_path, capsys,
-                                                                       written, derived):
-    # the draw derives the noise variance and the clip range; when either overflows, the
-    # refusal names what the user wrote, sigma_x_sq and the swept matrix mean, not only
-    # the derived value. gen draws no sweep, so the mean runs through run alone
-    recipe = {"m": 20, "n": 40, "k": 4, "rho": 0.25, "snr_db": 15.0, **written}
-    spec, out = tmp_path / "spec.json", tmp_path / "out"
-    spec.write_text(json.dumps(recipe))
-    argvs = [["run", _scenario_file(tmp_path, **recipe), "--out", str(out)]]
-    if "sweep_param" not in written:
-        argvs.insert(0, ["gen", str(spec), "--out", str(out)])
-    sigma_x_sq, (mean,) = written.get("sigma_x_sq", 1.0), written.get("sweep_values", [0.0])
-    message = (f"error: sigma_x_sq {sigma_x_sq:g} and matrix mean {mean:g} give a channel "
-               f"float64 cannot hold ({derived})\n")
-    for argv in argvs:
-        assert main(argv) == 2, argv
-        assert capsys.readouterr().err == message, argv
         assert not out.exists(), argv
 
 

@@ -70,7 +70,7 @@ def test_init_state_z_prior_variance():
 
 
 def test_init_state_layout():
-    inst = _instance(0, 6, 10, 5, 0.2, 15.0, sigma_x_sq=2.0)
+    inst = dataclasses.replace(_instance(0, 6, 10, 5, 0.2, 15.0), sigma_x_sq=2.0)
     cfg = HygecConfig()
     st = init_state(inst, 0.2, cfg)
     assert st.t == 0
@@ -528,12 +528,11 @@ def test_run_records_overflow_as_numerical_failure():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_run_records_a_zero_posterior_variance_as_numerical_failure(seed):
-    # at a matrix mean of 1e160 a posterior variance reaches zero in sweep 1; extrinsic
-    # divides by it under its errstate, so the run records the failure instead of
-    # raising the warning under the suite's warnings-as-errors
-    sc = Scenario(name="custom", m=20, n=40, k=4, rho=0.25, snr_db=15.0, seeds=(0,),
-                  sweep_param="mean", sweep_values=(1e160,))
-    _, _, _, _, report = hygec_run(build_instance(sc, seed, 1e160), 0.25)
+    # with H shifted by 1e160, past what a scenario's mean may be, a posterior variance
+    # reaches zero in sweep 1; extrinsic divides by it under its errstate, so the run
+    # records the failure instead of raising the warning under the suite's warnings-as-errors
+    inst = _instance(seed, 20, 40, 4, 0.25, 15.0)
+    _, _, _, _, report = hygec_run(dataclasses.replace(inst, H=inst.H + 1e160), 0.25)
     assert report.termination == NUMERICAL_FAILURE
     assert report.failure.startswith("NonFinite in sweep 1: "), report.failure
 

@@ -1,10 +1,13 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hygec.bench import _ROLE_MATRIX, _ROLE_NOISE, _ROLE_SIGNAL, Scenario, build_instance
+from hygec.bench import (
+    _ROLE_MATRIX, _ROLE_NOISE, _ROLE_SIGNAL, MEAN_MAX, Scenario, build_instance,
+)
 from hygec.ensembles import (
     MatrixSpec,
     apply_channel,
@@ -60,6 +63,17 @@ def test_kappa_and_snr_db_bounds_are_inclusive_edges():
     for snr_db in (300.1, -300.1):
         with pytest.raises(InvalidParameter, match=r"^snr_db must lie in \[-300, 300\], not "):
             snr_ratio(snr_db)
+    # at a mean of +-MEAN_MAX a 2-bit draw's clip range is finite and positive; the next
+    # float beyond is refused at load
+    sweep = dict(name="custom", m=20, n=40, k=4, rho=0.25, snr_db=15.0, seeds=(0,), bits=2,
+                 sweep_param="mean")
+    for mean in (MEAN_MAX, -MEAN_MAX):
+        inst = build_instance(Scenario(**sweep, sweep_values=(mean,)), 0, mean)
+        assert 0 < inst.channel.clip_range < np.inf, mean
+        beyond = float(np.nextafter(mean, np.sign(mean) * np.inf))
+        with pytest.raises(InvalidParameter, match=r"^mean must lie in \[-1e\+100, 1e\+100\], not "
+                                                   + re.escape(repr(beyond)) + "$"):
+            Scenario(**sweep, sweep_values=(beyond,))
 
 
 def test_haar_factor_is_orthogonal():
@@ -246,16 +260,16 @@ def test_mean_sweep_instance_is_the_two_matrix_recipe_bit_for_bit(bits):
             base = np.random.default_rng([seed, _ROLE_MATRIX]).standard_normal((sc.m, sc.n))
             base = 0.0 + base / np.sqrt(sc.m)
             H = base + mean if mean != 0.0 else base
-            power = sc.rho * sc.sigma_x_sq * float(np.einsum("ij,ij->", base, base)) / sc.m
+            power = sc.rho * float(np.einsum("ij,ij->", base, base)) / sc.m  # sigma_x_sq 1
             noise_var = power / 10.0 ** (sc.snr_db / 10.0)
-            x, _ = gen_group_sparse_signal(GroupStructure.even(sc.n, sc.k), sc.rho, sc.sigma_x_sq,
+            x, _ = gen_group_sparse_signal(GroupStructure.even(sc.n, sc.k), sc.rho, 1.0,
                                            np.random.default_rng([seed, _ROLE_SIGNAL]))
             w = np.random.default_rng([seed, _ROLE_NOISE]).standard_normal(sc.m)
             y = np.einsum("ij,j->i", H, x) + w * np.sqrt(noise_var)
             if bits is None:
                 channel = Channel.linear_awgn(noise_var)
             else:
-                shifted = sc.rho * sc.sigma_x_sq * float(np.einsum("ij,ij->", H, H)) / sc.m
+                shifted = sc.rho * float(np.einsum("ij,ij->", H, H)) / sc.m
                 channel = Channel.quantized(noise_var, bits, 3.0 * np.sqrt(shifted + noise_var))
                 y = channel.quantize(y)
             assert np.array_equal(inst.H, H)

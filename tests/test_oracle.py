@@ -1,13 +1,18 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.stats import norm, truncnorm
 
-from hygec.bench import Scenario, build_instance, draw_instance
+from hygec.bench import Scenario, draw_instance
 from hygec.denoisers import x_posterior_spike_slab, z_posterior_awgn, z_posterior_cell
 from hygec.engine import nmse
-from hygec.ensembles import MatrixSpec, apply_channel, gen_group_sparse_signal, gen_matrix
+from hygec.ensembles import (
+    MatrixSpec,
+    apply_channel,
+    default_clip_range,
+    gen_group_sparse_signal,
+    gen_matrix,
+    snr_to_noise_var,
+)
 from hygec.oracle import enumeration_parity, exact_posterior_small, quad_z_posterior
 from hygec.types import Channel, GroupStructure, InvalidParameter, ProblemInstance
 
@@ -232,21 +237,31 @@ def test_posteriors_and_draws_scale_with_the_signal(s):
         assert _rel(s_var, s2 * x_var) < 1e-12, seed
         assert _rel(s_post, xi_post) < 1e-12, seed
 
-    # sigma_x_sq s**2 draws the same matrix and s times the signal; the noise is
+    # the draw's three calls that read the slab variance, at s**2 against 1, as
+    # draw_instance makes them: the same stream gives s times the signal, and the noise is
     # calibrated to the signal, so the linear y scales and a 2-bit y keeps its cells
-    base = Scenario(name="custom", m=20, n=40, k=8, rho=0.25, snr_db=15.0, seeds=(0,))
+    groups = GroupStructure.even(40, 8)
+    H = gen_matrix(MatrixSpec("iid", 20, 40), np.random.default_rng(3))
+    x, xi = gen_group_sparse_signal(groups, 0.25, 1.0, np.random.default_rng(4))
+    s_x, s_xi = gen_group_sparse_signal(groups, 0.25, s2, np.random.default_rng(4))
+    assert np.array_equal(s_x, s * x) and np.array_equal(s_xi, xi)
+    noise_var, s_noise_var = (snr_to_noise_var(H, 0.25, v, 15.0) for v in (1.0, s2))
+    assert _rel(s_noise_var, s2 * noise_var) < 1e-12
     for bits in (None, 2):
-        one = build_instance(dataclasses.replace(base, bits=bits), 3, None)
-        scaled = build_instance(dataclasses.replace(base, bits=bits, sigma_x_sq=s2), 3, None)
-        assert np.array_equal(scaled.H, one.H), bits
-        assert np.array_equal(scaled.x_true, s * one.x_true), bits
-        assert np.array_equal(scaled.xi_true, one.xi_true), bits
-        assert _rel(scaled.channel.noise_var, s2 * one.channel.noise_var) < 1e-12, bits
         if bits is None:
-            assert _rel(scaled.y, s * one.y) < 1e-12
+            one, scaled = Channel.linear_awgn(noise_var), Channel.linear_awgn(s_noise_var)
         else:
-            assert _rel(scaled.channel.clip_range, s * one.channel.clip_range) < 1e-12
-            assert np.array_equal(scaled.y, one.y)
+            clip, s_clip = (default_clip_range(H, 0.25, v, nv)
+                            for v, nv in ((1.0, noise_var), (s2, s_noise_var)))
+            assert _rel(s_clip, s * clip) < 1e-12
+            one, scaled = Channel.quantized(noise_var, bits, clip), Channel.quantized(
+                s_noise_var, bits, s_clip)
+        y = apply_channel(H, x, one, np.random.default_rng(5))
+        s_y = apply_channel(H, s_x, scaled, np.random.default_rng(5))
+        if bits is None:
+            assert _rel(s_y, s * y) < 1e-12
+        else:
+            assert np.array_equal(s_y, y)
 
 
 def test_nmse_values_and_floor():

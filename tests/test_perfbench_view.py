@@ -59,3 +59,16 @@ def test_every_package_name_the_workloads_use_exists():
     missing = sorted((mod, attr) for mod, attr in used
                      if not hasattr(importlib.import_module(mod), attr))
     assert missing == []
+
+
+def test_each_workload_draws_and_runs_one_unit_at_smoke_size():
+    # a Scenario field or package call that a workload writes or reads, once lost, fails
+    # here and not only in the benchmark's own smoke run; quant-pool runs serially, so no
+    # process pool starts
+    workloads = _load("workloads").WORKLOADS
+    assert workloads
+    for name, cls in workloads.items():
+        workload = cls(smoke=True)
+        (item,) = workload.generate(0, 1)
+        result = workload.run_unit(item, threads=1) if workload.pooled else workload.run_unit(item)
+        assert result.trials and all(trial.solves for trial in result.trials), name
