@@ -486,15 +486,27 @@ def test_run_refuses_a_bad_sweep_point_before_any_trial(tmp_path, capsys, monkey
         ("quantized channel needs 1 <= bits <= 16", dict(bits=20)),
         ("rho_init must lie in (0, 1)", dict(rho_init=5)),
         ("cannot split 30 indices into 31 nonempty groups", dict(k=31)),
-        # the last point's mean would take a 2-bit clip range out of float64
-        ("mean must lie in [-1e+100, 1e+100], not 1e+160",
-         dict(m=20, n=40, k=4, bits=2, seeds=[0, 1], sweep_param="mean",
-              sweep_values=[0.0, 0.1, 1e160])),
     ):
         argv = ["run", _scenario_file(tmp_path, **overrides), "--format", "json", "--out", str(out)]
         assert main(argv) == 2, message
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists(), message
+
+
+def test_run_refuses_a_sweep_point_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the last point's mean would take a 2-bit clip range out of float64; the
+    # mean bound refuses it at load, so no instance is drawn and no trial runs
+    calls = []
+    monkeypatch.setattr("hygec.bench.run_trial", lambda *args: calls.append(args) or run_trial(*args))
+    monkeypatch.setattr("hygec.bench.build_instance",
+                        lambda *args: calls.append(args) or build_instance(*args))
+    sc = _scenario_file(tmp_path, m=20, n=40, k=4, bits=2, seeds=[0, 1], sweep_param="mean",
+                        sweep_values=[0.0, 0.1, 1e160])
+    out = tmp_path / "out.json"
+    assert main(["run", sc, "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: mean must lie in [-1e+100, 1e+100], not 1e+160\n"
+    assert not out.exists()
+    assert calls == []
 
 
 def test_run_draws_each_instance_once_per_trial(tmp_path, capsys, monkeypatch):
